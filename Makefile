@@ -10,8 +10,11 @@ all: build lint test
 build:
 	go build ./...
 
+# servebench is its own Go module, so ./... skips it; it calls the
+# library and service APIs, so it is built, vetted and tested here too.
 test:
 	go test ./...
+	go -C servebench vet ./... && go -C servebench test .
 
 # lint = the CI lint job: the sgelint invariant suite over every
 # package (including test files, via go vet's [pkg.test] variants),

@@ -3,10 +3,10 @@ package parsge
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"parsge/internal/domain"
-	"parsge/internal/ri"
 )
 
 // This file exposes the cheap per-query cost signals the service layer's
@@ -51,8 +51,49 @@ type CostEstimate struct {
 	PreprocTime time.Duration
 	// Epoch is the target mutation epoch the estimate was computed
 	// against. An admission decision derived from this estimate is
-	// attributable to exactly this graph version.
+	// attributable to exactly this graph version, and a run through
+	// Target.EnumerateEstimated answers at it.
 	Epoch uint64
+
+	// pin hands the estimate's snapshot and domains to the run it
+	// priced; nil in a zero or Detached estimate.
+	pin *estimatePin
+}
+
+// estimatePin is what EstimateCost leaves for Target.EnumerateEstimated:
+// the snapshot it computed on, what the domains were computed for, and
+// the domains themselves (kept only when the resolved engine uses them).
+type estimatePin struct {
+	tgt     *Target
+	st      *targetState
+	pattern *Graph
+	sem     Semantics
+	filters domain.Filters
+	// doms is taken by the first run that adopts it: forward checking
+	// refines the domains in place, so they serve one search only.
+	doms  atomic.Pointer[domain.Domains]
+	stats domain.ComputeStats
+	took  time.Duration // the estimate's wall time up to the computed domains
+}
+
+// covers reports whether the pin was computed by t for this query: the
+// same pattern under the same semantics and pruning options. A nil pin
+// covers nothing.
+func (p *estimatePin) covers(t *Target, pattern *Graph, opts Options) bool {
+	if p == nil || p.tgt != t || p.pattern != pattern || p.filters != opts.Pruning.filters() {
+		return false
+	}
+	sem, err := t.ResolveSemantics(opts)
+	return err == nil && sem == p.sem
+}
+
+// Detached returns the estimate without its snapshot and domains: the
+// form to keep beyond the request, for instance in a cache, since the
+// domains can be large and the snapshot may be superseded. A run from a
+// detached estimate preprocesses afresh on the current snapshot.
+func (e CostEstimate) Detached() CostEstimate {
+	e.pin = nil
+	return e
 }
 
 // EstimateCost runs the query's domain preprocessing against the current
@@ -61,7 +102,9 @@ type CostEstimate struct {
 // as Enumerate would (so PlanKey matches the bucket the real run will
 // record into), pins everything to one snapshot epoch, and costs
 // milliseconds — the point is to classify *after* preprocessing instead
-// of guessing from pattern size alone.
+// of guessing from pattern size alone. The estimate keeps the snapshot
+// and the domains, so the run it admits (Target.EnumerateEstimated) does
+// not compute them a second time.
 func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options) (CostEstimate, error) {
 	if pattern == nil {
 		return CostEstimate{}, fmt.Errorf("parsge: nil pattern graph")
@@ -72,7 +115,7 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 		return CostEstimate{Epoch: st.epoch}, ctx.Err()
 	}
 	alg := st.resolveAlgorithm(opts.Algorithm)
-	if (alg < RI || alg > RIDSSIFC) && alg != VF2 && alg != LAD {
+	if !alg.valid() {
 		return CostEstimate{}, fmt.Errorf("parsge: unknown algorithm %d", int(alg))
 	}
 	sem, err := t.ResolveSemantics(opts)
@@ -81,22 +124,15 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 	}
 	gp := pattern.Simplify()
 
-	// Mirror ri.Prepare's domain resolution so the estimate prices the
-	// same plan the query will run (plain RI computes no domains, but
-	// the bound is still the best shed signal available, so the
-	// estimate always computes them).
-	dopts := domain.Options{
-		ACPasses:      opts.Pruning.ACPasses,
-		SkipNLF:       opts.Pruning.DisableNLF,
-		SkipInducedAC: opts.Pruning.DisableInducedAC,
-		Index:         st.index,
-		Kernel:        opts.Pruning.Kernel,
-		Semantics:     sem,
-	}
-	if opts.Pruning.Schedule == domain.ScheduleAuto {
-		dopts = domain.AutoTune(dopts, gp, st.g)
-	}
-	doms, dstats := domain.ComputeWithStats(gp, st.g, dopts)
+	// The domains are computed exactly as the run computes them, so the
+	// estimate prices the plan the query will run. Plain RI computes no
+	// domains, but the bound is still the best shed signal available,
+	// so the estimate always computes them — and keeps them only for an
+	// engine that adopts them. The bound is taken here, before the run's
+	// forward checking refines them.
+	pin := &estimatePin{tgt: t, st: st, pattern: pattern, sem: sem, filters: opts.Pruning.filters()}
+	doms, dstats := pin.filters.Compute(gp, st.g, st.index, sem)
+	pin.stats, pin.took = dstats, time.Since(start)
 	logProd, anyEmpty := doms.LogProduct()
 
 	est := CostEstimate{
@@ -112,13 +148,15 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 	if n := st.g.NumNodes(); n > 1 {
 		est.TargetDensity = float64(st.g.NumEdges()) / (float64(n) * float64(n-1))
 	}
-	if alg >= RI && alg <= RIDSSIFC && !ri.Variant(alg).UsesDomains() {
+	if alg == RI {
 		est.PlanKey = "none" // plain RI records no plan
 	} else {
+		pin.doms.Store(doms)
 		est.Plan = planInfo(&dstats)
 		est.PlanKey = est.Plan.String()
 	}
 	est.PreprocTime = time.Since(start)
+	est.pin = pin
 	return est, nil
 }
 

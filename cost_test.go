@@ -2,8 +2,11 @@ package parsge
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
+
+	"parsge/internal/testutil"
 )
 
 // costClique builds an unlabeled complete graph on n nodes.
@@ -164,5 +167,125 @@ func TestCensusTruncationRecorded(t *testing.T) {
 	b := st.Plans.Bucket("census:k=6")
 	if b.Truncated != 1 || b.Count != 0 {
 		t.Fatalf("census bucket: Truncated=%d Count=%d, want 1/0", b.Truncated, b.Count)
+	}
+}
+
+// TestEstimatedRunAnswersAtEstimateEpoch: the run an estimate admits
+// answers on the snapshot the estimate pinned. An update landing between
+// estimate and run must not move it: Result.Epoch is the estimate's
+// epoch and Matches the oracle count of that epoch's graph — for the
+// run that adopts the domains, for a second run from the same estimate
+// (which recomputes them on the same snapshot), and for a stream. A
+// detached estimate, or one computed for another pattern, runs on the
+// current snapshot like Enumerate.
+func TestEstimatedRunAnswersAtEstimateEpoch(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	tgt, err := NewTarget(costClique(6), TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri := costClique(3)
+	opts := Options{Algorithm: RIDSSIFC}
+	g0 := tgt.Graph()
+	est, err := tgt.EstimateCost(ctx, tri, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(u, v int32) {
+		t.Helper()
+		if _, err := tgt.ApplyUpdates(ctx, []EdgeUpdate{{From: u, To: v, Remove: true}, {From: v, To: u, Remove: true}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut(0, 1)
+	if tgt.Epoch() == est.Epoch {
+		t.Fatal("update did not advance the epoch")
+	}
+	want := testutil.BruteCountSem(tri, g0, SubgraphIso)
+	for run := 1; run <= 2; run++ {
+		res, err := tgt.EnumerateEstimated(ctx, est, tri, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != est.Epoch || res.Matches != want {
+			t.Fatalf("run %d from the estimate: epoch %d matches %d, want epoch %d matches %d",
+				run, res.Epoch, res.Matches, est.Epoch, want)
+		}
+	}
+
+	g1 := tgt.Graph()
+	est1, err := tgt.EstimateCost(ctx, tri, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut(2, 3)
+	matches, end := tgt.EnumerateStreamEstimated(ctx, est1, tri, opts)
+	var streamed int64
+	for range matches {
+		streamed++
+	}
+	e := <-end
+	want = testutil.BruteCountSem(tri, g1, SubgraphIso)
+	if e.Err != nil || e.Result.Epoch != est1.Epoch || e.Result.Matches != want || streamed != want {
+		t.Fatalf("stream from the estimate: err %v epoch %d matches %d streamed %d, want epoch %d matches %d",
+			e.Err, e.Result.Epoch, e.Result.Matches, streamed, est1.Epoch, want)
+	}
+
+	want = testutil.BruteCountSem(tri, tgt.Graph(), SubgraphIso)
+	for name, run := range map[string]func() (Result, error){
+		"detached":      func() (Result, error) { return tgt.EnumerateEstimated(ctx, est1.Detached(), tri, opts) },
+		"other pattern": func() (Result, error) { return tgt.EnumerateEstimated(ctx, est1, costClique(3), opts) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != tgt.Epoch() || res.Matches != want {
+			t.Errorf("%s estimate: epoch %d matches %d, want the current epoch %d and %d matches",
+				name, res.Epoch, res.Matches, tgt.Epoch(), want)
+		}
+	}
+}
+
+// TestEstimateSharedByConcurrentRuns: runs sharing one estimate race
+// for its domains. One adopts them and the others compute their own on
+// the pinned snapshot; every run, sequential or on the steal pool, must
+// answer at the estimate's epoch with that graph's oracle count.
+func TestEstimateSharedByConcurrentRuns(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	tgt, err := NewTarget(costClique(7), TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := costStar(3)
+	g0 := tgt.Graph()
+	est, err := tgt.EstimateCost(ctx, pat, Options{Algorithm: RIDSSIFC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tgt.ApplyUpdates(ctx, []EdgeUpdate{{From: 0, To: 1, Remove: true}}); err != nil {
+		t.Fatal(err)
+	}
+	want := testutil.BruteCountSem(pat, g0, SubgraphIso)
+	results := make([]Result, 6)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = tgt.EnumerateEstimated(ctx, est, pat, Options{Algorithm: RIDSSIFC, Workers: 1 + i%2})
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if res.Epoch != est.Epoch || res.Matches != want {
+			t.Errorf("run %d: epoch %d matches %d, want epoch %d matches %d", i, res.Epoch, res.Matches, est.Epoch, want)
+		}
 	}
 }

@@ -228,16 +228,20 @@ func (s *Suite) runInstance(inst datasets.Instance, cfg runConfig) Record {
 		sched = domain.ScheduleAuto
 	}
 
+	filters := domain.Filters{
+		ACPasses:      cfg.acPasses,
+		SkipAC:        cfg.skipAC,
+		SkipNLF:       cfg.skipNLF,
+		SkipInducedAC: cfg.skipInducedAC,
+		Schedule:      sched,
+		Kernel:        cfg.kernel,
+	}
 	if cfg.vf2 {
 		res := vf2.Enumerate(inst.Pattern, inst.Target, vf2.Options{
-			Ctx:           ctx,
-			Semantics:     cfg.semantics,
-			SkipDomains:   cfg.vf2SkipDomains,
-			SkipNLF:       cfg.skipNLF,
-			SkipInducedAC: cfg.skipInducedAC,
-			ACPasses:      cfg.acPasses,
-			Schedule:      sched,
-			Kernel:        cfg.kernel,
+			Ctx:         ctx,
+			Semantics:   cfg.semantics,
+			SkipDomains: cfg.vf2SkipDomains,
+			Filters:     filters,
 		})
 		rec.Matches = res.Matches
 		rec.States = res.States
@@ -249,14 +253,9 @@ func (s *Suite) runInstance(inst datasets.Instance, cfg runConfig) Record {
 
 	prep, err := ri.Prepare(inst.Pattern, inst.Target, ri.Options{
 		Variant:       cfg.variant,
-		ACPasses:      cfg.acPasses,
-		SkipAC:        cfg.skipAC,
-		SkipNLF:       cfg.skipNLF,
-		SkipInducedAC: cfg.skipInducedAC,
+		Filters:       filters,
 		Semantics:     cfg.semantics,
 		OrderStrategy: cfg.orderStrategy,
-		Schedule:      sched,
-		Kernel:        cfg.kernel,
 	})
 	if err != nil {
 		panic(err) // harness-internal configurations are always valid

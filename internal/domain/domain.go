@@ -327,6 +327,50 @@ type Options struct {
 	Semantics graph.Semantics
 }
 
+// Filters are the preprocessing knobs every engine exposes: which
+// filters run, how deep arc consistency iterates, the kernel, and the
+// schedule that may adapt all of them. Engines take them as-is and turn
+// them into domains through Compute.
+type Filters struct {
+	// ACPasses caps the arc-consistency sweeps (0 = fixpoint); see
+	// Options.ACPasses.
+	ACPasses int
+	// SkipAC, SkipNLF and SkipInducedAC disable the corresponding
+	// filters, for ablations and the differential batteries; see Options.
+	SkipAC, SkipNLF, SkipInducedAC bool
+	// Schedule selects the filter plan: ScheduleAuto (the zero value)
+	// adapts the knobs to the target's statistics and the pattern's
+	// shape (see AutoTune), ScheduleFixed runs them as given. Explicit
+	// ACPasses and Skip* knobs are respected under both.
+	Schedule Schedule
+	// Kernel selects the candidate-intersection implementation of
+	// propagation and of the engines' hot paths: KernelAuto (the zero
+	// value) picks bitset rows for targets up to graph.DenseRowLimit,
+	// KernelBitset and KernelSlice force one side.
+	Kernel Kernel
+}
+
+// Compute resolves f into the domain options for pattern gp against
+// target gt under sem — adapted by AutoTune under ScheduleAuto — and
+// computes the domains. It is the one place preprocessing knobs become
+// domain options: every engine and the cost estimate go through it, so
+// an estimate prices exactly the plan its run executes.
+func (f Filters) Compute(gp, gt *graph.Graph, ix *Index, sem graph.Semantics) (*Domains, ComputeStats) {
+	opts := Options{
+		ACPasses:      f.ACPasses,
+		SkipAC:        f.SkipAC,
+		SkipNLF:       f.SkipNLF,
+		SkipInducedAC: f.SkipInducedAC,
+		Index:         ix,
+		Kernel:        f.Kernel,
+		Semantics:     sem,
+	}
+	if f.Schedule == ScheduleAuto {
+		opts = AutoTune(opts, gp, gt)
+	}
+	return ComputeWithStats(gp, gt, opts)
+}
+
 // Compute builds the domains of pattern gp against target gt.
 func Compute(gp, gt *graph.Graph, opts Options) *Domains {
 	d, _ := ComputeWithStats(gp, gt, opts)

@@ -380,11 +380,11 @@ func buildCSR(edges []Edge, n int32, reverse bool) ([]int32, []int32, []Label) {
 		lab[next[s]] = e.Label
 		next[s]++
 	}
+	rs := &rowSorter{} // one sorter for every row, not one allocation per row
 	for v := int32(0); v < n; v++ {
 		lo, hi := start[v], start[v+1]
-		row := adj[lo:hi]
-		rowLab := lab[lo:hi]
-		sort.Sort(&rowSorter{row, rowLab})
+		rs.adj, rs.lab = adj[lo:hi], lab[lo:hi]
+		sort.Sort(rs)
 	}
 	return start, adj, lab
 }

@@ -110,14 +110,27 @@ type Reader struct {
 	line   int
 }
 
+// maxLine caps the length of one input line (a label or an edge line).
+const maxLine = 1 << 24
+
 // NewReader returns a Reader that interns labels into table. If table is
 // nil a private table is created.
+//
+// The scan buffer starts at 64 KB for streams of unknown length, such as
+// files, and at the text's own length for in-memory readers that report
+// one (strings.Reader, bytes.Reader, bytes.Buffer), so parsing a short
+// pattern allocates in proportion to its text. Either way it grows on
+// demand up to maxLine.
 func NewReader(r io.Reader, table *LabelTable) *Reader {
 	if table == nil {
 		table = NewLabelTable()
 	}
+	size := 1 << 16
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(l.Len()+1, size)
+	}
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 1<<16), 1<<24)
+	s.Buffer(make([]byte, size), maxLine)
 	return &Reader{s: s, labels: table}
 }
 
@@ -179,7 +192,10 @@ func (r *Reader) Read() (NamedGraph, error) {
 		return NamedGraph{}, r.errf("bad node count %q", nLine)
 	}
 
-	b := graph.NewBuilder(n, 0)
+	// The node count is untrusted input: nodes are appended as their
+	// label lines arrive, so a text declaring a billion nodes fails at
+	// its first missing label instead of sizing an allocation.
+	var b graph.Builder
 	for i := 0; i < n; i++ {
 		lab, err := r.nextLine()
 		if err != nil {
@@ -206,8 +222,10 @@ func (r *Reader) Read() (NamedGraph, error) {
 		if len(fields) != 2 && len(fields) != 3 {
 			return NamedGraph{}, r.errf("bad edge line %q", line)
 		}
-		u, err1 := strconv.Atoi(fields[0])
-		v, err2 := strconv.Atoi(fields[1])
+		// Node ids are int32: a wider endpoint is an error, not a
+		// wrapped id naming some other node.
+		u, err1 := strconv.ParseInt(fields[0], 10, 32)
+		v, err2 := strconv.ParseInt(fields[1], 10, 32)
 		if err1 != nil || err2 != nil {
 			return NamedGraph{}, r.errf("bad edge endpoints %q", line)
 		}

@@ -2,8 +2,10 @@ package graphio
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +100,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad edge line", "#g\n2\nA\nB\n1\n0 1 2 3\n"},
 		{"bad endpoints", "#g\n2\nA\nB\n1\nx y\n"},
 		{"edge out of range", "#g\n2\nA\nB\n1\n0 9\n"},
+		{"endpoint wider than int32", "#g\n2\nA\nB\n1\n4294967296 1\n"},
 		{"truncated edges", "#g\n2\nA\nB\n2\n0 1\n"},
 	}
 	for _, c := range cases {
@@ -325,5 +328,55 @@ func TestWriteUndirectedRoundTrip(t *testing.T) {
 	ab.AddEdge(0, 1, graph.NoLabel)
 	if err := WriteUndirected(io.Discard, "bad", ab.MustBuild(), table); err == nil {
 		t.Error("asymmetric graph accepted")
+	}
+}
+
+// TestParseAllocation bounds the bytes one parse of a small pattern
+// allocates, so a fixed per-reader buffer (64 KB at one time) cannot
+// come back unnoticed: a 20-node, 40-arc pattern read through a label
+// table that already knows its labels, as the server reads requests,
+// must stay within 8 KB. A text declaring 100 million nodes must fail
+// at its first missing label without sizing anything by that count.
+func TestParseAllocation(t *testing.T) {
+	const nodes = 20
+	table := NewLabelTable()
+	rng := rand.New(rand.NewSource(1))
+	b := graph.NewBuilder(nodes, 0)
+	for v := 0; v < nodes; v++ {
+		b.AddNode(table.Intern(fmt.Sprint(v % 4)))
+	}
+	for b.NumEdges() < 40 {
+		u, v := int32(rng.Intn(nodes)), int32(rng.Intn(nodes))
+		if u != v && !b.HasEdgePending(u, v) {
+			b.AddEdgeBoth(u, v, graph.NoLabel)
+		}
+	}
+	var sb strings.Builder
+	if err := Write(&sb, "p", b.MustBuild(), table); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+
+	perParse := func(text string) uint64 {
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			NewReader(strings.NewReader(text), table).ReadAll()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if got := perParse(text); got > 8<<10 {
+		t.Errorf("parsing a %d-byte, %d-node pattern allocates %d bytes, want at most 8 KB", len(text), nodes, got)
+	}
+
+	huge := "#p\n100000000\n"
+	if _, err := NewReader(strings.NewReader(huge), table).Read(); err == nil {
+		t.Fatal("a pattern declaring 1e8 nodes and listing none parsed")
+	}
+	if got := perParse(huge); got > 8<<10 {
+		t.Errorf("rejecting a pattern that declares 1e8 nodes allocates %d bytes, want at most 8 KB", got)
 	}
 }

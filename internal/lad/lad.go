@@ -47,24 +47,18 @@ type Options struct {
 	// initial domain filter to label buckets and supplies precomputed
 	// NLF signatures (see domain.Index).
 	Index *domain.Index
-	// SkipNLF / SkipInducedAC disable the corresponding preprocessing
-	// filters (ablation and differential testing); see domain.Options.
-	SkipNLF       bool
-	SkipInducedAC bool
-	// ACPasses caps the arc-consistency sweeps of domain preprocessing
-	// (0 = fixpoint); see domain.Options.ACPasses.
-	ACPasses int
-	// Schedule selects the preprocessing filter plan: the zero value,
-	// domain.ScheduleAuto, adapts the filters to the target's statistics
-	// (see domain.AutoTune); domain.ScheduleFixed runs the full fixed
-	// pipeline. The resolved plan is reported in Result.PreprocStats.
-	Schedule domain.Schedule
-	// Kernel selects the candidate-intersection implementation of the
-	// per-state propagation: under the bitset kernel the neighborhood
-	// intersections and induced subtractions are word-parallel row ops
-	// on graph.BitGraph instead of per-neighbor bit edits. The zero
-	// value, domain.KernelAuto, picks by target size.
-	Kernel domain.Kernel
+	// Filters are the domain preprocessing knobs; the resolved plan is
+	// reported in Result.PreprocStats. Under the bitset kernel the
+	// per-state neighborhood intersections and induced subtractions are
+	// word-parallel row ops on graph.BitGraph instead of per-neighbor
+	// bit edits.
+	domain.Filters
+	// Domains, when non-nil, are domains Filters.Compute already
+	// computed for this pattern, target, index and semantics, with
+	// DomainStats their report: preprocessing adopts them instead of
+	// computing them again.
+	Domains     *domain.Domains
+	DomainStats *domain.ComputeStats
 	// Semantics selects the matching semantics (zero value: normalized
 	// to non-induced subgraph isomorphism). Under graph.Homomorphism
 	// the AllDifferent propagation is skipped (no injectivity); under
@@ -135,19 +129,13 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 	opts.Semantics = opts.Semantics.Norm()
 
 	gp = gp.Simplify() // duplicate pattern edges would poison degree pruning
-	dopts := domain.Options{
-		Index:         opts.Index,
-		ACPasses:      opts.ACPasses,
-		SkipNLF:       opts.SkipNLF,
-		SkipInducedAC: opts.SkipInducedAC,
-		Kernel:        opts.Kernel,
-		Semantics:     opts.Semantics,
+	doms, dstats := opts.Domains, opts.DomainStats
+	if doms == nil {
+		var computed domain.ComputeStats
+		doms, computed = opts.Filters.Compute(gp, gt, opts.Index, opts.Semantics)
+		dstats = &computed
 	}
-	if opts.Schedule == domain.ScheduleAuto {
-		dopts = domain.AutoTune(dopts, gp, gt)
-	}
-	doms, dstats := domain.ComputeWithStats(gp, gt, dopts)
-	res.PreprocStats = &dstats
+	res.PreprocStats = dstats
 	if doms.AnyEmpty() {
 		res.Unsatisfiable = true
 		res.PreprocTime = time.Since(start)

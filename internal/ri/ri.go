@@ -70,31 +70,21 @@ func (v Variant) UsesDomains() bool { return v != VariantRI }
 // Options configures Prepare.
 type Options struct {
 	Variant Variant
-	// ACPasses bounds arc-consistency sweeps (0 = fixpoint); forwarded
-	// to domain.Compute for the DS variants.
-	ACPasses int
-	// SkipAC disables arc consistency (ablation only).
-	SkipAC bool
-	// SkipNLF disables the neighborhood-label-frequency domain filter
-	// (ablation and differential testing); see domain.Options.SkipNLF.
-	SkipNLF bool
-	// SkipInducedAC disables the induced non-edge domain propagation
-	// (ablation and differential testing); see
-	// domain.Options.SkipInducedAC.
-	SkipInducedAC bool
-	// Schedule selects the preprocessing filter plan for the DS
-	// variants: the zero value, domain.ScheduleAuto, adapts the filters
-	// to the target's statistics (see domain.AutoTune) while
-	// domain.ScheduleFixed runs the full fixed pipeline. Explicit
-	// ACPasses/Skip* knobs are respected under both. The chosen plan is
-	// recorded in Prepared.PreprocStats.
-	Schedule domain.Schedule
-	// Kernel selects the candidate-intersection implementation of the
-	// feasibility hot path (and of domain propagation): the zero value,
-	// domain.KernelAuto, picks bitset adjacency rows whenever the target
-	// fits graph.DenseRowLimit; KernelBitset/KernelSlice force one side
+	// Filters are the domain preprocessing knobs of the DS variants; the
+	// plan they resolve to is recorded in Prepared.PreprocStats. Their
+	// Kernel also selects the feasibility hot path of every variant:
+	// bitset adjacency rows whenever the target fits
+	// graph.DenseRowLimit under domain.KernelAuto, or one side forced
 	// (the differential battery and the kernel ablation run both).
-	Kernel domain.Kernel
+	domain.Filters
+	// Domains, when non-nil, are the DS variants' domains already
+	// computed by Filters.Compute for this pattern, target, index and
+	// semantics (a cost estimate computes them before admission), and
+	// DomainStats is their report. Prepare adopts them instead of
+	// computing them again; forward checking refines them in place, so
+	// the caller hands them over.
+	Domains     *domain.Domains
+	DomainStats *domain.ComputeStats
 	// Semantics selects the matching semantics; the zero value
 	// (graph.SemanticsUnset) normalizes to the paper's non-induced
 	// subgraph isomorphism (§2.1). InducedIso adds per-direction
@@ -266,21 +256,12 @@ func Prepare(gp, gt *graph.Graph, opts Options) (*Prepared, error) {
 	}
 
 	if opts.Variant.UsesDomains() {
-		dopts := domain.Options{
-			ACPasses:      opts.ACPasses,
-			SkipAC:        opts.SkipAC,
-			SkipNLF:       opts.SkipNLF,
-			SkipInducedAC: opts.SkipInducedAC,
-			Index:         p.Idx,
-			Kernel:        opts.Kernel,
-			Semantics:     opts.Semantics,
+		p.Doms, p.PreprocStats = opts.Domains, opts.DomainStats
+		if p.Doms == nil {
+			var dstats domain.ComputeStats
+			p.Doms, dstats = opts.Filters.Compute(gp, gt, p.Idx, opts.Semantics)
+			p.PreprocStats = &dstats
 		}
-		if opts.Schedule == domain.ScheduleAuto {
-			dopts = domain.AutoTune(dopts, gp, gt)
-		}
-		var dstats domain.ComputeStats
-		p.Doms, dstats = domain.ComputeWithStats(gp, gt, dopts)
-		p.PreprocStats = &dstats
 		if p.Doms.AnyEmpty() {
 			p.Unsat = true
 		}

@@ -169,16 +169,16 @@ func (e *estimator) predict(plan string) (ewma float64, n int64, floor float64) 
 
 // admitRecord is one query's admission decision with everything needed
 // to attribute and audit it: the class, the prediction it rested on,
-// the plan key and snapshot epoch it was pinned at, and whether a
-// Classify override (or the static fallback) made the call — overridden
-// decisions are excluded from the feedback loop, since the model never
-// made a prediction to score.
+// the cost estimate behind it, the snapshot epoch it was pinned at, and
+// whether a Classify override (or the static fallback) made the call —
+// overridden decisions carry no estimate and are excluded from the
+// feedback loop, since the model never made a prediction to score. The
+// admitted run adopts the estimate's snapshot and domains.
 type admitRecord struct {
 	class     AdmissionClass
 	predicted time.Duration
-	planKey   string
+	est       parsge.CostEstimate
 	epoch     uint64
-	logProd   float64
 	override  bool
 }
 
@@ -263,7 +263,10 @@ const estCacheMax = 4096
 // estimate returns the query's cost estimate, consulting the per-epoch
 // estimate cache when the query has a cache identity. The cache is
 // cleared wholesale when the target's epoch advances (stale estimates
-// must never price live queries) and when it overflows estCacheMax.
+// must never price live queries) and when it overflows estCacheMax. It
+// holds detached estimates: a fresh estimate hands its domains to this
+// request's run alone, while a cache hit carries none and its run
+// preprocesses afresh.
 func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.CostEstimate, error) {
 	if key == "" {
 		return s.tgt.EstimateCost(ctx, q.Pattern, q.Options)
@@ -295,7 +298,7 @@ func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.Cos
 		if s.estCache == nil {
 			s.estCache = make(map[estKey]parsge.CostEstimate)
 		}
-		s.estCache[estKey{key: key, epoch: est.Epoch}] = est
+		s.estCache[estKey{key: key, epoch: est.Epoch}] = est.Detached()
 	}
 	s.estMu.Unlock()
 	return est, nil
@@ -347,9 +350,8 @@ func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admit
 	return admitRecord{
 		class:     cls,
 		predicted: pred,
-		planKey:   est.PlanKey,
+		est:       est,
 		epoch:     est.Epoch,
-		logProd:   est.LogDomainProduct,
 	}, nil
 }
 

@@ -3,12 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"parsge"
 	"parsge/internal/graph"
+	"parsge/internal/testutil"
 )
 
 // clique builds an unlabeled (shared-label) complete graph on n nodes.
@@ -301,4 +303,97 @@ func TestClassEpochPinnedUnderUpdates(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAdmittedRunAnswersAtClassEpoch: every admitted query runs on the
+// snapshot its cost estimate pinned. With estimate-cache hits ruled out
+// (no two queries share a canonical pattern and semantics) and a writer
+// advancing the epoch throughout, each reply must carry Result.Epoch ==
+// ClassEpoch and the oracle count of the graph at that epoch.
+func TestAdmittedRunAnswersAtClassEpoch(t *testing.T) {
+	t.Parallel()
+	full := clique(6)
+	cb := graph.NewBuilder(6, 0)
+	cb.AddNodes(6)
+	for _, e := range full.Edges() {
+		if e.From != 0 || e.To != 1 {
+			cb.AddEdge(e.From, e.To, e.Label)
+		}
+	}
+	cut := cb.MustBuild() // the graph at every odd epoch
+	tgt, err := parsge.NewTarget(full, parsge.TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{Target: tgt, CacheMaxMatches: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Distinct directed 4-node patterns, deduplicated by canonical form.
+	rng := rand.New(rand.NewSource(7))
+	seen := map[string]bool{}
+	var patterns []*graph.Graph
+	for len(patterns) < 40 {
+		b := graph.NewBuilder(4, 0)
+		b.AddNodes(4)
+		for u := int32(0); u < 4; u++ {
+			for v := int32(0); v < 4; v++ {
+				if u != v && rng.Intn(3) == 0 {
+					b.AddEdge(u, v, graph.NoLabel)
+				}
+			}
+		}
+		gp := b.MustBuild()
+		if canon, _ := graph.CanonicalForm(gp); !seen[string(canon)] {
+			seen[string(canon)] = true
+			patterns = append(patterns, gp)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			up := parsge.EdgeUpdate{From: 0, To: 1, Remove: i%2 == 0}
+			if _, err := svc.Update(context.Background(), []parsge.EdgeUpdate{up}); err != nil {
+				t.Errorf("update: %v", err)
+				return
+			}
+		}
+	}()
+	for _, gp := range patterns {
+		for _, sem := range []parsge.Semantics{parsge.SubgraphIso, parsge.InducedIso, parsge.Homomorphism} {
+			reply, err := svc.Count(context.Background(), Query{Pattern: gp, Options: parsge.Options{Semantics: sem}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := reply.Result
+			if reply.Class == classUnset || res.Epoch != reply.ClassEpoch {
+				t.Fatalf("class %v at epoch %d, run answered at epoch %d", reply.Class, reply.ClassEpoch, res.Epoch)
+			}
+			at := full
+			if res.Epoch%2 == 1 {
+				at = cut
+			}
+			if want := testutil.BruteCountSem(gp, at, sem); res.Matches != want {
+				t.Fatalf("%v at epoch %d: %d matches, oracle %d", sem, res.Epoch, res.Matches, want)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := svc.Stats(); st.EstimateHits != 0 {
+		t.Fatalf("%d estimate-cache hits; the test needs every estimate fresh", st.EstimateHits)
+	}
+	if tgt.Epoch() == 0 {
+		t.Fatal("the writer never advanced the epoch")
+	}
 }

@@ -150,9 +150,11 @@ type queryResponse struct {
 	Shared        bool    `json:"shared,omitempty"`
 	Large         bool    `json:"large,omitempty"`
 	QueueWaitMS   float64 `json:"queue_wait_ms"`
-	PreprocMS     float64 `json:"preproc_ms"`
-	MatchMS       float64 `json:"match_ms"`
-	Plan          string  `json:"plan,omitempty"`
+	// PreprocMS is Result.PreprocTime: the one domain preprocessing the
+	// query paid, which an admitted run shares with its cost estimate.
+	PreprocMS float64 `json:"preproc_ms"`
+	MatchMS   float64 `json:"match_ms"`
+	Plan      string  `json:"plan,omitempty"`
 	// Class is the cost model's admission verdict ("small", "large",
 	// "explosive"; empty for cache hits and singleflight followers),
 	// ClassEpoch the target epoch the decision was pinned at, and

@@ -264,6 +264,40 @@ func TestHTTPOverloadStatus(t *testing.T) {
 	<-end
 }
 
+// TestHTTPDeclaredNodeCountBounded: a pattern's declared node count is
+// client input, so a few bytes claiming a hundred million nodes must be
+// refused with a 400 without sizing any allocation by that claim (it
+// once preallocated 381 MB, and a two-billion claim was a fatal out of
+// memory no handler could recover).
+func TestHTTPDeclaredNodeCountBounded(t *testing.T) {
+	gt := clique(4)
+	tgt, err := parsge.NewTarget(gt, parsge.TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{Target: tgt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := NewServer(svc, graphio.NewLabelTable())
+	body, err := json.Marshal(map[string]any{"pattern": "#p\n100000000\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400 (body %s)", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refusing the pattern allocated %d bytes, want at most 1 MB", got)
+	}
+}
+
 // TestHTTPClientDisconnectTeardown is the satellite regression test: a
 // client that walks away mid-stream must tear the enumeration down
 // promptly — admission tokens released, no goroutine left behind

@@ -180,8 +180,10 @@ type Reply struct {
 	// Class is the cost model's admission verdict; the zero value marks
 	// replies served without an admission decision (cache hits,
 	// singleflight followers). ClassEpoch is the target mutation epoch
-	// the decision was pinned at — compare it with Result.Epoch to audit
-	// whether an update landed between classification and run.
+	// the decision was pinned at. A run admitted on a fresh estimate
+	// answers on the estimate's snapshot, so Result.Epoch equals it; one
+	// admitted on an estimate-cache hit runs on the current snapshot, so
+	// comparing the two audits whether an update landed in between.
 	// PredictedCost is the model's cost estimate (0 when no plan history
 	// backed one).
 	Class         AdmissionClass
@@ -486,8 +488,8 @@ func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitReco
 			s.statMu.Unlock()
 			return rec, 0, 0, nil, &ExplosiveError{
 				Predicted:        rec.predicted,
-				Plan:             rec.planKey,
-				LogDomainProduct: rec.logProd,
+				Plan:             rec.est.PlanKey,
+				LogDomainProduct: rec.est.LogDomainProduct,
 			}
 		}
 		need = int64(s.cfg.ParallelWorkers)
@@ -512,8 +514,9 @@ func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitReco
 	return rec, workers, waited, func() { s.adm.release(need) }, nil
 }
 
-// runLeader acquires admission and runs the query for real. On a
-// complete (un-truncated) run it builds the canonical cache entry,
+// runLeader acquires admission and runs the query for real, on the
+// snapshot and domains of the cost estimate admission classified it by.
+// On a complete (un-truncated) run it builds the canonical cache entry,
 // caches it, and returns it for singleflight sharing.
 func (s *Service) runLeader(ctx context.Context, q Query, sem parsge.Semantics, perm []int32, key string, needMappings bool) (Reply, *entry, error) {
 	rec, workers, waited, release, err := s.admit(ctx, q, key)
@@ -534,7 +537,7 @@ func (s *Service) runLeader(ctx context.Context, q Query, sem parsge.Semantics, 
 			return true
 		}
 	}
-	res, err := s.tgt.Enumerate(ctx, q.Pattern, opts)
+	res, err := s.tgt.EnumerateEstimated(ctx, rec.est, q.Pattern, opts)
 	if err != nil {
 		return Reply{}, nil, err
 	}
@@ -654,7 +657,7 @@ func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-c
 		return nil, nil, err
 	}
 
-	inner, innerEnd := s.tgt.EnumerateStreamResult(ctx, q.Pattern, s.prepared(q.Options, workers))
+	inner, innerEnd := s.tgt.EnumerateStreamEstimated(ctx, rec.est, q.Pattern, s.prepared(q.Options, workers))
 	go func() {
 		defer s.wg.Done()
 		defer release()

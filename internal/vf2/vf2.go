@@ -48,24 +48,17 @@ type Options struct {
 	// classic VF2 baseline (label + degree + edge checks only). Used by
 	// comparison benchmarks and differential tests.
 	SkipDomains bool
-	// SkipNLF / SkipInducedAC disable individual domain filters
-	// (ablation and differential testing); see domain.Options.
-	SkipNLF       bool
-	SkipInducedAC bool
-	// ACPasses caps the arc-consistency sweeps of domain preprocessing
-	// (0 = fixpoint); see domain.Options.ACPasses.
-	ACPasses int
-	// Schedule selects the preprocessing filter plan: the zero value,
-	// domain.ScheduleAuto, adapts the filters to the target's statistics
-	// (see domain.AutoTune); domain.ScheduleFixed runs the full fixed
-	// pipeline. The resolved plan is reported in Result.PreprocStats.
-	Schedule domain.Schedule
-	// Kernel selects the candidate-pool filtering implementation: under
-	// the bitset kernel the per-candidate edge and induced non-edge
-	// checks are bit tests on graph.BitGraph adjacency rows instead of
-	// CSR binary searches. The zero value, domain.KernelAuto, picks by
-	// target size.
-	Kernel domain.Kernel
+	// Filters are the domain preprocessing knobs; the resolved plan is
+	// reported in Result.PreprocStats. Under the bitset kernel the
+	// per-candidate edge and induced non-edge checks are bit tests on
+	// graph.BitGraph adjacency rows instead of CSR binary searches.
+	domain.Filters
+	// Domains, when non-nil, are domains Filters.Compute already
+	// computed for this pattern, target, index and semantics, with
+	// DomainStats their report: preprocessing adopts them instead of
+	// computing them again.
+	Domains     *domain.Domains
+	DomainStats *domain.ComputeStats
 	// Semantics selects the matching semantics (zero value: normalized
 	// to non-induced subgraph isomorphism, identical to internal/ri's
 	// default, so the engines stay interchangeable oracles across all
@@ -130,21 +123,13 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 	}
 	res := Result{}
 	if !opts.SkipDomains {
-		dopts := domain.Options{
-			Index:         opts.Index,
-			ACPasses:      opts.ACPasses,
-			SkipNLF:       opts.SkipNLF,
-			SkipInducedAC: opts.SkipInducedAC,
-			Kernel:        opts.Kernel,
-			Semantics:     opts.Semantics,
+		s.doms, res.PreprocStats = opts.Domains, opts.DomainStats
+		if s.doms == nil {
+			var dstats domain.ComputeStats
+			s.doms, dstats = opts.Filters.Compute(gp, gt, opts.Index, opts.Semantics)
+			res.PreprocStats = &dstats
 		}
-		if opts.Schedule == domain.ScheduleAuto {
-			dopts = domain.AutoTune(dopts, gp, gt)
-		}
-		var dstats domain.ComputeStats
-		s.doms, dstats = domain.ComputeWithStats(gp, gt, dopts)
-		s.rows = dstats.Rows
-		res.PreprocStats = &dstats
+		s.rows = res.PreprocStats.Rows
 		res.PreprocTime = time.Since(start)
 		if gp.NumNodes() > 0 && s.doms.AnyEmpty() {
 			res.Unsatisfiable = true

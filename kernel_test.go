@@ -109,9 +109,8 @@ func TestKernelDifferentialGoldenMotifs(t *testing.T) {
 func TestKernelDifferentialAllocs(t *testing.T) {
 	gp, gt := cliqueGraph(3), cliqueGraph(12) // 12·11·10 = 1320 embeddings
 	prep, err := ri.Prepare(gp, gt, ri.Options{
-		Variant:  ri.VariantRIDSSIFC,
-		Kernel:   domain.KernelBitset,
-		Schedule: domain.ScheduleFixed,
+		Variant: ri.VariantRIDSSIFC,
+		Filters: domain.Filters{Kernel: domain.KernelBitset, Schedule: domain.ScheduleFixed},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -163,6 +163,12 @@ func chooseAlgorithm(a Algorithm, target *Graph) Algorithm {
 	return RIDSSIFC
 }
 
+// valid reports whether a names an engine (Auto resolves before this
+// check).
+func (a Algorithm) valid() bool {
+	return (a >= RI && a <= RIDSSIFC) || a == VF2 || a == LAD
+}
+
 // String returns the conventional name of the algorithm.
 func (a Algorithm) String() string {
 	switch a {
@@ -324,6 +330,18 @@ type PruningOptions struct {
 	Kernel Kernel
 }
 
+// filters translates the public pruning knobs into the engines'
+// domain.Filters.
+func (p PruningOptions) filters() domain.Filters {
+	return domain.Filters{
+		ACPasses:      p.ACPasses,
+		SkipNLF:       p.DisableNLF,
+		SkipInducedAC: p.DisableInducedAC,
+		Schedule:      p.Schedule,
+		Kernel:        p.Kernel,
+	}
+}
+
 // resolveSemantics folds the legacy Induced flag into the Semantics
 // axis and validates the combination. SemanticsUnset (without Induced)
 // passes through so the session layer can substitute its default.
@@ -352,7 +370,10 @@ type Result struct {
 	// States is the number of search states explored — the paper's
 	// "search space size".
 	States int64
-	// PreprocTime covers domain computation and node ordering.
+	// PreprocTime covers domain computation and node ordering: the one
+	// preprocessing the query paid. A run that adopted a cost
+	// estimate's domains (Target.EnumerateEstimated) includes the
+	// estimate's time computing them.
 	PreprocTime time.Duration
 	// MatchTime covers the search itself.
 	MatchTime time.Duration

@@ -96,7 +96,68 @@ func TestCrossEngineDifferential(t *testing.T) {
 				want := testutil.BruteCountSem(gp, gt, sem)
 				label := fmt.Sprintf("%s/seed=%d", k.name, seed)
 				countAllEngines(t, gp, gt, sem, want, label)
+				checkEstimatedRuns(t, gp, gt, sem, want, label)
 			}
+		}
+	}
+}
+
+// checkEstimatedRuns is the differential's "estimate, then run" engine
+// configuration, the path every admitted service query takes: for each
+// RI variant (sequential and on the steal pool) and both baselines under
+// both kernels, EstimateCost then EnumerateEstimated must adopt the
+// estimate's domains (every engine but plain RI uses them) and return
+// the oracle count with the same Matches, States and plan as a fresh
+// Enumerate.
+func checkEstimatedRuns(t *testing.T, gp, gt *Graph, sem Semantics, want int64, label string) {
+	t.Helper()
+	tgt, err := NewTarget(gt, TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(r Result) string {
+		if r.Plan == nil {
+			return "none"
+		}
+		return fmt.Sprintf("%s unary=%d final=%d", r.Plan, r.Plan.DomainAfterUnary, r.Plan.DomainFinal)
+	}
+	ctx := context.Background()
+	var configs []Options
+	for _, alg := range []Algorithm{RI, RIDS, RIDSSI, RIDSSIFC, VF2, LAD} {
+		for _, kern := range []Kernel{KernelBitset, KernelSlice} {
+			opts := Options{Algorithm: alg, Semantics: sem, Pruning: PruningOptions{Kernel: kern}}
+			configs = append(configs, opts)
+			if alg != VF2 && alg != LAD {
+				opts.Workers, opts.TaskGroupSize = 4, 2
+				configs = append(configs, opts)
+			}
+		}
+	}
+	for _, opts := range configs {
+		alg := opts.Algorithm
+		name := fmt.Sprintf("%s: estimate-then-run %v/%v/workers=%d under %v", label, alg, opts.Pruning.Kernel, opts.Workers, sem)
+		fresh, err := tgt.Enumerate(ctx, gp, opts)
+		if err != nil {
+			t.Fatalf("%s: fresh run: %v", name, err)
+		}
+		est, err := tgt.EstimateCost(ctx, gp, opts)
+		if err != nil {
+			t.Fatalf("%s: estimate: %v", name, err)
+		}
+		kept := est.pin.doms.Load() != nil
+		got, err := tgt.EnumerateEstimated(ctx, est, gp, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if left := est.pin.doms.Load() != nil; kept != (alg != RI) || left {
+			t.Errorf("%s: estimate kept domains %v, left %v after the run", name, kept, left)
+		}
+		if got.Matches != want || got.Matches != fresh.Matches || got.States != fresh.States {
+			t.Errorf("%s: matches %d states %d, fresh run matches %d states %d, oracle %d",
+				name, got.Matches, got.States, fresh.Matches, fresh.States, want)
+		}
+		if plan(got) != plan(fresh) {
+			t.Errorf("%s: plan %q, fresh run %q", name, plan(got), plan(fresh))
 		}
 	}
 }

@@ -201,30 +201,51 @@ func queryContext(ctx context.Context, timeout time.Duration) (context.Context, 
 // lower bound. Safe to call concurrently with any other queries on the
 // same Target.
 func (t *Target) Enumerate(ctx context.Context, pattern *Graph, opts Options) (Result, error) {
+	return t.EnumerateEstimated(ctx, CostEstimate{}, pattern, opts)
+}
+
+// EnumerateEstimated is Enumerate for a query that EstimateCost priced
+// on this Target with the same pattern, semantics and pruning options
+// (Workers, Limit, Timeout and Visit may differ). The run happens on the
+// snapshot the estimate pinned, so Result.Epoch == est.Epoch however
+// many updates landed in between, and it adopts the domains the estimate
+// computed instead of computing them again: the query pays its domain
+// preprocessing once, and Result.PreprocTime includes the estimate's
+// share of it. One run adopts the domains; a later run from the same
+// estimate recomputes them on the same snapshot. A zero or Detached
+// estimate, or one computed for another query, runs exactly like
+// Enumerate.
+func (t *Target) EnumerateEstimated(ctx context.Context, est CostEstimate, pattern *Graph, opts Options) (Result, error) {
 	qctx, stop := queryContext(ctx, opts.Timeout)
 	defer stop()
-	return t.enumerate(qctx, pattern, opts)
+	return t.enumerate(qctx, est.pin, pattern, opts)
 }
 
 // enumerate runs one query under an already-derived context (Timeout has
 // been folded into ctx by the caller) and folds the outcome into the
 // session statistics. Every query path — one-shot, batch item, stream —
 // funnels through here, which is what makes Stats() complete.
-func (t *Target) enumerate(ctx context.Context, pattern *Graph, opts Options) (Result, error) {
-	res, err := t.enumerateQuery(ctx, pattern, opts)
+func (t *Target) enumerate(ctx context.Context, pin *estimatePin, pattern *Graph, opts Options) (Result, error) {
+	res, err := t.enumerateQuery(ctx, pin, pattern, opts)
 	if err == nil {
 		t.stats.record(&res)
 	}
 	return res, err
 }
 
-// enumerateQuery loads one target snapshot, dispatches the query
-// against it, and stamps the result with the snapshot's epoch — the
+// enumerateQuery runs the query against one target snapshot — the one
+// pin's estimate was computed on when the pin covers this query, else
+// the current one — and stamps the result with the snapshot's epoch: the
 // whole query (preprocessing included) sees exactly one graph version
 // however many updates land concurrently.
-func (t *Target) enumerateQuery(ctx context.Context, pattern *Graph, opts Options) (Result, error) {
+func (t *Target) enumerateQuery(ctx context.Context, pin *estimatePin, pattern *Graph, opts Options) (Result, error) {
 	st := t.state.Load()
-	res, err := t.enumerateOn(st, ctx, pattern, opts)
+	if pin.covers(t, pattern, opts) {
+		st = pin.st
+	} else {
+		pin = nil
+	}
+	res, err := t.enumerateOn(st, pin, ctx, pattern, opts)
 	if err == nil {
 		res.Epoch = st.epoch
 	}
@@ -232,8 +253,9 @@ func (t *Target) enumerateQuery(ctx context.Context, pattern *Graph, opts Option
 }
 
 // enumerateOn dispatches one query to the engine the options select,
-// running entirely against the given snapshot.
-func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Graph, opts Options) (Result, error) {
+// running entirely against the given snapshot. A non-nil pin carries the
+// domains its estimate computed on st, which the engine adopts.
+func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Context, pattern *Graph, opts Options) (Result, error) {
 	if pattern == nil {
 		return Result{}, fmt.Errorf("parsge: nil pattern graph")
 	}
@@ -243,7 +265,7 @@ func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Grap
 	if ctx.Err() != nil {
 		return Result{TimedOut: true}, nil
 	}
-	opts.Algorithm = st.resolveAlgorithm(opts.Algorithm)
+	alg := st.resolveAlgorithm(opts.Algorithm)
 	if opts.Workers == 0 {
 		opts.Workers = t.defaultWorkers
 	}
@@ -251,73 +273,86 @@ func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Grap
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Algorithm == VF2 || opts.Algorithm == LAD {
-		if opts.Algorithm == VF2 {
-			res := vf2.Enumerate(pattern, st.g, vf2.Options{
-				Limit:         opts.Limit,
-				Visit:         opts.Visit,
-				Ctx:           ctx,
-				Index:         st.index,
-				SkipNLF:       opts.Pruning.DisableNLF,
-				SkipInducedAC: opts.Pruning.DisableInducedAC,
-				ACPasses:      opts.Pruning.ACPasses,
-				Schedule:      opts.Pruning.Schedule,
-				Kernel:        opts.Pruning.Kernel,
-				Semantics:     sem,
-			})
-			return Result{
-				Matches:       res.Matches,
-				States:        res.States,
-				PreprocTime:   res.PreprocTime,
-				MatchTime:     res.MatchTime,
-				TimedOut:      res.Aborted,
-				Unsatisfiable: res.Unsatisfiable,
-				Plan:          planInfo(res.PreprocStats),
-			}, nil
+	if !alg.valid() {
+		return Result{}, fmt.Errorf("parsge: unknown algorithm %d", int(alg))
+	}
+	var doms *domain.Domains
+	var dstats *domain.ComputeStats
+	if pin != nil && alg != RI { // every engine but plain RI computes domains
+		if doms = pin.doms.Swap(nil); doms != nil {
+			dstats = &pin.stats
 		}
-		res := lad.Enumerate(pattern, st.g, lad.Options{
-			Limit:         opts.Limit,
-			Visit:         opts.Visit,
-			Ctx:           ctx,
-			Index:         st.index,
-			SkipNLF:       opts.Pruning.DisableNLF,
-			SkipInducedAC: opts.Pruning.DisableInducedAC,
-			ACPasses:      opts.Pruning.ACPasses,
-			Schedule:      opts.Pruning.Schedule,
-			Kernel:        opts.Pruning.Kernel,
-			Semantics:     sem,
-		})
-		return Result{
-			Matches:       res.Matches,
-			States:        res.States,
-			PreprocTime:   res.PreprocTime,
-			MatchTime:     res.MatchTime,
-			TimedOut:      res.Aborted,
-			Unsatisfiable: res.Unsatisfiable,
-			Plan:          planInfo(res.PreprocStats),
-		}, nil
 	}
-	if opts.Algorithm < RI || opts.Algorithm > RIDSSIFC {
-		return Result{}, fmt.Errorf("parsge: unknown algorithm %d", int(opts.Algorithm))
-	}
+	filters := opts.Pruning.filters()
 
-	prep, err := ri.Prepare(pattern, st.g, ri.Options{
-		Variant:       ri.Variant(opts.Algorithm),
-		Semantics:     sem,
-		SkipNLF:       opts.Pruning.DisableNLF,
-		SkipInducedAC: opts.Pruning.DisableInducedAC,
-		ACPasses:      opts.Pruning.ACPasses,
-		Schedule:      opts.Pruning.Schedule,
-		Kernel:        opts.Pruning.Kernel,
-		TargetIndex:   st.index,
-	})
-	if err != nil {
-		return Result{}, err
+	var res Result
+	switch alg {
+	case VF2:
+		r := vf2.Enumerate(pattern, st.g, vf2.Options{
+			Limit:       opts.Limit,
+			Visit:       opts.Visit,
+			Ctx:         ctx,
+			Index:       st.index,
+			Filters:     filters,
+			Domains:     doms,
+			DomainStats: dstats,
+			Semantics:   sem,
+		})
+		res = Result{
+			Matches:       r.Matches,
+			States:        r.States,
+			PreprocTime:   r.PreprocTime,
+			MatchTime:     r.MatchTime,
+			TimedOut:      r.Aborted,
+			Unsatisfiable: r.Unsatisfiable,
+			Plan:          planInfo(r.PreprocStats),
+		}
+	case LAD:
+		r := lad.Enumerate(pattern, st.g, lad.Options{
+			Limit:       opts.Limit,
+			Visit:       opts.Visit,
+			Ctx:         ctx,
+			Index:       st.index,
+			Filters:     filters,
+			Domains:     doms,
+			DomainStats: dstats,
+			Semantics:   sem,
+		})
+		res = Result{
+			Matches:       r.Matches,
+			States:        r.States,
+			PreprocTime:   r.PreprocTime,
+			MatchTime:     r.MatchTime,
+			TimedOut:      r.Aborted,
+			Unsatisfiable: r.Unsatisfiable,
+			Plan:          planInfo(r.PreprocStats),
+		}
+	default:
+		prep, err := ri.Prepare(pattern, st.g, ri.Options{
+			Variant:     ri.Variant(alg),
+			Semantics:   sem,
+			Filters:     filters,
+			Domains:     doms,
+			DomainStats: dstats,
+			TargetIndex: st.index,
+		})
+		if err != nil {
+			return Result{}, err
+		}
+		res = t.search(ctx, prep, opts)
 	}
+	if doms != nil {
+		res.PreprocTime += pin.took // the estimate's share of preprocessing
+	}
+	return res, nil
+}
+
+// search runs the RI-family search over prep: sequentially, or on the
+// work-stealing pool when opts.Workers asks for more than one worker.
+func (t *Target) search(ctx context.Context, prep *ri.Prepared, opts Options) Result {
 	if opts.Workers == AutoWorkers {
 		opts.Workers = autoWorkerCount(prep)
 	}
-
 	if opts.Workers <= 1 {
 		res := prep.Run(ri.RunOptions{Limit: opts.Limit, Visit: opts.Visit, Ctx: ctx, Arena: t.arena})
 		return Result{
@@ -329,9 +364,8 @@ func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Grap
 			Unsatisfiable: res.Unsatisfiable,
 			DepthStates:   res.DepthStates,
 			Plan:          planInfo(prep.PreprocStats),
-		}, nil
+		}
 	}
-
 	res := parallel.Enumerate(prep, parallel.Options{
 		Workers:         opts.Workers,
 		TaskGroupSize:   opts.TaskGroupSize,
@@ -353,7 +387,7 @@ func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Grap
 		PerWorkerStates: res.PerWorkerStates,
 		DepthStates:     res.DepthStates,
 		Plan:            planInfo(prep.PreprocStats),
-	}, nil
+	}
 }
 
 // Count is shorthand for Enumerate(...).Matches.
@@ -422,7 +456,7 @@ func (b *batchRunner) optsFor(i int) Options {
 
 func (b *batchRunner) Execute(_ *steal.Worker[int], i int) {
 	b.executed[i] = true
-	b.results[i], b.errs[i] = b.t.enumerate(b.ctx, b.items[i].Pattern, b.optsFor(i))
+	b.results[i], b.errs[i] = b.t.enumerate(b.ctx, nil, b.items[i].Pattern, b.optsFor(i))
 }
 
 func (b *batchRunner) PackSteal(_ *steal.Worker[int], i int) int { return i }
@@ -493,7 +527,7 @@ func (t *Target) EnumerateBatchItems(ctx context.Context, items []BatchItem, opt
 
 	if workers <= 1 {
 		for i := range items {
-			results[i], errs[i] = t.enumerate(qctx, items[i].Pattern, runner.optsFor(i))
+			results[i], errs[i] = t.enumerate(qctx, nil, items[i].Pattern, runner.optsFor(i))
 		}
 		return results, errors.Join(errs...)
 	}
@@ -550,6 +584,13 @@ type StreamEnd struct {
 // completion needs no cancel; one that may stop early should
 // defer cancel() and simply return.
 func (t *Target) EnumerateStreamResult(ctx context.Context, pattern *Graph, opts Options) (<-chan Match, <-chan StreamEnd) {
+	return t.EnumerateStreamEstimated(ctx, CostEstimate{}, pattern, opts)
+}
+
+// EnumerateStreamEstimated is EnumerateStreamResult for a query that
+// EstimateCost priced: like EnumerateEstimated, the stream runs on the
+// snapshot est pinned and adopts the domains it computed.
+func (t *Target) EnumerateStreamEstimated(ctx context.Context, est CostEstimate, pattern *Graph, opts Options) (<-chan Match, <-chan StreamEnd) {
 	matches := make(chan Match, 64)
 	end := make(chan StreamEnd, 1)
 	if opts.Visit != nil {
@@ -571,7 +612,7 @@ func (t *Target) EnumerateStreamResult(ctx context.Context, pattern *Graph, opts
 	}
 	go func() {
 		defer stop()
-		res, err := t.enumerate(qctx, pattern, opts)
+		res, err := t.enumerate(qctx, est.pin, pattern, opts)
 		// Close strictly before delivering the terminal event. The old
 		// order (terminal first, close via defer) let a consumer observe
 		// the end of the stream while the match channel was still open —
