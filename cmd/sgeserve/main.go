@@ -65,7 +65,6 @@ func main() {
 		explosivePol = flag.String("explosive-policy", "shed", "what happens to predicted-explosive queries: shed (HTTP 429) or deprioritize (low-priority queue)")
 		smallLogDom  = flag.Float64("small-logdomain", 0, "domain score below which a history-less query runs sequentially (0 = 22)")
 		explLogDom   = flag.Float64("explosive-logdomain", 0, "domain score at which a query is shed regardless of plan history (0 = 44)")
-		staticCls    = flag.Bool("static-classify", false, "disable the cost model; classify on pattern size x mean degree (the pre-cost-model heuristic)")
 		semantics    = flag.String("default-semantics", "", "semantics for queries that choose none: iso, induced or hom (empty = iso)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight queries on shutdown")
 		maxPattern   = flag.Int("max-pattern-nodes", 64, "reject patterns larger than this")
@@ -121,7 +120,6 @@ func main() {
 			SmallLogDomain:     *smallLogDom,
 			ExplosiveLogDomain: *explLogDom,
 			ExplosivePolicy:    policy,
-			DisableCostModel:   *staticCls,
 			MaxHotIndexes:      *maxHot,
 		})
 		for _, nt := range named {
@@ -151,7 +149,6 @@ func main() {
 			SmallLogDomain:     *smallLogDom,
 			ExplosiveLogDomain: *explLogDom,
 			ExplosivePolicy:    policy,
-			DisableCostModel:   *staticCls,
 		})
 		exitOn(err)
 		handler = service.NewServer(svc, table)

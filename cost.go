@@ -159,13 +159,3 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 	est.pin = pin
 	return est, nil
 }
-
-// MeanDegreeAt returns the mean total degree together with the mutation
-// epoch of the snapshot it was read from — one atomic load, so the two
-// are consistent. Admission decisions that consult the degree pin this
-// epoch into their record instead of reading MeanDegree at an unpinned
-// instant.
-func (t *Target) MeanDegreeAt() (float64, uint64) {
-	st := t.state.Load()
-	return st.meanDegree, st.epoch
-}

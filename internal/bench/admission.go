@@ -211,10 +211,16 @@ func (s *Suite) AblationAdmission() AblationResult {
 	}
 	explosiveLogDomain := (maxPattern + scoreOf(star, parsge.Homomorphism)) / 2
 
+	// The static heuristic, as a Classify override: pattern size × mean
+	// degree, the degree read once since this target never mutates.
+	deg := staticTgt.MeanDegree()
 	static, err := service.New(service.Config{
-		Target:           staticTgt,
-		DisableCostModel: true,
-		CacheMaxMatches:  -1,
+		Target: staticTgt,
+		Classify: func(gp *parsge.Graph, opts parsge.Options) bool {
+			np := gp.NumNodes()
+			return opts.Workers > 1 || opts.Workers == parsge.AutoWorkers || np >= 6 || (np >= 4 && deg >= 8)
+		},
+		CacheMaxMatches: -1,
 	})
 	if err != nil {
 		return res

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"parsge"
 )
@@ -85,6 +86,68 @@ func translate(cm []int32, perm []int32) []int32 {
 		out[v] = cm[p]
 	}
 	return out
+}
+
+// canonical is the inverse of translate: it converts one mapping in the
+// client pattern's numbering to the canonical numbering.
+func canonical(m []int32, perm []int32) []int32 {
+	cm := make([]int32, len(m))
+	for v, tv := range m {
+		cm[perm[v]] = tv
+	}
+	return cm
+}
+
+// storeMax bounds an epochStore; recomputing an entry costs
+// milliseconds, so on overflow the store is simply cleared rather than
+// LRU-tracked.
+const storeMax = 4096
+
+// epochStore holds values that are each valid for the target mutation
+// epoch they were computed at: a lookup at any other epoch evicts the
+// entry on sight and misses. It backs the census cache (one complete
+// census per K) and the cost-estimate cache (one estimate per cacheKey).
+type epochStore[K comparable, V any] struct {
+	mu           sync.Mutex
+	m            map[K]stamped[V]
+	hits, misses atomic.Int64
+}
+
+// stamped is one epochStore value with the epoch it was computed at.
+//
+//sgelint:epochkey
+type stamped[V any] struct {
+	val   V
+	epoch uint64
+}
+
+// get returns the value stored under k if it was computed at epoch.
+func (s *epochStore[K, V]) get(k K, epoch uint64) (v V, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.m[k]
+	if ok && e.epoch != epoch {
+		delete(s.m, k) // computed on a superseded graph version
+		ok = false
+	}
+	if !ok {
+		s.misses.Add(1)
+		return v, false
+	}
+	s.hits.Add(1)
+	return e.val, true
+}
+
+// put stores v under k as computed at epoch — the epoch its run
+// executed against, even if the target moved on meanwhile (the entry is
+// then already stale and dies on its next lookup).
+func (s *epochStore[K, V]) put(k K, v V, epoch uint64) {
+	s.mu.Lock()
+	if s.m == nil || len(s.m) >= storeMax {
+		s.m = make(map[K]stamped[V])
+	}
+	s.m[k] = stamped[V]{val: v, epoch: epoch}
+	s.mu.Unlock()
 }
 
 // cache is the LRU result cache: entries keyed by cacheKey, total cost

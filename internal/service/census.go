@@ -17,12 +17,12 @@ import (
 //     vertex, so it takes the full parallel-pool token grant
 //     (ParallelWorkers) like the biggest pattern queries do; small
 //     queries keep flowing around it under the weighted-FIFO discipline.
-//   - Caching: a complete census at one K is immutable for the life of
-//     a graph version, so a tiny map keyed (K, mutation epoch) replaces
-//     the LRU — entries of superseded epochs are evicted on sight, and
-//     per-(K, epoch) singleflight collapses concurrent identical
-//     requests onto one run without ever latching a post-update request
-//     onto a pre-update leader.
+//   - Caching: a complete census at one K is valid for the graph version
+//     it ran on, so an epochStore keyed by K replaces the LRU — an entry
+//     of a superseded epoch is evicted on sight — and per-(K, epoch)
+//     singleflight collapses concurrent identical requests onto one run
+//     without ever latching a post-update request onto a pre-update
+//     leader.
 //   - Observability: runs are recorded by Target.Census into the plan
 //     histogram under "census:k=<K>", and the service counts census
 //     requests next to its query counters.
@@ -61,15 +61,9 @@ type censusID struct {
 	epoch uint64
 }
 
-// censusFlight is one in-flight census identical requests rendezvous on.
-type censusFlight struct {
-	done chan struct{}
-	res  *parsge.CensusResult // nil when the leader's run was truncated
-	err  error
-}
-
-// Census serves a motif-census request: cache, then singleflight, then
-// an admission-controlled run on the parallel pool.
+// Census serves a motif-census request through the same loop as the
+// query path: cache, then singleflight, then an admission-controlled
+// run on the parallel pool.
 func (s *Service) Census(ctx context.Context, req CensusRequest) (CensusReply, error) {
 	if err := s.begin(); err != nil {
 		return CensusReply{}, err
@@ -78,76 +72,32 @@ func (s *Service) Census(ctx context.Context, req CensusRequest) (CensusReply, e
 	if req.K < parsge.MinCensusK || req.K > parsge.MaxCensusK {
 		return CensusReply{}, errors.New("service: census K out of range")
 	}
-	s.statMu.Lock()
-	s.queries++
-	s.census++
-	s.statMu.Unlock()
+	s.count.queries.Add(1)
+	s.count.census.Add(1)
 
-	// The same retry discipline as the query path: each turn either hits
-	// the cache, joins an in-flight identical census, or leads one; a
-	// waiter whose leader was truncated retries, and after a few turns
-	// stops deduplicating so a perpetually-timing-out leader cannot
-	// livelock its followers.
-	for attempt := 0; ; attempt++ {
-		id := censusID{k: req.K, epoch: s.tgt.Epoch()}
-		if res := s.censusGet(id); res != nil {
-			return CensusReply{Result: *res, CacheHit: true}, nil
-		}
-		if ctx.Err() != nil {
-			return CensusReply{}, ctx.Err()
-		}
-
-		s.censusMu.Lock()
-		if f := s.censusFlights[id]; f != nil && attempt < 3 {
-			s.censusMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return CensusReply{}, ctx.Err()
-			}
-			if f.err != nil && !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-				// Deterministic for an identical request (validation,
-				// overload backpressure): share it instead of stampeding.
-				return CensusReply{}, f.err
-			}
-			if f.err == nil && f.res != nil {
-				s.statMu.Lock()
-				s.shared++
-				s.statMu.Unlock()
-				return CensusReply{Result: *f.res, Shared: true}, nil
-			}
-			// Leader truncated or its own context died — leader-specific
-			// outcomes, not verdicts on the census. Retry.
-			continue
-		}
-		var f *censusFlight
-		if attempt < 3 {
-			if s.censusFlights == nil {
-				s.censusFlights = make(map[censusID]*censusFlight)
-			}
-			f = &censusFlight{done: make(chan struct{})}
-			s.censusFlights[id] = f
-		}
-		s.censusMu.Unlock()
-
-		reply, res, err := s.runCensusLeader(ctx, req)
-		if f != nil {
-			s.censusMu.Lock()
-			delete(s.censusFlights, id)
-			s.censusMu.Unlock()
-			f.res, f.err = res, err
-			close(f.done)
-		}
-		if err != nil {
-			return CensusReply{}, err
-		}
+	var reply CensusReply
+	res, src, err := s.censusRuns.do(ctx,
+		func() censusID { return censusID{k: req.K, epoch: s.tgt.Epoch()} },
+		func(id censusID) (*parsge.CensusResult, bool) { return s.censusCache.get(id.k, id.epoch) },
+		func() (*parsge.CensusResult, bool, error) {
+			r, res, err := s.runCensusLeader(ctx, req)
+			reply = r
+			return res, res != nil, err
+		})
+	switch {
+	case err != nil:
+		return CensusReply{}, err
+	case src == led:
 		return reply, nil
+	case src == joined:
+		s.count.shared.Add(1)
 	}
+	return CensusReply{Result: *res, CacheHit: src == hit, Shared: src == joined}, nil
 }
 
 // runCensusLeader acquires the full parallel-pool grant and runs the
-// census for real; a complete (un-truncated) result is cached for the
-// life of the service.
+// census for real; a complete (un-truncated) result is cached under the
+// (K, epoch) its run executed against.
 func (s *Service) runCensusLeader(ctx context.Context, req CensusRequest) (CensusReply, *parsge.CensusResult, error) {
 	need := int64(s.cfg.ParallelWorkers)
 	waited, err := s.adm.acquire(ctx, s.cls, need, s.cfg.QueueTimeout, false)
@@ -155,21 +105,12 @@ func (s *Service) runCensusLeader(ctx context.Context, req CensusRequest) (Censu
 		return CensusReply{}, nil, err
 	}
 	defer s.adm.release(need)
-	s.statMu.Lock()
-	s.parallel++
-	s.statMu.Unlock()
+	s.count.parallel.Add(1)
 
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if mt := s.cfg.MaxTimeout; mt > 0 && (timeout == 0 || timeout > mt) {
-		timeout = mt // a census is bound by the server budget like any query
-	}
 	res, err := s.tgt.Census(ctx, parsge.CensusOptions{
 		K:       req.K,
 		Workers: s.cfg.ParallelWorkers,
-		Timeout: timeout,
+		Timeout: s.cfg.timeout(req.Timeout),
 	})
 	if err != nil {
 		return CensusReply{}, nil, err
@@ -180,39 +121,6 @@ func (s *Service) runCensusLeader(ctx context.Context, req CensusRequest) (Censu
 		// not a result identical requests may reuse.
 		return reply, nil, nil
 	}
-	s.censusPut(&res)
+	s.censusCache.put(res.K, &res, res.Epoch)
 	return reply, &res, nil
-}
-
-// censusGet returns the cached complete census for id, or nil. Entries
-// of other epochs at the same K are superseded graph versions — evicted
-// here, never returned.
-func (s *Service) censusGet(id censusID) *parsge.CensusResult {
-	s.censusMu.Lock()
-	defer s.censusMu.Unlock()
-	for old := range s.censusCache {
-		if old.k == id.k && old.epoch != id.epoch {
-			delete(s.censusCache, old)
-		}
-	}
-	res := s.censusCache[id]
-	if res != nil {
-		s.censusHits++
-	} else {
-		s.censusMisses++
-	}
-	return res
-}
-
-// censusPut caches a complete census under the (K, epoch) its run
-// executed against — res.Epoch tells the truth even if the target moved
-// on while the run was in flight (the entry is then already stale and
-// dies on the next lookup).
-func (s *Service) censusPut(res *parsge.CensusResult) {
-	s.censusMu.Lock()
-	defer s.censusMu.Unlock()
-	if s.censusCache == nil {
-		s.censusCache = make(map[censusID]*parsge.CensusResult)
-	}
-	s.censusCache[censusID{k: res.K, epoch: res.Epoch}] = res
 }

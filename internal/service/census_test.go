@@ -175,7 +175,7 @@ func TestServiceCensusCancelled(t *testing.T) {
 	} else if !reply.Result.TimedOut {
 		t.Fatal("census under a cancelled context reported complete")
 	}
-	if res := svc.censusGet(censusID{k: 4, epoch: 0}); res != nil {
+	if _, ok := svc.censusCache.get(4, 0); ok {
 		t.Fatal("truncated census was cached")
 	}
 }

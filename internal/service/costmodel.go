@@ -170,10 +170,10 @@ func (e *estimator) predict(plan string) (ewma float64, n int64, floor float64) 
 // admitRecord is one query's admission decision with everything needed
 // to attribute and audit it: the class, the prediction it rested on,
 // the cost estimate behind it, the snapshot epoch it was pinned at, and
-// whether a Classify override (or the static fallback) made the call —
-// overridden decisions carry no estimate and are excluded from the
-// feedback loop, since the model never made a prediction to score. The
-// admitted run adopts the estimate's snapshot and domains.
+// whether a Classify override made the call — overridden decisions carry
+// no estimate and are excluded from the feedback loop, since the model
+// never made a prediction to score. The admitted run adopts the
+// estimate's snapshot and domains.
 type admitRecord struct {
 	class     AdmissionClass
 	predicted time.Duration
@@ -246,99 +246,45 @@ func (s *Service) classifyEstimate(est parsge.CostEstimate) (AdmissionClass, tim
 	return ClassLarge, 0
 }
 
-// estKey identifies one cached cost estimate: the query's cache key
-// (canonical pattern × semantics × options) at one target mutation
-// epoch.
-//
-//sgelint:epochkey
-type estKey struct {
-	key   string
-	epoch uint64
-}
-
-// estCacheMax bounds the estimate cache; preprocessing is milliseconds,
-// so on overflow the map is simply cleared rather than LRU-tracked.
-const estCacheMax = 4096
-
-// estimate returns the query's cost estimate, consulting the per-epoch
-// estimate cache when the query has a cache identity. The cache is
-// cleared wholesale when the target's epoch advances (stale estimates
-// must never price live queries) and when it overflows estCacheMax. It
-// holds detached estimates: a fresh estimate hands its domains to this
-// request's run alone, while a cache hit carries none and its run
-// preprocesses afresh.
+// estimate returns the query's cost estimate, consulting the estimate
+// cache when the query has a cache identity. A cached estimate is valid
+// only at the epoch it was computed at (stale estimates must never
+// price live queries). The cache holds detached estimates: a fresh
+// estimate hands its domains to this request's run alone, while a cache
+// hit carries none and its run preprocesses afresh.
 func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.CostEstimate, error) {
-	if key == "" {
-		return s.tgt.EstimateCost(ctx, q.Pattern, q.Options)
+	if key != "" {
+		if est, ok := s.estCache.get(key, s.tgt.Epoch()); ok {
+			return est, nil
+		}
 	}
-	epoch := s.tgt.Epoch()
-	ek := estKey{key: key, epoch: epoch}
-	s.estMu.Lock()
-	if s.estEpoch != epoch {
-		s.estCache = nil
-		s.estEpoch = epoch
-	}
-	if est, ok := s.estCache[ek]; ok {
-		s.estHits++
-		s.estMu.Unlock()
-		return est, nil
-	}
-	s.estMisses++
-	s.estMu.Unlock()
-
 	est, err := s.tgt.EstimateCost(ctx, q.Pattern, q.Options)
-	if err != nil {
-		return est, err
+	if err == nil && key != "" {
+		s.estCache.put(key, est.Detached(), est.Epoch)
 	}
-	s.estMu.Lock()
-	if s.estEpoch == est.Epoch {
-		if len(s.estCache) >= estCacheMax {
-			s.estCache = nil
-		}
-		if s.estCache == nil {
-			s.estCache = make(map[estKey]parsge.CostEstimate)
-		}
-		s.estCache[estKey{key: key, epoch: est.Epoch}] = est.Detached()
-	}
-	s.estMu.Unlock()
-	return est, nil
+	return est, err
 }
 
 // classifyQuery is the admission front half: it resolves the query's
 // class and pins the epoch the decision was made at. A Classify
-// override and the DisableCostModel static fallback short-circuit the
-// cost model entirely (override=true keeps them out of the feedback
-// loop).
+// override short-circuits the cost model entirely (override=true keeps
+// it out of the feedback loop).
 func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admitRecord, error) {
-	wantsParallel := q.Options.Workers > 1 || q.Options.Workers == parsge.AutoWorkers
 	if s.cfg.Classify != nil {
-		_, epoch := s.tgt.MeanDegreeAt()
 		cls := ClassSmall
 		if s.cfg.Classify(q.Pattern, q.Options) {
 			cls = ClassLarge
 		}
-		return admitRecord{class: cls, epoch: epoch, override: true}, nil
-	}
-	if s.cfg.DisableCostModel {
-		// The pre-cost-model static heuristic, with the degree read
-		// pinned to one snapshot epoch.
-		deg, epoch := s.tgt.MeanDegreeAt()
-		np := q.Pattern.NumNodes()
-		cls := ClassSmall
-		if wantsParallel || np >= 6 || (np >= 4 && deg >= 8) {
-			cls = ClassLarge
-		}
-		return admitRecord{class: cls, epoch: epoch, override: true}, nil
+		return admitRecord{class: cls, epoch: s.tgt.Epoch(), override: true}, nil
 	}
 	est, err := s.estimate(ctx, q, key)
 	if err != nil {
 		return admitRecord{}, err
 	}
 	cls, pred := s.classifyEstimate(est)
-	if cls == ClassSmall && wantsParallel {
+	if cls == ClassSmall && (q.Options.Workers > 1 || q.Options.Workers == parsge.AutoWorkers) {
 		// The client asked for parallelism and the model has no reason
-		// to shed: honor the request (compatibility with the static
-		// classifier, which always promoted such queries).
+		// to shed: honor the request.
 		cls = ClassLarge
 	}
 	if cls == ClassExplosive && q.Options.Limit > 0 {
@@ -358,8 +304,11 @@ func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admit
 // observe feeds one realized cost back into the estimator and scores
 // the prediction: a predicted-small query that timed out and a
 // predicted-large/explosive one that finished under the small budget
-// are both mispredictions, counted and exported via Stats.
-func (s *Service) observe(rec admitRecord, res *parsge.Result) {
+// are both mispredictions, counted and exported via Stats. A run whose
+// caller gave up (ctx done) is truncated by the caller, not by its
+// cost, so it is not scored — its partial time still feeds the
+// estimator as a cost floor.
+func (s *Service) observe(ctx context.Context, rec admitRecord, res *parsge.Result) {
 	if rec.override {
 		return // no model prediction to score or train
 	}
@@ -368,11 +317,11 @@ func (s *Service) observe(rec admitRecord, res *parsge.Result) {
 		plan = res.Plan.String()
 	}
 	s.est.observe(plan, res.MatchTime, res.TimedOut)
-	s.statMu.Lock()
-	if rec.class == ClassSmall && res.TimedOut {
-		s.mispredictSmall++
-	} else if rec.class != ClassSmall && !res.TimedOut && res.MatchTime <= s.cfg.SmallBudget {
-		s.mispredictLarge++
+	switch {
+	case ctx.Err() != nil: // the caller's truncation, not the model's
+	case rec.class == ClassSmall && res.TimedOut:
+		s.count.mispredictSmall.Add(1)
+	case rec.class != ClassSmall && !res.TimedOut && res.MatchTime <= s.cfg.SmallBudget:
+		s.count.mispredictLarge.Add(1)
 	}
-	s.statMu.Unlock()
 }

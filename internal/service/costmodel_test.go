@@ -397,3 +397,32 @@ func TestAdmittedRunAnswersAtClassEpoch(t *testing.T) {
 		t.Fatal("the writer never advanced the epoch")
 	}
 }
+
+// TestCancelledStreamNotMispredicted: a client that cancels a
+// predicted-small stream truncates its run, and the library reports
+// that truncation as TimedOut — but the cost did not outgrow the
+// prediction, so it must not count as MispredictSmall.
+func TestCancelledStreamNotMispredicted(t *testing.T) {
+	svc, gp := blockingWorld(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	matches, end, err := svc.Stream(ctx, Query{Pattern: gp, Options: parsge.Options{Semantics: parsge.Homomorphism}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-matches
+	cancel()
+	for range matches {
+	}
+	e := <-end
+	if e.Err != nil || !e.Result.TimedOut {
+		t.Fatalf("cancelled stream ended with err=%v timedOut=%v, want a truncated result", e.Err, e.Result.TimedOut)
+	}
+	st := svc.Stats()
+	if st.Sequential != 1 {
+		t.Fatalf("Sequential = %d, want the stream admitted small", st.Sequential)
+	}
+	if st.MispredictSmall != 0 {
+		t.Fatalf("MispredictSmall = %d after a client cancellation, want 0", st.MispredictSmall)
+	}
+}

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -57,15 +56,14 @@ type RouterConfig struct {
 	// MaxTimeout clamps every query and census timeout to the server
 	// budget (0 = no clamp); see Config.MaxTimeout.
 	MaxTimeout time.Duration
-	// SmallBudget, ExplosiveBudget, SmallLogDomain, ExplosiveLogDomain,
-	// ExplosivePolicy and DisableCostModel configure each target's
-	// cost-model admission (per-target estimators over the shared
-	// budget); see the Config fields of the same names.
+	// SmallBudget, ExplosiveBudget, SmallLogDomain, ExplosiveLogDomain
+	// and ExplosivePolicy configure each target's cost-model admission
+	// (per-target estimators over the shared budget); see the Config
+	// fields of the same names.
 	SmallBudget                        time.Duration
 	ExplosiveBudget                    time.Duration
 	SmallLogDomain, ExplosiveLogDomain float64
 	ExplosivePolicy                    ExplosivePolicy
-	DisableCostModel                   bool
 	// MaxHotIndexes bounds how many targets may hold their label/NLF
 	// index at once; beyond it the least-recently-used target's index
 	// is released and rebuilt on demand. 0 means unbounded (no
@@ -91,7 +89,6 @@ func (c RouterConfig) svcConfig(tgt *parsge.Target) Config {
 		SmallLogDomain:           c.SmallLogDomain,
 		ExplosiveLogDomain:       c.ExplosiveLogDomain,
 		ExplosivePolicy:          c.ExplosivePolicy,
-		DisableCostModel:         c.DisableCostModel,
 		Classify:                 c.Classify,
 	}.withDefaults()
 }
@@ -143,11 +140,20 @@ type routerEntry struct {
 	lastUse uint64
 }
 
+// info describes the entry's target, hosted under name.
+func (e *routerEntry) info(name string) TargetInfo {
+	g := e.tgt.Graph()
+	return TargetInfo{
+		Name:     name,
+		Epoch:    e.tgt.Epoch(),
+		Nodes:    g.NumNodes(),
+		Edges:    g.NumEdges(),
+		IndexHot: e.tgt.HasIndex(),
+	}
+}
+
 // NewRouter builds an empty router; add targets with AddTarget.
 func NewRouter(cfg RouterConfig) *Router {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	probe := cfg.svcConfig(nil) // resolve defaults once for the shared admission
 	cfg.Workers = probe.Workers
 	cfg.ParallelWorkers = probe.ParallelWorkers
@@ -329,14 +335,7 @@ func (r *Router) Targets() []TargetInfo {
 	defer r.mu.Unlock()
 	out := make([]TargetInfo, 0, len(r.routes))
 	for name, e := range r.routes {
-		g := e.tgt.Graph()
-		out = append(out, TargetInfo{
-			Name:     name,
-			Epoch:    e.tgt.Epoch(),
-			Nodes:    g.NumNodes(),
-			Edges:    g.NumEdges(),
-			IndexHot: e.tgt.HasIndex(),
-		})
+		out = append(out, e.info(name))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -353,14 +352,7 @@ func (r *Router) Stats() RouterStats {
 
 	st := RouterStats{PerTarget: make(map[string]Stats, len(entries))}
 	for name, e := range entries {
-		g := e.tgt.Graph()
-		st.Targets = append(st.Targets, TargetInfo{
-			Name:     name,
-			Epoch:    e.tgt.Epoch(),
-			Nodes:    g.NumNodes(),
-			Edges:    g.NumEdges(),
-			IndexHot: e.tgt.HasIndex(),
-		})
+		st.Targets = append(st.Targets, e.info(name))
 		st.PerTarget[name] = e.svc.Stats()
 	}
 	sort.Slice(st.Targets, func(i, j int) bool { return st.Targets[i].Name < st.Targets[j].Name })

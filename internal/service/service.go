@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parsge"
@@ -86,10 +87,6 @@ type Config struct {
 	// ExplosivePolicy selects shed (default) or deprioritize for
 	// explosive-classified queries.
 	ExplosivePolicy ExplosivePolicy
-	// DisableCostModel reverts classification to the pre-cost-model
-	// static heuristic (pattern size × mean degree, epoch-pinned). The
-	// ablation baseline; also the escape hatch if the model misbehaves.
-	DisableCostModel bool
 	// Classify overrides classification entirely: return true to give
 	// the query the parallel pool, false to run it sequentially. No
 	// query is shed and the cost model is bypassed — the full-override
@@ -150,6 +147,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// timeout folds DefaultTimeout into a request's own timeout and clamps
+// the result to MaxTimeout: queries and censuses share the budget.
+func (c Config) timeout(d time.Duration) time.Duration {
+	if d == 0 {
+		d = c.DefaultTimeout
+	}
+	if c.MaxTimeout > 0 && (d == 0 || d > c.MaxTimeout) {
+		d = c.MaxTimeout
+	}
+	return d
+}
+
 // Query is one client request: a pattern plus the options it should run
 // under. Options.Visit must be nil (the service owns result delivery)
 // and Options.Workers is advisory only — admission control, not the
@@ -206,13 +215,6 @@ type flightKey struct {
 	epoch        uint64
 }
 
-// flight is one in-flight computation identical queries rendezvous on.
-type flight struct {
-	done chan struct{}
-	ent  *entry // nil when the leader's run was truncated or failed
-	err  error
-}
-
 // Service multiplexes concurrent queries onto one Target. All methods
 // are safe for concurrent use.
 type Service struct {
@@ -226,42 +228,29 @@ type Service struct {
 	// sharing its admission with sibling targets.
 	cls string
 
-	flightMu sync.Mutex
-	flights  map[flightKey]*flight
-
-	// Census state: the per-(K, epoch) complete-result cache and
-	// singleflight map; see census.go. Entries of superseded epochs are
-	// evicted on sight.
-	censusMu      sync.Mutex
-	censusFlights map[censusID]*censusFlight
-	censusCache   map[censusID]*parsge.CensusResult
-	censusHits    int64
-	censusMisses  int64
+	// queryRuns and censusRuns are the two instantiations of the shared
+	// request loop; censusCache holds complete censuses by K (see
+	// census.go).
+	queryRuns   flightGroup[flightKey, *entry]
+	censusRuns  flightGroup[censusID, *parsge.CensusResult]
+	censusCache epochStore[int, *parsge.CensusResult]
 
 	// est is the per-plan realized-cost EWMA the cost model feeds back
-	// into; estMu guards the per-epoch cost-estimate cache behind it.
-	est       estimator
-	estMu     sync.Mutex
-	estCache  map[estKey]parsge.CostEstimate
-	estEpoch  uint64
-	estHits   int64
-	estMisses int64
+	// into; estCache holds cost estimates by cacheKey.
+	est      estimator
+	estCache epochStore[string, parsge.CostEstimate]
 
-	statMu          sync.Mutex
-	queries         int64
-	shared          int64
-	sequential      int64
-	parallel        int64
-	census          int64
-	updates         int64
-	shedExplosive   int64
-	deprioritized   int64
-	mispredictSmall int64
-	mispredictLarge int64
+	count counters
 
 	closeMu sync.RWMutex
 	closed  bool
 	wg      sync.WaitGroup
+}
+
+// counters are the service's own serving counters; Stats copies them.
+type counters struct {
+	queries, shared, sequential, parallel, census, updates         atomic.Int64
+	shedExplosive, deprioritized, mispredictSmall, mispredictLarge atomic.Int64
 }
 
 // New builds a Service over cfg.Target.
@@ -279,12 +268,11 @@ func New(cfg Config) (*Service, error) {
 // under their own class.
 func newServiceWith(cfg Config, adm *admission, cls string) *Service {
 	return &Service{
-		cfg:     cfg,
-		tgt:     cfg.Target,
-		cache:   newCache(cfg.CacheMaxMatches),
-		adm:     adm,
-		cls:     cls,
-		flights: make(map[flightKey]*flight),
+		cfg:   cfg,
+		tgt:   cfg.Target,
+		cache: newCache(cfg.CacheMaxMatches),
+		adm:   adm,
+		cls:   cls,
 	}
 }
 
@@ -354,12 +342,7 @@ func (s *Service) validate(q Query) (sem parsge.Semantics, perm []int32, key str
 func (s *Service) prepared(opts parsge.Options, workers int) parsge.Options {
 	opts.Workers = workers
 	opts.Visit = nil
-	if opts.Timeout == 0 {
-		opts.Timeout = s.cfg.DefaultTimeout
-	}
-	if mt := s.cfg.MaxTimeout; mt > 0 && (opts.Timeout == 0 || opts.Timeout > mt) {
-		opts.Timeout = mt
-	}
+	opts.Timeout = s.cfg.timeout(opts.Timeout)
 	return opts
 }
 
@@ -376,6 +359,8 @@ func (s *Service) Enumerate(ctx context.Context, q Query) (Reply, error) {
 	return s.do(ctx, q, true)
 }
 
+// do serves Count and Enumerate through the request loop shared with
+// Census; an uncacheable query skips it.
 func (s *Service) do(ctx context.Context, q Query, needMappings bool) (Reply, error) {
 	if err := s.begin(); err != nil {
 		return Reply{}, err
@@ -385,9 +370,7 @@ func (s *Service) do(ctx context.Context, q Query, needMappings bool) (Reply, er
 	if err != nil {
 		return Reply{}, err
 	}
-	s.statMu.Lock()
-	s.queries++
-	s.statMu.Unlock()
+	s.count.queries.Add(1)
 
 	if key == "" {
 		// Uncacheable (canonicalization over budget): no cache, no
@@ -395,72 +378,24 @@ func (s *Service) do(ctx context.Context, q Query, needMappings bool) (Reply, er
 		reply, _, err := s.runLeader(ctx, q, sem, perm, key, needMappings)
 		return reply, err
 	}
-
-	// The retry loop: each turn either hits the cache, joins an
-	// in-flight identical query, or becomes the leader and runs. A
-	// waiter whose leader was truncated (timeout/cancel — nothing
-	// cacheable) retries; after a few turns it stops deduplicating and
-	// just runs, so one perpetually-timing-out leader cannot livelock
-	// its followers. Every turn re-reads the target's mutation epoch:
-	// cache entries from superseded epochs are misses (get evicts them),
-	// and the singleflight key carries the epoch so a query arriving
-	// after ApplyUpdates never latches onto a pre-update leader.
-	for attempt := 0; ; attempt++ {
-		epoch := s.tgt.Epoch()
-		if ent, ok := s.cache.get(key, needMappings, epoch); ok {
-			return s.replyFromEntry(ent, perm, needMappings, true, false), nil
-		}
-		if ctx.Err() != nil {
-			return Reply{}, ctx.Err()
-		}
-
-		fkey := flightKey{key: key, needMappings: needMappings, epoch: epoch}
-		s.flightMu.Lock()
-		if f := s.flights[fkey]; f != nil && attempt < 3 {
-			s.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return Reply{}, ctx.Err()
-			}
-			if f.err != nil && !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-				// Deterministic for an identical query (validation,
-				// overload backpressure): share it instead of stampeding.
-				return Reply{}, f.err
-			}
-			if f.err == nil && f.ent != nil {
-				s.statMu.Lock()
-				s.shared++
-				s.statMu.Unlock()
-				return s.replyFromEntry(f.ent, perm, needMappings, false, true), nil
-			}
-			// The leader was truncated or its own context died — both
-			// leader-specific outcomes, not verdicts on the query.
-			// This waiter (whose context is checked at the loop top)
-			// retries rather than failing a live client with someone
-			// else's cancellation.
-			continue
-		}
-		var f *flight
-		if attempt < 3 {
-			f = &flight{done: make(chan struct{})}
-			s.flights[fkey] = f
-		}
-		s.flightMu.Unlock()
-
-		reply, ent, err := s.runLeader(ctx, q, sem, perm, key, needMappings)
-		if f != nil {
-			s.flightMu.Lock()
-			delete(s.flights, fkey)
-			s.flightMu.Unlock()
-			f.ent, f.err = ent, err
-			close(f.done)
-		}
-		if err != nil {
-			return Reply{}, err
-		}
+	var reply Reply
+	ent, src, err := s.queryRuns.do(ctx,
+		func() flightKey { return flightKey{key: key, needMappings: needMappings, epoch: s.tgt.Epoch()} },
+		func(k flightKey) (*entry, bool) { return s.cache.get(k.key, k.needMappings, k.epoch) },
+		func() (*entry, bool, error) {
+			r, ent, err := s.runLeader(ctx, q, sem, perm, key, needMappings)
+			reply = r
+			return ent, ent != nil, err
+		})
+	switch {
+	case err != nil:
+		return Reply{}, err
+	case src == led:
 		return reply, nil
+	case src == joined:
+		s.count.shared.Add(1)
 	}
+	return s.replyFromEntry(ent, perm, needMappings, src == hit, src == joined), nil
 }
 
 // admit classifies q via the cost model, acquires its admission tokens,
@@ -483,9 +418,7 @@ func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitReco
 		workers = s.cfg.ParallelWorkers
 	case ClassExplosive:
 		if s.cfg.ExplosivePolicy == ExplosiveShed {
-			s.statMu.Lock()
-			s.shedExplosive++
-			s.statMu.Unlock()
+			s.count.shedExplosive.Add(1)
 			return rec, 0, 0, nil, &ExplosiveError{
 				Predicted:        rec.predicted,
 				Plan:             rec.est.PlanKey,
@@ -500,17 +433,15 @@ func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitReco
 	if err != nil {
 		return rec, 0, waited, nil, err
 	}
-	s.statMu.Lock()
 	switch {
 	case low:
-		s.deprioritized++
-		s.parallel++
+		s.count.deprioritized.Add(1)
+		s.count.parallel.Add(1)
 	case rec.class == ClassLarge:
-		s.parallel++
+		s.count.parallel.Add(1)
 	default:
-		s.sequential++
+		s.count.sequential.Add(1)
 	}
-	s.statMu.Unlock()
 	return rec, workers, waited, func() { s.adm.release(need) }, nil
 }
 
@@ -541,7 +472,7 @@ func (s *Service) runLeader(ctx context.Context, q Query, sem parsge.Semantics, 
 	if err != nil {
 		return Reply{}, nil, err
 	}
-	s.observe(rec, &res)
+	s.observe(ctx, rec, &res)
 	reply := Reply{
 		Result:        res,
 		Mappings:      mappings,
@@ -561,11 +492,7 @@ func (s *Service) runLeader(ctx context.Context, q Query, sem parsge.Semantics, 
 		ent.hasMappings = true
 		ent.mappings = make([][]int32, len(mappings))
 		for i, m := range mappings {
-			cm := make([]int32, len(m))
-			for v, tv := range m {
-				cm[perm[v]] = tv
-			}
-			ent.mappings[i] = cm
+			ent.mappings[i] = canonical(m, perm)
 		}
 	}
 	s.cachePut(ent)
@@ -622,9 +549,7 @@ func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-c
 		s.wg.Done()
 		return nil, nil, err
 	}
-	s.statMu.Lock()
-	s.queries++
-	s.statMu.Unlock()
+	s.count.queries.Add(1)
 
 	matches := make(chan parsge.Match, 64)
 	end := make(chan parsge.StreamEnd, 1)
@@ -669,11 +594,7 @@ func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-c
 				if len(collected) >= s.cfg.CacheMaxMappingsPerEntry {
 					overflow, collected = true, nil
 				} else {
-					cm := make([]int32, len(m.Mapping))
-					for v, tv := range m.Mapping {
-						cm[perm[v]] = tv
-					}
-					collected = append(collected, cm)
+					collected = append(collected, canonical(m.Mapping, perm))
 				}
 			}
 			if !dead {
@@ -686,7 +607,7 @@ func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-c
 		}
 		e := <-innerEnd
 		if e.Err == nil {
-			s.observe(rec, &e.Result)
+			s.observe(ctx, rec, &e.Result)
 		}
 		close(matches)
 		if e.Err == nil && !e.Result.TimedOut && !dead && key != "" {
@@ -721,9 +642,7 @@ func (s *Service) Update(ctx context.Context, updates []parsge.EdgeUpdate) (pars
 	defer s.adm.release(1)
 	res, err := s.tgt.ApplyUpdates(ctx, updates)
 	if err == nil {
-		s.statMu.Lock()
-		s.updates++
-		s.statMu.Unlock()
+		s.count.updates.Add(1)
 	}
 	return res, err
 }
@@ -783,22 +702,15 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	entries, cost, hits, misses, evictions := s.cache.stats()
 	inUse, queued, granted, shed, timedOut, totalWait := s.adm.load()
-	s.censusMu.Lock()
-	censusHits, censusMisses := s.censusHits, s.censusMisses
-	s.censusMu.Unlock()
-	s.estMu.Lock()
-	estHits, estMisses := s.estHits, s.estMisses
-	s.estMu.Unlock()
-	s.statMu.Lock()
-	st := Stats{
-		Queries:           s.queries,
-		Shared:            s.shared,
-		Sequential:        s.sequential,
-		Parallel:          s.parallel,
-		Census:            s.census,
-		CensusCacheHits:   censusHits,
-		CensusCacheMisses: censusMisses,
-		Updates:           s.updates,
+	return Stats{
+		Queries:           s.count.queries.Load(),
+		Shared:            s.count.shared.Load(),
+		Sequential:        s.count.sequential.Load(),
+		Parallel:          s.count.parallel.Load(),
+		Census:            s.count.census.Load(),
+		CensusCacheHits:   s.censusCache.hits.Load(),
+		CensusCacheMisses: s.censusCache.misses.Load(),
+		Updates:           s.count.updates.Load(),
 		Epoch:             s.tgt.Epoch(),
 		CacheHits:         hits,
 		CacheMisses:       misses,
@@ -811,14 +723,12 @@ func (s *Service) Stats() Stats {
 		Shed:              shed,
 		QueueTimeouts:     timedOut,
 		TotalQueueWait:    totalWait,
-		ShedExplosive:     s.shedExplosive,
-		Deprioritized:     s.deprioritized,
-		MispredictSmall:   s.mispredictSmall,
-		MispredictLarge:   s.mispredictLarge,
-		EstimateHits:      estHits,
-		EstimateMisses:    estMisses,
+		ShedExplosive:     s.count.shedExplosive.Load(),
+		Deprioritized:     s.count.deprioritized.Load(),
+		MispredictSmall:   s.count.mispredictSmall.Load(),
+		MispredictLarge:   s.count.mispredictLarge.Load(),
+		EstimateHits:      s.estCache.hits.Load(),
+		EstimateMisses:    s.estCache.misses.Load(),
+		Session:           s.tgt.Stats(),
 	}
-	s.statMu.Unlock()
-	st.Session = s.tgt.Stats()
-	return st
 }
