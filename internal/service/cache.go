@@ -150,6 +150,61 @@ func (s *epochStore[K, V]) put(k K, v V, epoch uint64) {
 	s.mu.Unlock()
 }
 
+// memoMaxBytes bounds the bytes a Server's pattern memo retains (as
+// memoCost estimates them): room for thousands of distinct pattern
+// texts, yet small beside the result cache. It is a constant rather
+// than a setting because an overflow costs only a re-parse of each text
+// still in use, never a result.
+const memoMaxBytes = 4 << 20
+
+// patternMemo maps request pattern text to its parsedPattern, so a
+// repeated text skips the label-table lock, the parser and
+// canonicalization. It needs neither an epoch nor a target: a parse
+// depends only on the text and the label table, which only ever grows
+// (an interned label keeps its id for good), and the canonical identity
+// only on the parse. Like epochStore it is cleared, not LRU-tracked,
+// when a new entry would overflow its byte budget.
+type patternMemo struct {
+	mu    sync.Mutex
+	m     map[string]*parsedPattern
+	bytes int64 // retained, by memoCost
+	max   int64
+}
+
+// memoCost estimates the bytes one memo entry retains: the text, the
+// graph's CSR arrays (a label per node, two offsets per node, an
+// endpoint and a label per arc in each direction), the canonical form,
+// and a fixed allowance for headers, the map slot and size classes.
+func memoCost(text string, p *parsedPattern) int64 {
+	n, m := int64(p.graph.NumNodes()), int64(p.graph.NumEdges())
+	return int64(len(text)) + 12*n + 16*m + int64(len(p.canon)) + 4*int64(len(p.perm)) + 512
+}
+
+// get returns the memoized parse of text, nil if there is none.
+func (m *patternMemo) get(text string) *parsedPattern {
+	m.mu.Lock()
+	p := m.m[text]
+	m.mu.Unlock()
+	return p
+}
+
+// put memoizes p for text unless the text is already present (a
+// concurrent miss got there first) or p alone exceeds the budget.
+func (m *patternMemo) put(text string, p *parsedPattern) {
+	cost := memoCost(text, p)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.m[text]; ok || cost > m.max {
+		return
+	}
+	if m.m == nil || m.bytes+cost > m.max {
+		m.m = make(map[string]*parsedPattern)
+		m.bytes = 0
+	}
+	m.m[text] = p
+	m.bytes += cost
+}
+
 // cache is the LRU result cache: entries keyed by cacheKey, total cost
 // bounded by maxCost, least-recently-used evicted first. A maxCost of 0
 // disables caching entirely (every get misses, every put is dropped).

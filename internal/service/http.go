@@ -44,12 +44,14 @@ import (
 // Pattern and update labels are interned into the server's label table
 // (shared with the target graph so equal label strings compare equal);
 // the table is guarded here because graphio tables are not safe for
-// concurrent interning.
+// concurrent interning. A pattern text is parsed and canonicalized once:
+// the memo serves every later post of the same text, to any target.
 type Server struct {
 	svc     *Service
 	router  *Router
 	table   *graphio.LabelTable
 	tableMu sync.Mutex
+	memo    patternMemo
 	mux     *http.ServeMux
 
 	// MaxPatternNodes rejects absurd patterns at parse time (pattern
@@ -115,7 +117,7 @@ func newServer(svc *Service, router *Router, table *graphio.LabelTable) *Server 
 	if table == nil {
 		table = graphio.NewLabelTable()
 	}
-	h := &Server{svc: svc, router: router, table: table, MaxPatternNodes: 64, MaxUpdateBatch: 1 << 16}
+	h := &Server{svc: svc, router: router, table: table, memo: patternMemo{max: memoMaxBytes}, MaxPatternNodes: 64, MaxUpdateBatch: 1 << 16}
 	h.mux = http.NewServeMux()
 	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
 	h.mux.HandleFunc("GET /stats", h.handleStats)
@@ -227,6 +229,30 @@ func (h *Server) parsePattern(text string) (*parsge.Graph, error) {
 	return graphs[0].Graph, nil
 }
 
+// pattern resolves a request's pattern text to its parse and canonical
+// identity: from the memo for a text seen before, else parsed and
+// canonicalized here and memoized. MaxPatternNodes is checked on every
+// request, before an over-limit pattern is ever canonicalized.
+func (h *Server) pattern(text string) (*parsedPattern, error) {
+	p := h.memo.get(text)
+	hit := p != nil
+	if !hit {
+		g, err := h.parsePattern(text)
+		if err != nil {
+			return nil, fmt.Errorf("bad pattern: %w", err)
+		}
+		p = &parsedPattern{graph: g}
+	}
+	if n := p.graph.NumNodes(); n > h.MaxPatternNodes {
+		return nil, fmt.Errorf("pattern has %d nodes, limit %d", n, h.MaxPatternNodes)
+	}
+	if !hit {
+		*p = identify(p.graph)
+		h.memo.put(text, p)
+	}
+	return p, nil
+}
+
 func httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -280,15 +306,8 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *Servic
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	pattern, err := h.parsePattern(req.Pattern)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad pattern: %w", err))
-		return
-	}
-	if pattern.NumNodes() > h.MaxPatternNodes {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("pattern has %d nodes, limit %d", pattern.NumNodes(), h.MaxPatternNodes))
-		return
-	}
+	// The cheap fields first: a request refused for them must not
+	// intern its labels into the shared table or take a memo slot.
 	sem, err := parseSemantics(req.Semantics)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -299,7 +318,12 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *Servic
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	q := Query{Pattern: pattern, Options: parsge.Options{
+	p, err := h.pattern(req.Pattern)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	q := Query{Pattern: p.graph, parsed: p, Options: parsge.Options{
 		Semantics: sem,
 		Algorithm: alg,
 		Limit:     req.Limit,

@@ -5,11 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,6 +43,14 @@ func patternText(t *testing.T, gp *graph.Graph, table *graphio.LabelTable) strin
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// tableSize reads the size of h's label table under the lock its
+// handlers intern under.
+func tableSize(h *Server) int {
+	h.tableMu.Lock()
+	defer h.tableMu.Unlock()
+	return h.table.Size()
 }
 
 func postQuery(t *testing.T, url string, body map[string]any) (*http.Response, error) {
@@ -172,12 +185,17 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("stats empty after traffic: %+v", st)
 	}
 
-	// Bad inputs are 400s.
+	// Bad inputs are 400s, and a request refused for a bad field interns
+	// none of its pattern's labels into the shared table.
+	unseen := "#p\n1\nnever-seen\n0\n"
 	for name, body := range map[string]map[string]any{
-		"no pattern":    {"pattern": ""},
-		"bad semantics": {"pattern": patternText(t, gp, table), "semantics": "quantum"},
-		"bad algorithm": {"pattern": patternText(t, gp, table), "algorithm": "bogo"},
+		"no pattern":                  {"pattern": ""},
+		"bad semantics":               {"pattern": patternText(t, gp, table), "semantics": "quantum"},
+		"bad algorithm":               {"pattern": patternText(t, gp, table), "algorithm": "bogo"},
+		"bad semantics, unseen label": {"pattern": unseen, "semantics": "bogus"},
+		"bad algorithm, unseen label": {"pattern": unseen, "algorithm": "bogo"},
 	} {
+		before := tableSize(handler)
 		resp, err := postQuery(t, ts.URL, body)
 		if err != nil {
 			t.Fatal(err)
@@ -186,6 +204,9 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Errorf("%s: status %s, want 400", name, resp.Status)
 		}
 		resp.Body.Close()
+		if after := tableSize(handler); after != before {
+			t.Errorf("%s: label table grew from %d to %d", name, before, after)
+		}
 	}
 
 	// Draining: health 503, queries refused.
@@ -506,4 +527,398 @@ func TestHTTPRouterEndpoints(t *testing.T) {
 func countOracle(t *testing.T, gp, gt *graph.Graph, sem parsge.Semantics) int64 {
 	t.Helper()
 	return testutil.BruteCountSem(gp, gt, sem)
+}
+
+// memoStack is one HTTP stack for the pattern-memo tests — a NewServer
+// over a Service, or a NewRouterServer hosting that Service's target as
+// "alpha" — driven in process through ServeHTTP.
+type memoStack struct {
+	h      *Server
+	svc    *Service
+	path   string
+	update func([]parsge.EdgeUpdate) error // through the router on a router stack
+}
+
+func newMemoStack(t *testing.T, router bool, tgt *parsge.Target, table *graphio.LabelTable) *memoStack {
+	t.Helper()
+	if !router {
+		svc, err := New(Config{Target: tgt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		update := func(ups []parsge.EdgeUpdate) error {
+			_, err := svc.Update(context.Background(), ups)
+			return err
+		}
+		return &memoStack{h: NewServer(svc, table), svc: svc, path: "/query", update: update}
+	}
+	r := NewRouter(RouterConfig{})
+	if err := r.AddTargetSession("alpha", tgt); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close(context.Background()) })
+	svc, err := r.route("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func(ups []parsge.EdgeUpdate) error {
+		_, err := r.Update(context.Background(), "alpha", ups)
+		return err
+	}
+	return &memoStack{h: NewRouterServer(r, table), svc: svc, path: "/targets/alpha/query", update: update}
+}
+
+// memoReply is the part of a query reply the memo tests compare.
+type memoReply struct {
+	Matches   int64     `json:"matches"`
+	Epoch     uint64    `json:"epoch"`
+	States    int64     `json:"states"`
+	Truncated bool      `json:"truncated"`
+	CacheHit  bool      `json:"cache_hit"`
+	Plan      string    `json:"plan"`
+	Mappings  [][]int32 `json:"mappings"`
+}
+
+// serveQuery posts body to path through h in process and decodes a 200
+// reply. It reports failures with t.Error, so clients on other
+// goroutines may call it.
+func serveQuery(t testing.TB, h *Server, path string, body map[string]any) (int, memoReply) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Error(err)
+		return 0, memoReply{}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+	var out memoReply
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Error(err)
+		}
+	}
+	return rec.Code, out
+}
+
+func (st *memoStack) post(t *testing.T, body map[string]any) (int, memoReply) {
+	t.Helper()
+	return serveQuery(t, st.h, st.path, body)
+}
+
+func (st *memoStack) memoEntry(text string) *parsedPattern { return st.h.memo.get(text) }
+
+// memoSize returns the memo's entry count and retained bytes.
+func memoSize(h *Server) (entries int, bytes int64) {
+	h.memo.mu.Lock()
+	defer h.memo.mu.Unlock()
+	return len(h.memo.m), h.memo.bytes
+}
+
+// TestHTTPPatternMemo: each pattern text is parsed and canonicalized
+// once per server, and a reply served through the memo is the one a
+// fresh parse would give — on a single-target and on a router server.
+func TestHTTPPatternMemo(t *testing.T) {
+	semOf := map[string]parsge.Semantics{"iso": parsge.SubgraphIso, "induced": parsge.InducedIso, "hom": parsge.Homomorphism}
+	for _, router := range []bool{false, true} {
+		name := "NewServer"
+		if router {
+			name = "NewRouterServer"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := buildSoakWorld(t, 71)
+			table := identityTable(w.gt)
+			st := newMemoStack(t, router, w.tgt, table)
+			gp := w.patterns[0]
+			text := patternText(t, gp, table)
+
+			// The same text twice: identical replies, the second a cache
+			// hit served from the memoized parse.
+			body := map[string]any{"pattern": text, "semantics": "iso", "mappings": true}
+			code, first := st.post(t, body)
+			p := st.memoEntry(text)
+			if code != http.StatusOK || p == nil || first.CacheHit {
+				t.Fatalf("first post: status %d, memo entry %v, reply %+v", code, p, first)
+			}
+			if first.Matches != w.oracle[0][parsge.SubgraphIso] {
+				t.Fatalf("first post: %d matches, oracle %d", first.Matches, w.oracle[0][parsge.SubgraphIso])
+			}
+			code, second := st.post(t, body)
+			if code != http.StatusOK || !second.CacheHit || st.memoEntry(text) != p {
+				t.Fatalf("second post: status %d, reply %+v, memo entry replaced: %v", code, second, st.memoEntry(text) != p)
+			}
+			second.CacheHit = false
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("replies differ:\nfirst  %+v\nsecond %+v", first, second)
+			}
+
+			// A relabeled twin is a new text, so a memo miss, but the same
+			// canonical identity: a result-cache hit whose mappings are
+			// translated into the twin's numbering.
+			rng := rand.New(rand.NewSource(5))
+			twin, twinText := gp, text
+			for twinText == text {
+				twin = testutil.PermuteGraph(rng, gp)
+				twinText = patternText(t, twin, table)
+			}
+			if st.memoEntry(twinText) != nil {
+				t.Fatal("twin text memoized before it was posted")
+			}
+			code, tr := st.post(t, map[string]any{"pattern": twinText, "semantics": "iso", "mappings": true})
+			if code != http.StatusOK || !tr.CacheHit || tr.Matches != first.Matches || int64(len(tr.Mappings)) != first.Matches {
+				t.Fatalf("twin: status %d, reply hit=%v matches=%d mappings=%d, want a hit with %d", code, tr.CacheHit, tr.Matches, len(tr.Mappings), first.Matches)
+			}
+			for _, m := range tr.Mappings {
+				verifyMapping(t, twin, w.gt, m, parsge.SubgraphIso)
+			}
+			if st.memoEntry(twinText) == nil {
+				t.Fatal("twin text not memoized")
+			}
+
+			// One text under each semantics: one memo entry, three result
+			// cache entries, each count the oracle's.
+			pi := 1
+			for string(identify(w.patterns[pi]).canon) == string(identify(gp).canon) {
+				pi++
+			}
+			text1 := patternText(t, w.patterns[pi], table)
+
+			// A parse that no longer describes the query's Pattern is
+			// ignored: validate keys the query by its own pattern.
+			_, _, stale, _ := st.svc.validate(Query{Pattern: w.patterns[pi], parsed: p})
+			if _, _, own, _ := st.svc.validate(Query{Pattern: w.patterns[pi]}); stale != own {
+				t.Fatal("validate keyed a query by a parse of another pattern")
+			}
+			entries := st.svc.Stats().CacheEntries
+			for _, sem := range []string{"iso", "induced", "hom"} {
+				code, r := st.post(t, map[string]any{"pattern": text1, "semantics": sem})
+				if code != http.StatusOK || r.CacheHit || r.Matches != w.oracle[pi][semOf[sem]] {
+					t.Fatalf("%s: status %d, reply %+v, oracle %d", sem, code, r, w.oracle[pi][semOf[sem]])
+				}
+			}
+			if got := st.svc.Stats().CacheEntries - entries; got != 3 {
+				t.Fatalf("one text under three semantics made %d cache entries, want 3", got)
+			}
+			if n, _ := memoSize(st.h); n != 3 {
+				t.Fatalf("memo holds %d texts, want 3 (text, twin, text under three semantics)", n)
+			}
+
+			// Over MaxPatternNodes: a 400 on every post, and never
+			// memoized; a memoized text is refused too once the limit
+			// drops below it.
+			big := "#big\n65\n" + strings.Repeat("1\n", 65) + "0\n"
+			for i := 0; i < 2; i++ {
+				if code, _ := st.post(t, map[string]any{"pattern": big}); code != http.StatusBadRequest {
+					t.Fatalf("65-node pattern post %d: status %d, want 400", i, code)
+				}
+			}
+			if st.memoEntry(big) != nil {
+				t.Fatal("over-limit pattern was memoized")
+			}
+			st.h.MaxPatternNodes = gp.NumNodes() - 1
+			for i := 0; i < 2; i++ {
+				if code, _ := st.post(t, body); code != http.StatusBadRequest {
+					t.Fatalf("memoized text over the lowered limit, post %d: status %d, want 400", i, code)
+				}
+			}
+			st.h.MaxPatternNodes = 64
+			if code, r := st.post(t, body); code != http.StatusOK || !r.CacheHit {
+				t.Fatalf("limit restored: status %d, reply %+v", code, r)
+			}
+
+			// After an update, a memoized pre-update text answers at the
+			// new epoch with the new graph's count.
+			e := w.gt.Edges()[0]
+			if err := st.update([]parsge.EdgeUpdate{
+				{From: e.From, To: e.To, Label: e.Label, Remove: true},
+				{From: e.To, To: e.From, Label: e.Label, Remove: true},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := testutil.BruteCountSem(gp, w.tgt.Graph(), parsge.SubgraphIso)
+			code, r := st.post(t, map[string]any{"pattern": text, "semantics": "iso"})
+			if code != http.StatusOK || r.Epoch != 1 || r.CacheHit || r.Matches != want {
+				t.Fatalf("after update: status %d, reply %+v, want epoch 1 and %d matches", code, r, want)
+			}
+			if st.memoEntry(text) != p {
+				t.Fatal("an update replaced a memo entry")
+			}
+
+			// Fill past a small byte budget: the memo is cleared instead
+			// of growing, and every reply stays the oracle's. Each pattern
+			// is posted under many names: distinct texts, one identity.
+			const budget = 4096
+			st.h.memo.max = budget
+			now := make([]int64, len(w.patterns))
+			for i, g := range w.patterns {
+				now[i] = testutil.BruteCountSem(g, w.tgt.Graph(), parsge.SubgraphIso)
+			}
+			const posts = 40
+			for i := 0; i < posts; i++ {
+				pi := i % len(w.patterns)
+				var buf bytes.Buffer
+				if err := graphio.Write(&buf, fmt.Sprintf("fill-%d", i), w.patterns[pi], table); err != nil {
+					t.Fatal(err)
+				}
+				code, r := st.post(t, map[string]any{"pattern": buf.String(), "semantics": "iso"})
+				if code != http.StatusOK || r.Matches != now[pi] {
+					t.Fatalf("fill %d: status %d, %d matches, oracle %d", i, code, r.Matches, now[pi])
+				}
+				if _, b := memoSize(st.h); b > budget {
+					t.Fatalf("fill %d: memo retains %d bytes, budget %d", i, b, budget)
+				}
+			}
+			if n, _ := memoSize(st.h); n >= posts {
+				t.Fatalf("memo holds all %d texts, want it cleared on overflow", n)
+			}
+
+			// The hostile symmetric pattern (see
+			// TestHostileSymmetricPatternUncacheable): its over-budget
+			// verdict is memoized, so a repeat is answered uncached with
+			// no second canonicalization attempt.
+			k11, err := parsge.NewTarget(clique(11), parsge.TargetOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := newMemoStack(t, router, k11, graphio.NewLabelTable())
+			hostile := patternText(t, clique(10), hs.h.table)
+			for round := 0; round < 2; round++ {
+				code, r := hs.post(t, map[string]any{"pattern": hostile, "limit": 1000})
+				if code != http.StatusOK || r.Matches < 1000 || r.CacheHit {
+					t.Fatalf("hostile round %d: status %d, reply %+v", round, code, r)
+				}
+			}
+			hp := hs.memoEntry(hostile)
+			if hp == nil || hp.ok {
+				t.Fatalf("hostile pattern memoized as %+v, want an uncacheable entry", hp)
+			}
+			// A canonicalization attempt allocates thousands of times; a
+			// memoized identity resolves with none.
+			if allocs := testing.AllocsPerRun(10, func() {
+				p, err := hs.h.pattern(hostile)
+				if err == nil {
+					hs.svc.validate(Query{Pattern: p.graph, parsed: p})
+				}
+			}); allocs != 0 {
+				t.Fatalf("resolving a memoized hostile pattern allocated %v times, want 0", allocs)
+			}
+			if st := hs.svc.Stats(); st.CacheEntries != 0 || st.Session.Queries != 2 {
+				t.Fatalf("hostile pattern: %d cache entries, %d runs; want 0 and 2", st.CacheEntries, st.Session.Queries)
+			}
+		})
+	}
+}
+
+// TestHTTPHitPathAllocs pins the heap work of a count served from the
+// result cache through the whole handler, request decoding and reply
+// encoding included. With the pattern memo a repeated text pays neither
+// a parse nor a canonicalization (83 allocs when it paid both). The
+// bound is this fixture's measured count, 23. A -race build's sync.Pool
+// drops a random share of the JSON encoder's pooled states; it measured
+// 24-25 and is allowed 26.
+func TestHTTPHitPathAllocs(t *testing.T) {
+	w := buildSoakWorld(t, 91)
+	svc, err := New(Config{Target: w.tgt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := identityTable(w.gt)
+	h := NewServer(svc, table)
+	body, err := json.Marshal(map[string]any{"pattern": patternText(t, w.patterns[0], table)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/query", nil)
+	var rd bytes.Reader
+	serve := func() *httptest.ResponseRecorder {
+		rd.Reset(body)
+		req.Body = io.NopCloser(&rd)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	serve() // warm the result cache and the memo
+	if rec := serve(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cache_hit":true`) {
+		t.Fatalf("second request: status %d, body %s; want a cache hit", rec.Code, rec.Body)
+	}
+	bound := 23.0
+	if raceEnabled {
+		bound = 26
+	}
+	if got := testing.AllocsPerRun(100, func() { serve() }); got > bound {
+		t.Errorf("HTTP count hit: %v allocs, want <= %v", got, bound)
+	}
+}
+
+// TestHTTPPatternMemoSoak: eight clients post overlapping pattern texts
+// — every text to both router targets — through one server whose memo,
+// at a tiny byte budget, overflows and is cleared over and over. Every
+// reply must equal the oracle of the target it was posted to.
+func TestHTTPPatternMemoSoak(t *testing.T) {
+	wa, wb := buildSoakWorld(t, 81), buildSoakWorld(t, 82)
+	r := NewRouter(RouterConfig{Workers: 4})
+	if err := r.AddTargetSession("alpha", wa.tgt); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddTargetSession("beta", wb.tgt); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close(context.Background())
+	table := identityTable(wa.gt)
+	for l := 1; l <= int(wb.gt.MaxNodeLabel()); l++ {
+		table.Intern(strconv.Itoa(l))
+	}
+	h := NewRouterServer(r, table)
+	h.memo.max = 2048
+
+	targets := [2]string{"alpha", "beta"}
+	type query struct {
+		body map[string]any
+		want [2]int64 // per target
+	}
+	var queries []query
+	texts := 0
+	for pi, gp := range append(append([]*graph.Graph(nil), wa.patterns...), wb.patterns...) {
+		for spelling := 0; spelling < 2; spelling++ { // two texts, one identity
+			var buf bytes.Buffer
+			if err := graphio.Write(&buf, fmt.Sprintf("p%d-%d", pi, spelling), gp, table); err != nil {
+				t.Fatal(err)
+			}
+			texts++
+			for sem, s := range map[string]parsge.Semantics{"iso": parsge.SubgraphIso, "induced": parsge.InducedIso, "hom": parsge.Homomorphism} {
+				queries = append(queries, query{
+					body: map[string]any{"pattern": buf.String(), "semantics": sem, "mappings": pi%2 == 0},
+					want: [2]int64{testutil.BruteCountSem(gp, wa.gt, s), testutil.BruteCountSem(gp, wb.gt, s)},
+				})
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < 150; i++ {
+				q := queries[rng.Intn(len(queries))]
+				ti := rng.Intn(2)
+				code, rep := serveQuery(t, h, "/targets/"+targets[ti]+"/query", q.body)
+				if code != http.StatusOK || rep.Matches != q.want[ti] {
+					t.Errorf("client %d: %s %v: status %d, %d matches, oracle %d", c, targets[ti], q.body["semantics"], code, rep.Matches, q.want[ti])
+					return
+				}
+				if q.body["mappings"] == true && int64(len(rep.Mappings)) != rep.Matches {
+					t.Errorf("client %d: %d mappings for %d matches", c, len(rep.Mappings), rep.Matches)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	n, b := memoSize(h)
+	if b > h.memo.max {
+		t.Fatalf("memo retains %d bytes, budget %d", b, h.memo.max)
+	}
+	if n >= texts {
+		t.Fatalf("memo holds %d of %d texts: the budget never overflowed", n, texts)
+	}
 }

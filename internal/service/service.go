@@ -166,6 +166,11 @@ func (c Config) timeout(d time.Duration) time.Duration {
 type Query struct {
 	Pattern *parsge.Graph
 	Options parsge.Options
+
+	// parsed is set by the HTTP layer to the memoized parse the Pattern
+	// came from; validate takes its canonical identity instead of
+	// recomputing it, but only while parsed.graph is still Pattern.
+	parsed *parsedPattern
 }
 
 // Reply reports one served query.
@@ -315,6 +320,25 @@ func (s *Service) Close(ctx context.Context) error {
 // to milliseconds.
 const canonBudget = 1 << 12
 
+// parsedPattern is a pattern graph with its canonical identity: the
+// canonical encoding and permutation, or ok == false when
+// canonicalization exceeded canonBudget. Immutable once built; the HTTP
+// memo shares one among every request that posts the same text.
+type parsedPattern struct {
+	graph *parsge.Graph
+	canon []byte
+	perm  []int32
+	ok    bool
+}
+
+// identify canonicalizes g under canonBudget. It is the one place a
+// query's identity is computed: on an HTTP memo miss for the memo to
+// keep, and in validate for every other query.
+func identify(g *parsge.Graph) parsedPattern {
+	canon, perm, ok := graph.CanonicalFormBudget(g, canonBudget)
+	return parsedPattern{graph: g, canon: canon, perm: perm, ok: ok}
+}
+
 // validate normalizes a query and resolves its cache identity. An empty
 // key marks the query uncacheable (its canonicalization exceeded
 // canonBudget): it bypasses the cache and singleflight and just runs.
@@ -329,11 +353,16 @@ func (s *Service) validate(q Query) (sem parsge.Semantics, perm []int32, key str
 	if err != nil {
 		return 0, nil, "", err
 	}
-	canon, perm, ok := graph.CanonicalFormBudget(q.Pattern, canonBudget)
-	if !ok {
+	var id parsedPattern
+	if q.parsed != nil && q.parsed.graph == q.Pattern {
+		id = *q.parsed
+	} else {
+		id = identify(q.Pattern)
+	}
+	if !id.ok {
 		return sem, nil, "", nil
 	}
-	return sem, perm, cacheKey(canon, sem, q.Options), nil
+	return sem, id.perm, cacheKey(id.canon, sem, q.Options), nil
 }
 
 // prepared returns the options a query actually runs with: the service
