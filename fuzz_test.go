@@ -318,6 +318,10 @@ func FuzzEdgeUpdates(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 2, 0, 0, 1, 2, 0, 1, 0, 2, 3, 1, 1, 2, 0})
 	// No-op batch (remove from the empty graph) followed by an add.
 	f.Add([]byte{1, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0})
+	// Base {0→0, 0→1} over labels (0, 1); one batch removes the
+	// self-loop, the next re-adds it: the induced probe then matches
+	// 0→1 only if the index's self-loop set followed both batches.
+	f.Add([]byte{1, 0, 1, 2, 0, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 0, 0})
 
 	// Single-edge probe pattern: enough to catch a target whose
 	// incremental index disagrees with its graph.
@@ -368,7 +372,9 @@ func FuzzEdgeUpdates(f *testing.F) {
 				t.Fatalf("batch %d: incremental index differs from rebuild: %s\nbase=%v ups=%v",
 					bi, diff, g.Edges(), ups)
 			}
-			for _, sem := range []Semantics{SubgraphIso, Homomorphism} {
+			// The induced probe's unary filter reads the index's
+			// self-loop set, so a stale bit would miscount here.
+			for _, sem := range []Semantics{SubgraphIso, InducedIso, Homomorphism} {
 				inc, err := tgt.Count(context.Background(), probe, Options{Algorithm: RIDSSIFC, Semantics: sem})
 				if err != nil {
 					t.Fatal(err)

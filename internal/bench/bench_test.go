@@ -473,18 +473,26 @@ func TestServiceThroughputExperiment(t *testing.T) {
 	}
 }
 
-// TestCensusThroughputExperiment is the census acceptance test: the
+// TestCensusThroughputExperiment is the census acceptance test: every
+// measured PPIS32 target yields a complete cell, and in each the
 // parallel ESU walk reproduces the sequential counts exactly and
-// divides the work at least 2x at k=4 on the PPIS32 targets. Wall-clock
-// speedup is only meaningful with enough cores under the workers, so it
-// is gated on GOMAXPROCS.
+// divides the work at least 2x at k=4. Wall-clock speedup is only
+// meaningful with enough cores under the workers, so it is gated on
+// GOMAXPROCS.
 func TestCensusThroughputExperiment(t *testing.T) {
 	var out bytes.Buffer
-	res := tinySuite(&out).CensusThroughput()
+	s := tinySuite(&out)
+	res := s.CensusThroughput()
 	if len(res.Cells) == 0 {
 		t.Fatal("census experiment produced no cells")
 	}
+	if want := min(len(s.collection("PPIS32").Targets), censusTargets); len(res.Cells) != want {
+		t.Fatalf("census experiment produced %d cells, want one per measured target (%d)", len(res.Cells), want)
+	}
 	for _, c := range res.Cells {
+		if c.truncated {
+			t.Fatalf("census cell n=%d was truncated without a cancellation", c.Nodes)
+		}
 		if !c.Consistent {
 			t.Fatalf("parallel census diverged from sequential on n=%d m=%d", c.Nodes, c.Edges)
 		}

@@ -189,14 +189,15 @@ func (ix *Index) CompactNLF() bool { return ix.cout != nil }
 func (ix *Index) NLFExactFallback() bool { return ix.keyBucket != nil }
 
 // NLFMemoryBytes returns the payload bytes of the NLF signature storage
-// — the quantity the compact representation exists to bound. Slice and
-// map headers are excluded; the figure is for comparing representations,
-// not accounting heap pages.
+// (exact mode's key masks included) — the quantity the compact
+// representation exists to bound. Slice and map headers are excluded;
+// the figure is for comparing representations, not accounting heap
+// pages.
 func (ix *Index) NLFMemoryBytes() int {
 	if ix.CompactNLF() {
 		return (len(ix.cout) + len(ix.cin)) * compactBuckets * 2
 	}
-	total := 0
+	total := (len(ix.outMask) + len(ix.inMask)) * 8
 	for _, sigs := range [][]nlfSig{ix.out, ix.in} {
 		for _, s := range sigs {
 			total += len(s.keys)*8 + len(s.counts)*4

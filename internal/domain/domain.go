@@ -67,6 +67,15 @@ type Index struct {
 	// out[v] / in[v] are node v's exact NLF signatures per direction
 	// (nil in compact mode).
 	out, in []nlfSig
+	// outMask[v] / inMask[v] fold the keys of out[v] / in[v] into one
+	// word each (see keyMask): the unary filter rejects a candidate
+	// lacking a pattern key bit before loading its signature. Kept in
+	// dense arrays beside the signatures, not inside them, so a mask
+	// test touches 8 bytes. Nil in compact mode.
+	outMask, inMask []uint64
+	// loops holds the nodes that carry a self-loop, so the unary
+	// self-loop filters test a bit instead of searching the CSR row.
+	loops *bitset.Set
 	// cout / cin are the bucketed signatures of compact mode (nil in
 	// exact mode); keyBucket is the perfect key→bucket assignment of the
 	// exactness fallback (nil = hashed buckets). See compact.go.
@@ -148,9 +157,13 @@ func NewIndexMode(gt *graph.Graph, mode NLFMode) *Index {
 		sumDeg:   sumDeg,
 		sumSqDeg: sumSqDeg,
 	}
+	ix.loops = bitset.New(nt)
 	for vt := int32(0); vt < int32(nt); vt++ {
 		l := gt.NodeLabel(vt)
 		ix.byLabel[l] = append(ix.byLabel[l], vt)
+		if gt.HasEdge(vt, vt) {
+			ix.loops.Set(int(vt))
+		}
 	}
 	if mode == NLFAuto && gt.NumEdges() >= compactAutoEdges {
 		mode = NLFCompact
@@ -161,14 +174,25 @@ func NewIndexMode(gt *graph.Graph, mode NLFMode) *Index {
 	}
 	ix.out = make([]nlfSig, nt)
 	ix.in = make([]nlfSig, nt)
+	ix.outMask = make([]uint64, nt)
+	ix.inMask = make([]uint64, nt)
 	var buf []uint64
 	for vt := int32(0); vt < int32(nt); vt++ {
-		buf = appendNLFKeys(buf[:0], gt, gt.OutNeighbors(vt), gt.OutEdgeLabels(vt))
-		ix.out[vt] = buildNLFSig(buf)
-		buf = appendNLFKeys(buf[:0], gt, gt.InNeighbors(vt), gt.InEdgeLabels(vt))
-		ix.in[vt] = buildNLFSig(buf)
+		buf = ix.fillExactNLF(gt, vt, buf)
 	}
 	return ix
+}
+
+// fillExactNLF (re)computes node vt's exact signatures and key masks
+// from g, returning the grown key buffer for reuse.
+func (ix *Index) fillExactNLF(g *graph.Graph, vt int32, buf []uint64) []uint64 {
+	buf = appendNLFKeys(buf[:0], g, g.OutNeighbors(vt), g.OutEdgeLabels(vt))
+	ix.out[vt] = buildNLFSig(buf)
+	ix.outMask[vt] = keyMask(ix.out[vt].keys)
+	buf = appendNLFKeys(buf[:0], g, g.InNeighbors(vt), g.InEdgeLabels(vt))
+	ix.in[vt] = buildNLFSig(buf)
+	ix.inMask[vt] = keyMask(ix.in[vt].keys)
+	return buf
 }
 
 // Stats returns the target statistics cached at index construction.
@@ -189,6 +213,21 @@ func (ix *Index) NumLabels() int { return len(ix.byLabel) }
 // comparable word. Labels are int32, so the two halves never collide.
 func nlfKey(nodeLab, edgeLab graph.Label) uint64 {
 	return uint64(uint32(nodeLab))<<32 | uint64(uint32(edgeLab))
+}
+
+// keyMask folds a set of nlfKeys into a 64-bit presence mask, key
+// (node label n, edge label e) setting bit (n + 7·e) mod 64 — distinct
+// bits for up to 64 node labels on unlabeled edges, or 7 node labels by
+// 9 edge labels. Any fold is sound as a prefilter: a signature that
+// dominates the pattern's holds every pattern key, so its mask holds
+// every pattern bit; a missing bit rejects outright, a present one
+// leaves the decision to the signature merge.
+func keyMask(keys []uint64) uint64 {
+	var m uint64
+	for _, k := range keys {
+		m |= 1 << ((uint32(k>>32) + 7*uint32(k)) % 64)
+	}
+	return m
 }
 
 // nlfSig is one node's neighborhood-label-frequency signature in one
@@ -439,10 +478,7 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	var scratch []uint64
 	var tout, tin []nlfSig
 	var tbuilt []bool
-	targetSigs := func(vt int32) (out, in nlfSig) {
-		if ix != nil {
-			return ix.out[vt], ix.in[vt]
-		}
+	builtSigs := func(vt int32) (out, in nlfSig) {
 		if tbuilt == nil {
 			tout = make([]nlfSig, nt)
 			tin = make([]nlfSig, nt)
@@ -458,6 +494,18 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 		return tout[vt], tin[vt]
 	}
 
+	// hasLoop answers the self-loop filters from the Index's self-loop
+	// set, or from the CSR row without one.
+	hasLoop := func(vt int32) bool {
+		if ix != nil {
+			return ix.loops.Test(int(vt))
+		}
+		return gt.HasEdge(vt, vt)
+	}
+	// With an exact Index, the candidates' key masks prefilter the
+	// signature merge (see keyMask).
+	masked := ix != nil && !compact && !opts.SkipNLF
+
 	// Initial unary filter per pattern node: equivalent labels,
 	// sufficient in/out degrees ("all nodes with in- and outdegree at
 	// least that of v_p's, and with labels that match v_p's", §4.1, only
@@ -472,16 +520,29 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 		if !sem.DegreePruning() {
 			din, dout = 0, 0
 		}
+		var maskOut, maskIn uint64
+		if masked {
+			maskOut, maskIn = keyMask(psigOut[vp].keys), keyMask(psigIn[vp].keys)
+		}
 		admit := func(vt int32) {
 			if gt.InDegree(vt) < din || gt.OutDegree(vt) < dout {
 				return
 			}
-			for _, l := range selfLoops[vp] {
-				if !gt.HasEdgeLabeled(vt, vt, l) {
+			if masked && (maskOut&^ix.outMask[vt] != 0 || maskIn&^ix.inMask[vt] != 0) {
+				return
+			}
+			if len(selfLoops[vp]) > 0 {
+				// The set rejects loop-free candidates before the
+				// per-label row search.
+				if !hasLoop(vt) {
 					return
 				}
-			}
-			if induced && len(selfLoops[vp]) == 0 && gt.HasEdge(vt, vt) {
+				for _, l := range selfLoops[vp] {
+					if !gt.HasEdgeLabeled(vt, vt, l) {
+						return
+					}
+				}
+			} else if induced && hasLoop(vt) {
 				return
 			}
 			if !opts.SkipNLF {
@@ -490,8 +551,12 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 						!compactDominates(ix.cin[vt], pcIn[vp].sig, hom) {
 						return
 					}
+				} else if ix != nil {
+					if !ix.out[vt].dominates(psigOut[vp], hom) || !ix.in[vt].dominates(psigIn[vp], hom) {
+						return
+					}
 				} else if len(psigOut[vp].keys) > 0 || len(psigIn[vp].keys) > 0 {
-					tout, tin := targetSigs(vt)
+					tout, tin := builtSigs(vt)
 					if !tout.dominates(psigOut[vp], hom) || !tin.dominates(psigIn[vp], hom) {
 						return
 					}
@@ -572,6 +637,11 @@ func patternSelfLoops(gp *graph.Graph) [][]graph.Label {
 // pass loop so they reach a joint fixpoint. st accumulates the wall
 // time of the classic sweeps and the induced passes separately.
 //
+// A sweep revises v_p only over the arcs whose D(w_p) shrank since v_p's
+// last revision (see sweepState), so it removes exactly what a full
+// sweep removes, pass by pass, and a sweep that proves the fixpoint
+// re-checks nothing.
+//
 // With adaptive set, maxPasses is a revisable prediction: after the
 // first sweep the remaining mean domain size is measured, and when it is
 // still at least acEscalateMeanDomain candidates per pattern node the
@@ -587,87 +657,68 @@ func (d *Domains) arcConsistency(gp, gt *graph.Graph, rows *graph.BitGraph, maxP
 	// Under the bitset kernel with per-label rows, the support test
 	// "some labeled neighbor of v_t lies in D(w_p)" is one word-parallel
 	// intersection against the (direction, label) row. The row slices
-	// are hoisted per pattern node so the candidate loop does no map
-	// lookups; a nil slice means the label has no target edge at all.
+	// are hoisted per arc so the candidate loop does no map lookups; a
+	// nil slice means the label has no target edge at all.
 	labelRows := rows != nil && rows.HasLabelRows()
-	var outRows, inRows [][]*bitset.Set
+	sw := newSweepState(d)
+	var arcs []acArc
 	for pass := 0; maxPasses == 0 || pass < maxPasses; pass++ {
 		changed := false
 		for vp := int32(0); vp < int32(np); vp++ {
-			dom := d.sets[vp]
-			if dom.Empty() {
+			if sw.sizes[vp] == 0 {
 				continue
 			}
-			outP := gp.OutNeighbors(vp)
-			outL := gp.OutEdgeLabels(vp)
-			inP := gp.InNeighbors(vp)
-			inL := gp.InEdgeLabels(vp)
-			if labelRows {
-				outRows = outRows[:0]
-				for _, l := range outL {
-					outRows = append(outRows, rows.OutLab[l])
+			since := sw.acAt[vp]
+			arcs = arcs[:0]
+			for _, out := range [2]bool{true, false} {
+				nbrs, labs := gp.InNeighbors(vp), gp.InEdgeLabels(vp)
+				if out {
+					nbrs, labs = gp.OutNeighbors(vp), gp.OutEdgeLabels(vp)
 				}
-				inRows = inRows[:0]
-				for _, l := range inL {
-					inRows = append(inRows, rows.InLab[l])
+				for i, wp := range nbrs {
+					// Self-loops are a unary constraint; an arc whose
+					// D(w_p) has not shrunk still supports every v_t.
+					if wp == vp || sw.shrunk[wp] <= since {
+						continue
+					}
+					a := acArc{dom: d.sets[wp], lab: labs[i], out: out}
+					if labelRows {
+						a.rows = rows.InLab[a.lab]
+						if out {
+							a.rows = rows.OutLab[a.lab]
+						}
+					}
+					arcs = append(arcs, a)
 				}
 			}
-
-			var drop []int
-			dom.ForEach(func(vti int) bool {
+			if len(arcs) == 0 {
+				continue
+			}
+			sw.begin(sw.acAt, vp)
+			d.sets[vp].ForEach(func(vti int) bool {
 				vt := int32(vti)
-				for i, wp := range outP {
-					if wp == vp {
-						continue // self-loops are a unary constraint
-					}
+				for i := range arcs {
+					a := &arcs[i]
+					var ok bool
 					if labelRows {
-						if r := outRows[i]; r == nil || !d.sets[wp].Intersects(r[vt]) {
-							drop = append(drop, vti)
-							return true
-						}
-						continue
+						ok = a.rows != nil && a.dom.Intersects(a.rows[vt])
+					} else {
+						ok = a.supportedCSR(gt, rows, vt)
 					}
-					if rows != nil && !rows.Out[vt].Intersects(d.sets[wp]) {
-						// Direction-row prefilter: no out-neighbor of
-						// v_t lies in the domain under any label.
-						drop = append(drop, vti)
-						return true
-					}
-					if !hasSupport(gt.OutNeighbors(vt), gt.OutEdgeLabels(vt), outL[i], d.sets[wp]) {
-						drop = append(drop, vti)
-						return true
-					}
-				}
-				for i, wp := range inP {
-					if wp == vp {
-						continue
-					}
-					if labelRows {
-						if r := inRows[i]; r == nil || !d.sets[wp].Intersects(r[vt]) {
-							drop = append(drop, vti)
-							return true
-						}
-						continue
-					}
-					if rows != nil && !rows.In[vt].Intersects(d.sets[wp]) {
-						drop = append(drop, vti)
-						return true
-					}
-					if !hasSupport(gt.InNeighbors(vt), gt.InEdgeLabels(vt), inL[i], d.sets[wp]) {
-						drop = append(drop, vti)
+					if !ok {
+						sw.drop = append(sw.drop, vti)
 						return true
 					}
 				}
 				return true
 			})
-			for _, vti := range drop {
-				dom.Clear(vti)
+			if sw.remove(d, vp) {
 				changed = true
 			}
 		}
 		if induced {
 			ipStart := time.Now()
-			ipChanged := d.inducedPass(gp, gt, rows)
+			ipChanged := d.inducedPass(gp, gt, rows, sw)
 			st.InducedACTime += time.Since(ipStart)
 			if ipChanged {
 				changed = true
@@ -691,38 +742,139 @@ func (d *Domains) arcConsistency(gp, gt *graph.Graph, rows *graph.BitGraph, maxP
 	}
 }
 
+// acArc is one pattern arc at the node a classic revision checks: the
+// neighbor's domain, the edge label, the direction, and — under the
+// label-row kernel — the (direction, label) rows.
+type acArc struct {
+	dom  *bitset.Set
+	lab  graph.Label
+	out  bool
+	rows []*bitset.Set
+}
+
+// supportedCSR reports whether target node vt has a neighbor in a.dom
+// over an a.lab-labeled edge in a's direction, scanning vt's CSR row —
+// behind the direction row's word-parallel prefilter when rows exist.
+func (a *acArc) supportedCSR(gt *graph.Graph, rows *graph.BitGraph, vt int32) bool {
+	adj, labs := gt.InNeighbors(vt), gt.InEdgeLabels(vt)
+	if a.out {
+		adj, labs = gt.OutNeighbors(vt), gt.OutEdgeLabels(vt)
+	}
+	if rows != nil {
+		r := rows.In[vt]
+		if a.out {
+			r = rows.Out[vt]
+		}
+		if !r.Intersects(a.dom) {
+			return false
+		}
+	}
+	return hasSupport(adj, labs, a.lab, a.dom)
+}
+
+// sweepState is the change bookkeeping the arc-consistency and induced
+// sweeps share. A clock ticks once per revision of a pattern node;
+// shrunk[v] is the tick of the revision that last removed candidates
+// from D(v) (1, the unary filter's, until then), and acAt[v] / indAt[v]
+// the tick at which v's last classic / induced revision began (0 =
+// never). A revision of v checks an arc or pair (v, w) only when
+// shrunk[w] is later than v's previous revision: every candidate still
+// in D(v) had its support in D(w) then, and a D(w) that has not shrunk
+// still holds it. The skipped checks could remove nothing, so the
+// domains after every pass — and with them AfterPass1, the adaptive
+// escalation and the fixpoint — are those of full sweeps.
+type sweepState struct {
+	clock       int
+	shrunk      []int
+	acAt, indAt []int
+	// sizes[v] is |D(v)|, kept current by remove.
+	sizes []int
+	// drop collects the candidates a revision removes; one buffer
+	// serves every revision.
+	drop []int
+}
+
+// newSweepState starts the bookkeeping for domains fresh from the unary
+// filter.
+func newSweepState(d *Domains) *sweepState {
+	np := len(d.sets)
+	buf := make([]int, 4*np)
+	sw := &sweepState{
+		clock:  1,
+		shrunk: buf[:np:np],
+		acAt:   buf[np : 2*np : 2*np],
+		indAt:  buf[2*np : 3*np : 3*np],
+		sizes:  buf[3*np:],
+	}
+	for v, s := range d.sets {
+		sw.shrunk[v] = 1
+		sw.sizes[v] = s.Count()
+	}
+	return sw
+}
+
+// begin starts a revision of v, stamping it in at (acAt or indAt).
+func (sw *sweepState) begin(at []int, v int32) {
+	sw.clock++
+	at[v] = sw.clock
+}
+
+// remove clears the drop buffer's candidates from D(v), stamps the
+// shrink with the current revision's tick, and reports whether anything
+// was removed.
+func (sw *sweepState) remove(d *Domains, v int32) bool {
+	if len(sw.drop) == 0 {
+		return false
+	}
+	for _, vti := range sw.drop {
+		d.sets[v].Clear(vti)
+	}
+	sw.sizes[v] -= len(sw.drop)
+	sw.shrunk[v] = sw.clock
+	sw.drop = sw.drop[:0]
+	return true
+}
+
 // inducedPass propagates the non-edge constraints of induced matching:
 // for an ordered pattern pair (v_p, w_p) with a missing edge in either
 // direction, a valid induced embedding maps w_p to some w_t ∈ D(w_p)
 // distinct from v_t (induced matching is injective) whose corresponding
 // target edges are missing too. A candidate v_t with no such support in
-// D(w_p) is removed.
+// D(w_p) is removed. Pairs whose D(w_p) has not shrunk since v_p's last
+// induced revision are skipped (see sweepState).
 //
-// The support test is O(1) in the common case by pigeonhole: at most
-// OutDegree(v_t) target nodes have an edge from v_t, at most
-// InDegree(v_t) an edge to v_t, plus v_t itself — a domain larger than
-// that necessarily contains a support, so only small domains are
-// scanned. It returns whether any domain changed.
-func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph) bool {
-	np := gp.NumNodes()
+// The pattern non-edges come from one merge walk over v_p's sorted
+// adjacency rows per revision. The support test is O(1) in the common
+// case by pigeonhole: at most OutDegree(v_t) target nodes have an edge
+// from v_t, at most InDegree(v_t) an edge to v_t, plus v_t itself — a
+// domain larger than that necessarily contains a support, so only small
+// domains are scanned. It returns whether any domain changed.
+func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph, sw *sweepState) bool {
+	np := int32(gp.NumNodes())
 	changed := false
-	for vp := int32(0); vp < int32(np); vp++ {
-		dom := d.sets[vp]
-		if dom.Empty() {
+	for vp := int32(0); vp < np; vp++ {
+		if sw.sizes[vp] == 0 {
 			continue
 		}
-		for wp := int32(0); wp < int32(np); wp++ {
-			if wp == vp {
-				continue // the self pair is the unary self-loop filter
+		since := sw.indAt[vp]
+		sw.begin(sw.indAt, vp)
+		dom := d.sets[vp]
+		outP, inP := gp.OutNeighbors(vp), gp.InNeighbors(vp)
+		oi, ii := 0, 0
+		for wp := int32(0); wp < np; wp++ {
+			for oi < len(outP) && outP[oi] < wp {
+				oi++
 			}
-			needOut := !gp.HasEdge(vp, wp) // pattern non-edge vp→wp
-			needIn := !gp.HasEdge(wp, vp)  // pattern non-edge wp→vp
-			if !needOut && !needIn {
+			for ii < len(inP) && inP[ii] < wp {
+				ii++
+			}
+			needOut := oi == len(outP) || outP[oi] != wp // pattern non-edge vp→wp
+			needIn := ii == len(inP) || inP[ii] != wp    // pattern non-edge wp→vp
+			// The self pair is the unary self-loop filter.
+			if wp == vp || (!needOut && !needIn) || sw.shrunk[wp] <= since {
 				continue
 			}
-			domW := d.sets[wp]
-			sizeW := domW.Count()
-			var drop []int
+			domW, sizeW := d.sets[wp], sw.sizes[wp]
 			dom.ForEach(func(vti int) bool {
 				vt := int32(vti)
 				bound := 1 // v_t itself is never a valid image of w_p
@@ -746,7 +898,7 @@ func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph) bool {
 						b = rows.In[vt]
 					}
 					if !domW.ExistsOutside(a, b, vti) {
-						drop = append(drop, vti)
+						sw.drop = append(sw.drop, vti)
 					}
 					return true
 				}
@@ -766,12 +918,11 @@ func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph) bool {
 					return false
 				})
 				if !supported {
-					drop = append(drop, vti)
+					sw.drop = append(sw.drop, vti)
 				}
 				return true
 			})
-			for _, vti := range drop {
-				dom.Clear(vti)
+			if sw.remove(d, vp) {
 				changed = true
 			}
 		}

@@ -279,6 +279,46 @@ func BenchmarkCompute(b *testing.B) {
 	}
 }
 
+// BenchmarkComputeDenseCold prices one cold query's preprocessing the
+// way the service pays it: Filters{}.Compute (the Auto schedule) with a
+// shared per-target Index, cycling over every iso and induced query of
+// the dense-cold serving workload's collection — PPIS32 at scale 0.1,
+// seed 20170525, 150 patterns, those of at most 64 nodes (the HTTP
+// server's default MaxPatternNodes). One op is one query.
+func BenchmarkComputeDenseCold(b *testing.B) {
+	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.1, Seed: 20170525, NumPatterns: 150})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ixs := make([]*Index, len(coll.Targets))
+	for i, gt := range coll.Targets {
+		ixs[i] = NewIndex(gt)
+	}
+	type query struct {
+		gp, gt *graph.Graph
+		ix     *Index
+		sem    graph.Semantics
+	}
+	var qs []query
+	for _, p := range coll.Patterns {
+		if p.Graph.NumNodes() > 64 {
+			continue
+		}
+		for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso} {
+			qs = append(qs, query{p.Graph, coll.Targets[p.TargetIndex], ixs[p.TargetIndex], sem})
+		}
+	}
+	// Warm every Index's row cache, as a serving target's is.
+	for _, q := range qs {
+		Filters{}.Compute(q.gp, q.gt, q.ix, q.sem)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		q := qs[i%len(qs)]
+		Filters{}.Compute(q.gp, q.gt, q.ix, q.sem)
+	}
+}
+
 // undirected adds both arcs of an undirected NoLabel edge to an edge
 // list.
 func undirected(pairs [][2]int32) [][3]int32 {

@@ -2,16 +2,18 @@ package domain
 
 import (
 	"fmt"
+	"slices"
 
 	"parsge/internal/graph"
 )
 
 // Incremental index maintenance under edge updates.
 //
-// A node's NLF signatures depend only on its own adjacency rows, and
-// every endpoint of a changed arc is in the update's touched set — so
-// after an edge batch, only the touched vertices' signatures can
-// differ, and the rest are shared structurally with the previous index.
+// A node's NLF signatures, key masks and self-loop bit depend only on
+// its own adjacency rows, and every endpoint of a changed arc is in the
+// update's touched set — so after an edge batch, only the touched
+// vertices' signatures, masks and bits can differ; the rest are carried
+// over from the previous index (signatures shared structurally).
 // Node labels never change under edge updates (graph.EdgeUpdate cannot
 // add or relabel nodes), so the byLabel buckets and the label entropy
 // are carried over verbatim; the degree moments behind MeanDegree and
@@ -60,22 +62,29 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 	}
 	fillDegreeStats(&st, sumDeg, sumSqDeg)
 	nix.stats = st
+	// A self-loop is an arc whose endpoints are both v, so only touched
+	// vertices can gain or lose one.
+	nix.loops = ix.loops.Clone()
+	for _, vt := range touched {
+		if newG.HasEdge(vt, vt) {
+			nix.loops.Set(int(vt))
+		} else {
+			nix.loops.Clear(int(vt))
+		}
+	}
 
 	if ix.cout != nil {
 		ix.applyCompactUpdates(nix, newG, touched)
 		return nix
 	}
 
-	nix.out = make([]nlfSig, ix.nt)
-	copy(nix.out, ix.out)
-	nix.in = make([]nlfSig, ix.nt)
-	copy(nix.in, ix.in)
+	nix.out = slices.Clone(ix.out)
+	nix.in = slices.Clone(ix.in)
+	nix.outMask = slices.Clone(ix.outMask)
+	nix.inMask = slices.Clone(ix.inMask)
 	var buf []uint64
 	for _, vt := range touched {
-		buf = appendNLFKeys(buf[:0], newG, newG.OutNeighbors(vt), newG.OutEdgeLabels(vt))
-		nix.out[vt] = buildNLFSig(buf)
-		buf = appendNLFKeys(buf[:0], newG, newG.InNeighbors(vt), newG.InEdgeLabels(vt))
-		nix.in[vt] = buildNLFSig(buf)
+		buf = nix.fillExactNLF(newG, vt, buf)
 	}
 	return nix
 }
@@ -133,10 +142,11 @@ func (ix *Index) applyCompactUpdates(nix *Index, newG *graph.Graph, touched []in
 }
 
 // IndexEqual compares two indexes for exact equality — label buckets,
-// cached statistics (including every float bit), NLF representation and
-// per-node signature contents. It returns a description of the first
-// difference for test diagnostics, or "" when equal. It is the oracle
-// relation of the incremental-vs-rebuild differential battery.
+// cached statistics (including every float bit), the self-loop set, NLF
+// representation, per-node signature contents and key masks. It returns
+// a description of the first difference for test diagnostics, or ""
+// when equal. It is the oracle relation of the incremental-vs-rebuild
+// differential battery.
 func IndexEqual(a, b *Index) (bool, string) {
 	if a == nil || b == nil {
 		if a == b {
@@ -175,10 +185,21 @@ func IndexEqual(a, b *Index) (bool, string) {
 			}
 		}
 	}
+	if !a.loops.Equal(b.loops) {
+		return false, fmt.Sprintf("self-loop set %v vs %v", a.loops, b.loops)
+	}
 	if (a.cout != nil) != (b.cout != nil) {
 		return false, "NLF representation differs (exact vs compact)"
 	}
 	if a.cout == nil {
+		if len(a.outMask) != len(b.outMask) || len(a.inMask) != len(b.inMask) {
+			return false, fmt.Sprintf("key mask table length %d/%d vs %d/%d", len(a.outMask), len(a.inMask), len(b.outMask), len(b.inMask))
+		}
+		for v := range a.outMask {
+			if a.outMask[v] != b.outMask[v] || a.inMask[v] != b.inMask[v] {
+				return false, fmt.Sprintf("node %d key mask differs", v)
+			}
+		}
 		for _, dir := range []struct {
 			name string
 			a, b []nlfSig

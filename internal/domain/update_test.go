@@ -36,8 +36,11 @@ func randomBatch(rng *rand.Rand, n, k, labels int) []graph.EdgeUpdate {
 // TestIndexApplyUpdatesDifferential is the domain-level half of the
 // incremental-vs-rebuild battery: across random update sequences, the
 // incrementally-maintained exact-mode index must be IndexEqual —
-// signatures, label buckets, stats down to the float bits — to a
-// from-scratch NewIndexMode of the updated graph.
+// signatures, key masks, the self-loop set, label buckets, stats down
+// to the float bits — to a from-scratch NewIndexMode of the updated
+// graph. A last pair of batches adds a target self-loop and removes it
+// again, in exact and compact mode, and the induced domains — whose
+// unary filter reads the self-loop set — must equal a rebuild's.
 func TestIndexApplyUpdatesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
@@ -56,6 +59,48 @@ func TestIndexApplyUpdatesDifferential(t *testing.T) {
 			rebuilt := NewIndexMode(g2, NLFExact)
 			if ok, diff := IndexEqual(ix2, rebuilt); !ok {
 				t.Fatalf("trial %d batch %d: incremental index differs from rebuild: %s", trial, batch, diff)
+			}
+			g, ix = g2, ix2
+		}
+	}
+
+	// Target: 0(A)→2(B), 1(A)→3(B). The first pattern, A→B, keeps
+	// target 0 under induced semantics only while 0 has no self-loop;
+	// the second, a looped A, needs one.
+	base := buildGraph([]graph.Label{0, 0, 1, 1}, [][3]int32{{0, 2, 0}, {1, 3, 0}})
+	patterns := []*graph.Graph{
+		buildGraph([]graph.Label{0, 1}, [][3]int32{{0, 1, 0}}),
+		buildGraph([]graph.Label{0}, [][3]int32{{0, 0, 0}}),
+	}
+	loop := graph.EdgeUpdate{From: 0, To: 0, Label: 0}
+	unloop := loop
+	unloop.Remove = true
+	for _, mode := range []NLFMode{NLFExact, NLFCompact} {
+		g, ix := base, NewIndexMode(base, mode)
+		for _, batch := range [][]graph.EdgeUpdate{{loop}, {unloop}} {
+			g2, touched, _, _, err := g.ApplyUpdates(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix2 := ix.ApplyUpdates(g, g2, touched)
+			rebuilt := NewIndexMode(g2, mode)
+			if ok, diff := IndexEqual(ix2, rebuilt); mode == NLFExact && !ok {
+				t.Fatalf("%v %+v: incremental index differs from rebuild: %s", mode, batch[0], diff)
+			}
+			if looped := g2.HasEdge(0, 0); ix2.loops.Test(0) != looped || !ix2.loops.Equal(rebuilt.loops) {
+				t.Fatalf("%v %+v: self-loop set %v, rebuild %v", mode, batch[0], ix2.loops, rebuilt.loops)
+			}
+			for pi, pat := range patterns {
+				di := Compute(pat, g2, Options{Index: ix2, Semantics: graph.InducedIso})
+				dr := Compute(pat, g2, Options{Index: rebuilt, Semantics: graph.InducedIso})
+				for vp := int32(0); vp < int32(pat.NumNodes()); vp++ {
+					if !di.Of(vp).Equal(dr.Of(vp)) {
+						t.Fatalf("%v %+v pattern %d node %d: induced domain %v, rebuild %v", mode, batch[0], pi, vp, di.Of(vp), dr.Of(vp))
+					}
+				}
+				if kept := di.Of(0).Test(0); kept != (g2.HasEdge(0, 0) == (pi == 1)) {
+					t.Fatalf("%v %+v pattern %d: target 0 kept=%v with the self-loop set at %v", mode, batch[0], pi, kept, ix2.loops)
+				}
 			}
 			g, ix = g2, ix2
 		}

@@ -351,7 +351,11 @@ func TestAdmittedRunAnswersAtClassEpoch(t *testing.T) {
 		}
 	}
 
+	// The queries start only once the writer's first update has returned,
+	// so the epoch has advanced however the two goroutines are scheduled;
+	// the writer keeps advancing it while they run.
 	stop := make(chan struct{})
+	firstUpdate := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -363,12 +367,17 @@ func TestAdmittedRunAnswersAtClassEpoch(t *testing.T) {
 			default:
 			}
 			up := parsge.EdgeUpdate{From: 0, To: 1, Remove: i%2 == 0}
-			if _, err := svc.Update(context.Background(), []parsge.EdgeUpdate{up}); err != nil {
+			_, err := svc.Update(context.Background(), []parsge.EdgeUpdate{up})
+			if i == 0 {
+				close(firstUpdate)
+			}
+			if err != nil {
 				t.Errorf("update: %v", err)
 				return
 			}
 		}
 	}()
+	<-firstUpdate
 	for _, gp := range patterns {
 		for _, sem := range []parsge.Semantics{parsge.SubgraphIso, parsge.InducedIso, parsge.Homomorphism} {
 			reply, err := svc.Count(context.Background(), Query{Pattern: gp, Options: parsge.Options{Semantics: sem}})
