@@ -8,17 +8,17 @@ package main
 // closest thing to production traffic the bench harness can synthesize.
 //
 //	sgeserve  -target data/PPIS32-targets.gff &
-//	sgebench  -loadgen http://localhost:8642 -target data/PPIS32-targets.gff \
+//	sgebench  -loadgen http://localhost:8642 -loadgen-target data/PPIS32-targets.gff \
 //	          -clients 8 -duration 10s
 //
-// Against a multi-target server (sgeserve -targets), -loadgen-targets
-// round-robins the query mix across the named targets and an optional
-// -update-target receives a steady trickle of edge-update batches while
-// the others are queried — the CI smoke shape for mutation under load:
+// The workload goes to the file's first section under the name sgeserve
+// gives it; -loadgen-targets round-robins it across named targets
+// instead, and an optional -update-target receives a steady trickle of
+// edge-update batches while the others are queried — the CI smoke shape
+// for mutation under load:
 //
-//	sgeserve  -targets -target data/PPIS32-targets.gff &
 //	sgebench  -loadgen http://localhost:8642 -loadgen-target data/PPIS32-targets.gff \
-//	          -loadgen-targets t0,t1 -update-target t2
+//	          -loadgen-targets PPIS32-t00,PPIS32-t01 -update-target PPIS32-t02
 //
 // The run reports throughput, latency percentiles, cache hit rate and
 // the server-side plan histogram, and fails (exit 1) when no request
@@ -65,16 +65,15 @@ type loadgenConfig struct {
 	// with 429 (counted, not errored); a static server burns its full
 	// timeout on each one.
 	ExplosiveFrac float64
-	// Targets, when non-empty, switches to multi-target mode: queries
-	// and censuses round-robin across these named targets via
-	// /targets/{name}/..., and /stats is decoded as router stats.
-	// Names follow the server's convention: GFF section names, with
-	// "t<i>" for unnamed or duplicate sections.
+	// Targets names the targets queries and censuses round-robin
+	// across, via /targets/{name}/...; empty means the file's first
+	// section. Names follow the server's convention: GFF section names,
+	// with "t<i>" for unnamed or duplicate sections.
 	Targets []string
-	// UpdateTarget, when set (multi-target mode only), names a target
-	// that receives a steady stream of small edge-update batches for
-	// the whole run. It may also appear in Targets: epoch-keyed count
-	// consistency makes querying a mutating target safe.
+	// UpdateTarget, when set, names a target that receives a steady
+	// stream of small edge-update batches for the whole run. It may
+	// also appear in Targets: epoch-keyed count consistency makes
+	// querying a mutating target safe.
 	UpdateTarget string
 }
 
@@ -88,9 +87,8 @@ type loadgenResult struct {
 }
 
 // queryTarget is one round-robin destination: base is the URL prefix the
-// /query and /census paths hang off ("" name = single-target mode).
-// explosive is the serialized star probe for this target (empty when the
-// explosive mix is off).
+// /query and /census paths hang off. explosive is the serialized star
+// probe for this target (empty when the explosive mix is off).
 type queryTarget struct {
 	name      string
 	base      string
@@ -101,9 +99,6 @@ type queryTarget struct {
 func runLoadgen(cfg loadgenConfig) error {
 	if cfg.TargetFile == "" {
 		return fmt.Errorf("-loadgen needs -loadgen-target (the file the server serves, to extract patterns from)")
-	}
-	if cfg.UpdateTarget != "" && len(cfg.Targets) == 0 {
-		return fmt.Errorf("-update-target needs -loadgen-targets (updates only exist on a multi-target server)")
 	}
 	f, err := os.Open(cfg.TargetFile)
 	if err != nil {
@@ -119,52 +114,44 @@ func runLoadgen(cfg loadgenConfig) error {
 		return fmt.Errorf("%s: no graph sections", cfg.TargetFile)
 	}
 
-	// Name the sections exactly as sgeserve -targets does, so
-	// -loadgen-targets names resolve to the same graphs the server routes.
+	// Name the sections exactly as sgeserve does, so target names
+	// resolve to the same graphs the server routes.
 	byName := make(map[string]*parsge.Graph, len(graphs))
 	seen := make(map[string]bool, len(graphs))
+	var first string
 	for i, ng := range graphs {
 		name := ng.Name
 		if name == "" || seen[name] {
 			name = fmt.Sprintf("t%d", i)
 		}
+		if i == 0 {
+			first = name
+		}
 		seen[name] = true
 		byName[name] = ng.Graph
+	}
+	if len(cfg.Targets) == 0 {
+		cfg.Targets = []string{first}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var qts []queryTarget
-	if len(cfg.Targets) == 0 {
-		texts, err := patternPool(rng, graphs[0].Graph, cfg.Patterns, table)
+	for _, name := range cfg.Targets {
+		g, ok := byName[name]
+		if !ok {
+			return fmt.Errorf("-loadgen-targets: no section named %q in %s", name, cfg.TargetFile)
+		}
+		texts, err := patternPool(rng, g, cfg.Patterns, table)
 		if err != nil {
 			return err
 		}
-		qts = []queryTarget{{name: "", base: cfg.URL, texts: texts}}
-	} else {
-		for _, name := range cfg.Targets {
-			g, ok := byName[name]
-			if !ok {
-				return fmt.Errorf("-loadgen-targets: no section named %q in %s", name, cfg.TargetFile)
-			}
-			texts, err := patternPool(rng, g, cfg.Patterns, table)
-			if err != nil {
+		qt := queryTarget{name: name, base: cfg.URL + "/targets/" + name, texts: texts}
+		if cfg.ExplosiveFrac > 0 {
+			if qt.explosive, err = explosivePattern(g, table); err != nil {
 				return err
 			}
-			qts = append(qts, queryTarget{name: name, base: cfg.URL + "/targets/" + name, texts: texts})
 		}
-	}
-	if cfg.ExplosiveFrac > 0 {
-		for i := range qts {
-			g := graphs[0].Graph
-			if qts[i].name != "" {
-				g = byName[qts[i].name]
-			}
-			text, err := explosivePattern(g, table)
-			if err != nil {
-				return err
-			}
-			qts[i].explosive = text
-		}
+		qts = append(qts, qt)
 	}
 	var updateGraph *parsge.Graph
 	if cfg.UpdateTarget != "" {
@@ -288,7 +275,6 @@ func runLoadgen(cfg loadgenConfig) error {
 	}
 	wg.Wait()
 
-	multi := len(cfg.Targets) > 0
 	var stats service.Stats
 	var rstats service.RouterStats
 	var statsErr error
@@ -296,19 +282,15 @@ func runLoadgen(cfg loadgenConfig) error {
 	// hair; give the server a few polls to report an idle pool before
 	// asserting zero worker pinning.
 	for attempt := 0; ; attempt++ {
-		if multi {
-			rstats, statsErr = fetchRouterStats(client, cfg.URL)
-			stats = mergeRouterStats(rstats, cfg.Targets)
-		} else {
-			stats, statsErr = fetchStats(client, cfg.URL)
-		}
+		rstats, statsErr = fetchRouterStats(client, cfg.URL)
+		stats = mergeRouterStats(rstats, cfg.Targets)
 		if statsErr != nil || stats.TokensInUse == 0 || attempt >= 20 {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	report(cfg, res, stats)
-	if multi && statsErr == nil {
+	if statsErr == nil {
 		for _, ti := range rstats.Targets {
 			fmt.Printf("loadgen: server: target %-12s epoch %d, %d nodes, %d edges, index hot %v\n",
 				ti.Name, ti.Epoch, ti.Nodes, ti.Edges, ti.IndexHot)
@@ -600,20 +582,7 @@ func issueUpdate(client *http.Client, base string, ups []map[string]any) (uint64
 	return rec.Epoch, nil
 }
 
-func fetchStats(client *http.Client, url string) (service.Stats, error) {
-	var st service.Stats
-	resp, err := client.Get(url + "/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("stats status %s", resp.Status)
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
-}
-
-// fetchRouterStats decodes the /stats document of a multi-target server.
+// fetchRouterStats decodes the server's /stats document.
 func fetchRouterStats(client *http.Client, url string) (service.RouterStats, error) {
 	var st service.RouterStats
 	resp, err := client.Get(url + "/stats")

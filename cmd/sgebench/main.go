@@ -31,7 +31,7 @@ import (
 var experiments = []string{
 	"table1", "fig3", "fig4", "table2", "fig5", "fig6",
 	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3",
-	"ablations", "service", "census",
+	"ablations", "census",
 }
 
 // ablations maps the -ablation names to their suite methods, so a
@@ -79,8 +79,8 @@ func main() {
 		loadgenPatterns = flag.Int("patterns", 12, "distinct patterns in the loadgen pool")
 		censusFrac      = flag.Float64("census-frac", 0, "fraction of loadgen requests issued as /census (0..1)")
 		explosiveFrac   = flag.Float64("explosive-frac", 0, "fraction of loadgen requests issued as predicted-explosive star probes under hom (0..1)")
-		loadgenTargets  = flag.String("loadgen-targets", "", "comma-separated target names on a multi-target server (sgeserve -targets) to round-robin the workload across")
-		updateTarget    = flag.String("update-target", "", "target name that receives a steady stream of edge-update batches during the run (needs -loadgen-targets)")
+		loadgenTargets  = flag.String("loadgen-targets", "", "comma-separated server target names to round-robin the workload across (empty = the -loadgen-target file's first section, named as sgeserve names it)")
+		updateTarget    = flag.String("update-target", "", "target name that receives a steady stream of edge-update batches during the run")
 		scale           = flag.Float64("scale", 0.03, "dataset scale relative to the paper's Table 1")
 		seed            = flag.Int64("seed", 20170525, "generation and scheduling seed")
 		timeout         = flag.Duration("timeout", 20*time.Second, "per-instance time budget (paper: 180s at scale 1.0)")
@@ -201,9 +201,6 @@ func main() {
 	}
 	if selected["ablations"] {
 		s.Ablations()
-	}
-	if selected["service"] {
-		s.ServiceThroughput()
 	}
 	if selected["census"] {
 		s.CensusThroughput()

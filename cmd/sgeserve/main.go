@@ -4,22 +4,24 @@
 //
 //	sgeserve -target data/PPIS32-targets.gff -listen :8642
 //	sgeserve -collection PPIS32 -scale 0.05 -listen :8642
-//	sgeserve -collection PPIS32 -scale 0.02 -targets -listen :8642
+//
+// Every graph section of -target (or every collection target) is hosted
+// as a named target of one router sharing the worker budget. Sections
+// are named by their GFF names ("t<i>" when unnamed or duplicate),
+// collection targets "t<i>".
 //
 // Endpoints:
 //
-//	POST /query   {"pattern": "<GFF section>", "semantics": "induced",
-//	               "mappings": true, "stream": false, ...}
-//	GET  /healthz liveness (503 once draining)
-//	GET  /stats   serving counters + the session plan histogram
+//	POST /targets/{name}/query   {"pattern": "<GFF section>", "semantics": "induced",
+//	                              "mappings": true, "stream": false, ...}
+//	POST /targets/{name}/census  {"k": 4, "top": 32}
+//	POST /targets/{name}/update  {"updates": [{"from": 0, "to": 1}, ...]}
+//	GET  /healthz                liveness (503 once draining)
+//	GET  /stats                  every target with its mutation epoch, its
+//	                             serving counters and its plan histogram
 //
-// With -targets every graph section of -target (or every collection
-// target) is hosted as a named target of one multi-target router
-// sharing the worker budget, served under /targets/{name}/query,
-// /targets/{name}/census and /targets/{name}/update — the update
-// endpoint applies batched edge mutations (parsge.Target.ApplyUpdates)
-// with epoch-tagged cache invalidation. /stats then lists every target
-// with its mutation epoch.
+// The update endpoint applies batched edge mutations
+// (parsge.Target.ApplyUpdates) with epoch-tagged cache invalidation.
 //
 // On SIGTERM/SIGINT the server drains gracefully: health flips to 503,
 // new queries are refused, in-flight queries (streams included) get
@@ -47,10 +49,8 @@ import (
 func main() {
 	var (
 		listen       = flag.String("listen", ":8642", "listen address")
-		targetFile   = flag.String("target", "", "target graph file (GFF text format; first section is served unless -index is set)")
-		index        = flag.Int("index", 0, "which graph section of -target (or collection target) to serve")
-		multi        = flag.Bool("targets", false, "serve every section/collection target as a named router target under /targets/{name}/")
-		collection   = flag.String("collection", "", "generate a synthetic collection target instead of reading -target: PPIS32, GRAEMLIN32 or PDBSv1")
+		targetFile   = flag.String("target", "", "target graph file (GFF text format; every section is served as a named target)")
+		collection   = flag.String("collection", "", "generate a synthetic collection's targets instead of reading -target: PPIS32, GRAEMLIN32 or PDBSv1")
 		scale        = flag.Float64("scale", 0.05, "collection scale (with -collection)")
 		seed         = flag.Int64("seed", 20170525, "collection seed (with -collection)")
 		workers      = flag.Int("workers", 0, "total worker budget (0 = GOMAXPROCS)")
@@ -68,7 +68,7 @@ func main() {
 		semantics    = flag.String("default-semantics", "", "semantics for queries that choose none: iso, induced or hom (empty = iso)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight queries on shutdown")
 		maxPattern   = flag.Int("max-pattern-nodes", 64, "reject patterns larger than this")
-		maxHot       = flag.Int("max-hot-indexes", 0, "with -targets: max targets holding their label index at once (LRU eviction; 0 = unbounded)")
+		maxHot       = flag.Int("max-hot-indexes", 0, "max targets holding their label index at once (LRU eviction; 0 = unbounded)")
 	)
 	flag.Parse()
 
@@ -98,62 +98,30 @@ func main() {
 		}
 	}
 
-	var (
-		handler *service.Server
-		svc     *service.Service
-		router  *service.Router
-		banner  string
-	)
-	if *multi {
-		named, err := loadTargets(*targetFile, *collection, *scale, *seed, table)
-		exitOn(err)
-		router = service.NewRouter(service.RouterConfig{
-			Workers:            *workers,
-			ParallelWorkers:    *parallel,
-			MaxQueue:           *maxQueue,
-			QueueTimeout:       *queueTimeout,
-			CacheMaxMatches:    *cacheBudget,
-			DefaultTimeout:     *defTimeout,
-			MaxTimeout:         *maxTimeout,
-			SmallBudget:        *smallBudget,
-			ExplosiveBudget:    *explosiveBud,
-			SmallLogDomain:     *smallLogDom,
-			ExplosiveLogDomain: *explLogDom,
-			ExplosivePolicy:    policy,
-			MaxHotIndexes:      *maxHot,
-		})
-		for _, nt := range named {
-			exitOn(router.AddTarget(nt.name, nt.g, parsge.TargetOptions{DefaultSemantics: defSem}))
-		}
-		handler = service.NewRouterServer(router, table)
-		banner = fmt.Sprintf("%d targets", len(named))
-		for _, nt := range named {
-			banner += fmt.Sprintf(" %s(%dn/%de)", nt.name, nt.g.NumNodes(), nt.g.NumEdges())
-		}
-	} else {
-		g, name, err := loadTarget(*targetFile, *collection, *index, *scale, *seed, table)
-		exitOn(err)
-		tgt, err := parsge.NewTarget(g, parsge.TargetOptions{DefaultSemantics: defSem})
-		exitOn(err)
-		svc, err = service.New(service.Config{
-			Target:             tgt,
-			Workers:            *workers,
-			ParallelWorkers:    *parallel,
-			MaxQueue:           *maxQueue,
-			QueueTimeout:       *queueTimeout,
-			CacheMaxMatches:    *cacheBudget,
-			DefaultTimeout:     *defTimeout,
-			MaxTimeout:         *maxTimeout,
-			SmallBudget:        *smallBudget,
-			ExplosiveBudget:    *explosiveBud,
-			SmallLogDomain:     *smallLogDom,
-			ExplosiveLogDomain: *explLogDom,
-			ExplosivePolicy:    policy,
-		})
-		exitOn(err)
-		handler = service.NewServer(svc, table)
-		banner = fmt.Sprintf("%s (%d nodes, %d edges, mean degree %.1f)",
-			name, g.NumNodes(), g.NumEdges(), tgt.MeanDegree())
+	named, err := loadTargets(*targetFile, *collection, *scale, *seed, table)
+	exitOn(err)
+	router := service.NewRouter(service.RouterConfig{
+		Workers:            *workers,
+		ParallelWorkers:    *parallel,
+		MaxQueue:           *maxQueue,
+		QueueTimeout:       *queueTimeout,
+		CacheMaxMatches:    *cacheBudget,
+		DefaultTimeout:     *defTimeout,
+		MaxTimeout:         *maxTimeout,
+		SmallBudget:        *smallBudget,
+		ExplosiveBudget:    *explosiveBud,
+		SmallLogDomain:     *smallLogDom,
+		ExplosiveLogDomain: *explLogDom,
+		ExplosivePolicy:    policy,
+		MaxHotIndexes:      *maxHot,
+	})
+	for _, nt := range named {
+		exitOn(router.AddTarget(nt.name, nt.g, parsge.TargetOptions{DefaultSemantics: defSem}))
+	}
+	handler := service.NewRouterServer(router, table)
+	banner := fmt.Sprintf("%d targets", len(named))
+	for _, nt := range named {
+		banner += fmt.Sprintf(" %s(%dn/%de)", nt.name, nt.g.NumNodes(), nt.g.NumEdges())
 	}
 	handler.MaxPatternNodes = *maxPattern
 	srv := &http.Server{
@@ -189,29 +157,20 @@ func main() {
 		log.Printf("sgeserve: drain incomplete: %v", err)
 		srv.Close()
 	}
-	if router != nil {
-		if err := router.Close(ctx); err != nil {
-			log.Printf("sgeserve: router drain incomplete: %v", err)
-		}
-		rst := router.Stats()
-		var queries, hits, updates, shedExpl, mispred int64
-		for _, ts := range rst.PerTarget {
-			queries += ts.Queries
-			hits += ts.CacheHits
-			updates += ts.Updates
-			shedExpl += ts.ShedExplosive
-			mispred += ts.MispredictSmall + ts.MispredictLarge
-		}
-		log.Printf("sgeserve: shut down after %d queries (%d cache hits, %d updates, %d shed, %d shed explosive, %d mispredicted)",
-			queries, hits, updates, rst.Shed, shedExpl, mispred)
-		return
+	if err := router.Close(ctx); err != nil {
+		log.Printf("sgeserve: router drain incomplete: %v", err)
 	}
-	if err := svc.Close(ctx); err != nil {
-		log.Printf("sgeserve: service drain incomplete: %v", err)
+	rst := router.Stats()
+	var queries, hits, updates, shedExpl, mispred int64
+	for _, ts := range rst.PerTarget {
+		queries += ts.Queries
+		hits += ts.CacheHits
+		updates += ts.Updates
+		shedExpl += ts.ShedExplosive
+		mispred += ts.MispredictSmall + ts.MispredictLarge
 	}
-	st := svc.Stats()
-	log.Printf("sgeserve: shut down after %d queries (%d cache hits, %d shed, %d shed explosive, %d mispredicted)",
-		st.Queries, st.CacheHits, st.Shed, st.ShedExplosive, st.MispredictSmall+st.MispredictLarge)
+	log.Printf("sgeserve: shut down after %d queries (%d cache hits, %d updates, %d shed, %d shed explosive, %d mispredicted)",
+		queries, hits, updates, rst.Shed, shedExpl, mispred)
 }
 
 // namedGraph is one router target read from disk or generated.
@@ -221,8 +180,8 @@ type namedGraph struct {
 }
 
 // loadTargets loads every graph section of file (or every collection
-// target) for multi-target serving. Names are the GFF section names —
-// "t<i>" when a section is unnamed — or "t0".."tN" for collections.
+// target) for serving. Names are the GFF section names — "t<i>" when a
+// section is unnamed or a duplicate — or "t0".."tN" for collections.
 func loadTargets(file, collection string, scale float64, seed int64, table *graphio.LabelTable) ([]namedGraph, error) {
 	switch {
 	case file != "" && collection != "":
@@ -256,6 +215,11 @@ func loadTargets(file, collection string, scale float64, seed int64, table *grap
 		if err != nil {
 			return nil, err
 		}
+		// Collection targets carry programmatic numeric labels that never
+		// went through a LabelTable. Pre-intern their decimal spellings in
+		// identity order ("1" → 1, "2" → 2, ...) so client patterns using
+		// decimal labels (the LabelTable.Spell convention) intern to the
+		// ids the targets actually carry.
 		maxLabel := 0
 		for _, g := range c.Targets {
 			if l := int(g.MaxNodeLabel()); l > maxLabel {
@@ -272,49 +236,6 @@ func loadTargets(file, collection string, scale float64, seed int64, table *grap
 		return out, nil
 	default:
 		return nil, fmt.Errorf("one of -target or -collection is required")
-	}
-}
-
-// loadTarget reads the target graph from a file or generates a synthetic
-// collection target.
-func loadTarget(file, collection string, index int, scale float64, seed int64, table *graphio.LabelTable) (*parsge.Graph, string, error) {
-	switch {
-	case file != "" && collection != "":
-		return nil, "", fmt.Errorf("set -target or -collection, not both")
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		graphs, err := parsge.ReadGraphs(f, table)
-		if err != nil {
-			return nil, "", err
-		}
-		if index < 0 || index >= len(graphs) {
-			return nil, "", fmt.Errorf("%s has %d graph sections, -index %d out of range", file, len(graphs), index)
-		}
-		return graphs[index].Graph, graphs[index].Name, nil
-	case collection != "":
-		c, err := datasets.ByName(collection, datasets.Config{Scale: scale, Seed: seed})
-		if err != nil {
-			return nil, "", err
-		}
-		if index < 0 || index >= len(c.Targets) {
-			return nil, "", fmt.Errorf("collection %s has %d targets, -index %d out of range", collection, len(c.Targets), index)
-		}
-		g := c.Targets[index]
-		// Collection targets carry programmatic numeric labels that never
-		// went through a LabelTable. Pre-intern their decimal spellings in
-		// identity order ("1" → 1, "2" → 2, ...) so client patterns using
-		// decimal labels (the LabelTable.Spell convention) intern to the
-		// ids the target actually carries.
-		for l := 1; l <= int(g.MaxNodeLabel()); l++ {
-			table.Intern(strconv.Itoa(l))
-		}
-		return g, fmt.Sprintf("%s-t%d", c.Name, index), nil
-	default:
-		return nil, "", fmt.Errorf("one of -target or -collection is required")
 	}
 }
 

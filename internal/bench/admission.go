@@ -10,7 +10,8 @@ package bench
 // sheds the rest with ErrPredictedExplosive. The same workload is
 // replayed twice against each service so the second pass shows the
 // misprediction feedback loop: EWMA history reclassifies queries the
-// domain-size score got wrong on the first pass.
+// domain-size score got wrong on the first pass. Each service is the one
+// target of its own router, so neither queues behind the other.
 
 import (
 	"context"
@@ -111,17 +112,21 @@ const (
 	admissionExplosiveProbes  = 3
 )
 
+// admissionTarget names the one target each of the ablation's routers
+// hosts.
+const admissionTarget = "target"
+
 // runAdmissionPass replays the workload once: every collection pattern
 // under subgraph iso with the suite budget, then the explosive probes
 // under homomorphism with the short probe timeout. Sequential issue
 // keeps singleflight out of the measurement.
-func runAdmissionPass(ctx context.Context, svc *service.Service, patterns []*graph.Graph, star *graph.Graph, budget time.Duration) admissionPass {
+func runAdmissionPass(ctx context.Context, r *service.Router, patterns []*graph.Graph, star *graph.Graph, budget time.Duration) admissionPass {
 	var p admissionPass
-	before := svc.Stats()
+	before := r.Stats().PerTarget[admissionTarget]
 	start := time.Now()
 	run := func(gp *graph.Graph, sem parsge.Semantics, timeout time.Duration) {
 		qstart := time.Now()
-		reply, err := svc.Count(ctx, service.Query{
+		reply, err := r.Count(ctx, admissionTarget, service.Query{
 			Pattern: gp,
 			Options: parsge.Options{Algorithm: parsge.Auto, Semantics: sem, Timeout: timeout},
 		})
@@ -144,7 +149,7 @@ func runAdmissionPass(ctx context.Context, svc *service.Service, patterns []*gra
 		run(star, parsge.Homomorphism, admissionExplosiveTimeout)
 	}
 	p.wall = time.Since(start)
-	after := svc.Stats()
+	after := r.Stats().PerTarget[admissionTarget]
 	p.mispredict = (after.MispredictSmall + after.MispredictLarge) -
 		(before.MispredictSmall + before.MispredictLarge)
 	return p
@@ -172,9 +177,9 @@ func (s *Suite) AblationAdmission() AblationResult {
 	if len(insts) == 0 {
 		return res
 	}
-	// One Target per service: Target.PlanCost is fed by every run
-	// against it, and the static service's truncated probe runs must not
-	// leak cost floors into the cost model under measurement.
+	// One Target per router: Target.PlanCost is fed by every run against
+	// it, and the static service's truncated probe runs must not leak
+	// cost floors into the cost model under measurement.
 	staticTgt, err := parsge.NewTarget(insts[0].Target, parsge.TargetOptions{})
 	if err != nil {
 		return res
@@ -214,25 +219,23 @@ func (s *Suite) AblationAdmission() AblationResult {
 	// The static heuristic, as a Classify override: pattern size × mean
 	// degree, the degree read once since this target never mutates.
 	deg := staticTgt.MeanDegree()
-	static, err := service.New(service.Config{
-		Target: staticTgt,
+	static := service.NewRouter(service.RouterConfig{
 		Classify: func(gp *parsge.Graph, opts parsge.Options) bool {
 			np := gp.NumNodes()
 			return opts.Workers > 1 || opts.Workers == parsge.AutoWorkers || np >= 6 || (np >= 4 && deg >= 8)
 		},
 		CacheMaxMatches: -1,
 	})
-	if err != nil {
+	if err := static.AddTargetSession(admissionTarget, staticTgt); err != nil {
 		return res
 	}
-	cost, err := service.New(service.Config{
-		Target:             costTgt,
+	cost := service.NewRouter(service.RouterConfig{
 		ExplosiveBudget:    admissionExplosiveBudget,
 		SmallLogDomain:     0.5,
 		ExplosiveLogDomain: explosiveLogDomain,
 		CacheMaxMatches:    -1,
 	})
-	if err != nil {
+	if err := cost.AddTargetSession(admissionTarget, costTgt); err != nil {
 		return res
 	}
 

@@ -446,33 +446,6 @@ func TestCompactNLFMemoryOnLargestTarget(t *testing.T) {
 	}
 }
 
-// TestServiceThroughputExperiment is the acceptance test of the serving
-// layer's headline numbers: the cache-hit path must be at least an order
-// of magnitude faster than the cold path (ISSUE 5 acceptance criterion),
-// the warm concurrent replay must actually serve queries, and the plan
-// histogram must have observed the executed queries.
-func TestServiceThroughputExperiment(t *testing.T) {
-	res := tinySuite(nil).ServiceThroughput()
-	if len(res.Cells) == 0 {
-		t.Fatal("service experiment produced no cells")
-	}
-	if res.Speedup < 10 {
-		t.Fatalf("cache hit path only %.1fx faster than cold path (mean cold %.3f ms, mean hit %.4f ms), want >= 10x",
-			res.Speedup, res.MeanColdMS, res.MeanHitMS)
-	}
-	if res.WarmQPS <= 0 {
-		t.Fatalf("warm replay served nothing")
-	}
-	if res.PlanBuckets == 0 {
-		t.Fatal("plan histogram empty after executed queries")
-	}
-	for _, c := range res.Cells {
-		if c.HitMS <= 0 || c.ColdMS <= 0 {
-			t.Fatalf("degenerate timing cell: %+v", c)
-		}
-	}
-}
-
 // TestCensusThroughputExperiment is the census acceptance test: every
 // measured PPIS32 target yields a complete cell, and in each the
 // parallel ESU walk reproduces the sequential counts exactly and

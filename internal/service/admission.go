@@ -23,8 +23,8 @@ var (
 
 // queueSet is one priority tier of the admission queue: per-class FIFO
 // queues with a round-robin rotation across the classes that currently
-// have waiters. A Router runs one class per target; a standalone
-// Service uses a single class, degenerating to plain FIFO.
+// have waiters. A Router runs one class per target; a one-target
+// router degenerates to plain FIFO.
 type queueSet struct {
 	queues map[string]*list.List // per class, of *waiter, FIFO
 	order  []string              // round-robin rotation of classes with waiters
@@ -87,12 +87,12 @@ func (qs *queueSet) dropClass(class string) {
 // machine is never oversubscribed: the sum of held tokens never exceeds
 // the budget, whatever mix of query sizes is in flight.
 //
-// Waiters queue per *class* (a Router runs one class per target; a
-// standalone Service uses a single class), FIFO within a class, and
-// grants rotate round-robin across classes — so one target's request
-// flood cannot starve its siblings: each release hands the next slot to
-// the next class in rotation, head-of-queue first. With a single class
-// the rotation is a no-op and the discipline is exactly plain FIFO.
+// Waiters queue per *class* (a Router runs one class per target), FIFO
+// within a class, and grants rotate round-robin across classes — so one
+// target's request flood cannot starve its siblings: each release hands
+// the next slot to the next class in rotation, head-of-queue first.
+// With a single class the rotation is a no-op and the discipline is
+// exactly plain FIFO.
 //
 // There are two priority tiers: the normal tier, and a low tier behind
 // it for queries the cost model predicted explosive but chose to

@@ -121,8 +121,9 @@ type stamped[V any] struct {
 	epoch uint64
 }
 
-// get returns the value stored under k if it was computed at epoch.
-func (s *epochStore[K, V]) get(k K, epoch uint64) (v V, ok bool) {
+// get returns the value stored under k if it was computed at epoch;
+// count says whether the lookup shows in the hit and miss counters.
+func (s *epochStore[K, V]) get(k K, epoch uint64, count bool) (v V, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.m[k]
@@ -131,10 +132,14 @@ func (s *epochStore[K, V]) get(k K, epoch uint64) (v V, ok bool) {
 		ok = false
 	}
 	if !ok {
-		s.misses.Add(1)
+		if count {
+			s.misses.Add(1)
+		}
 		return v, false
 	}
-	s.hits.Add(1)
+	if count {
+		s.hits.Add(1)
+	}
 	return e.val, true
 }
 
@@ -226,28 +231,29 @@ func newCache(maxCost int64) *cache {
 // entry from a different target mutation epoch is stale — it is evicted
 // on sight and the lookup misses — and a count-only entry cannot serve
 // a request that needs mappings (it reports a miss, and the subsequent
-// put upgrades the entry).
-func (c *cache) get(key string, needMappings bool, epoch uint64) (*entry, bool) {
+// put upgrades the entry). count says whether the lookup shows in the
+// hit and miss counters.
+func (c *cache) get(key string, needMappings bool, epoch uint64, count bool) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if ok {
+	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*entry)
 		if e.epoch != epoch {
 			c.lru.Remove(el)
 			delete(c.byKey, e.key)
 			c.cost -= e.cost
 			c.evictions++
-			c.misses++
-			return nil, false
-		}
-		if !needMappings || e.hasMappings {
+		} else if !needMappings || e.hasMappings {
 			c.lru.MoveToFront(el)
-			c.hits++
+			if count {
+				c.hits++
+			}
 			return e, true
 		}
 	}
-	c.misses++
+	if count {
+		c.misses++
+	}
 	return nil, false
 }
 

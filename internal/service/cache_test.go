@@ -125,10 +125,7 @@ func TestServiceNoSemanticsAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Target: tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, tgt, RouterConfig{})
 	for round := 0; round < 2; round++ { // round 2: everything cached
 		for _, c := range []struct {
 			sem  parsge.Semantics
@@ -160,10 +157,7 @@ func TestServiceNoSemanticsAliasing(t *testing.T) {
 // must be valid embeddings of the twin (not of the original).
 func TestServiceRelabeledPatternHitsCache(t *testing.T) {
 	w := buildSoakWorld(t, 77)
-	svc, err := New(Config{Target: w.tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{})
 	rng := rand.New(rand.NewSource(4))
 	for pi, gp := range w.patterns {
 		want := w.oracle[pi][parsge.SubgraphIso]
@@ -208,16 +202,16 @@ func TestCacheLRU(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.put(mk(i))
 	}
-	if _, ok := c.get("k0", false, 0); !ok {
+	if _, ok := c.get("k0", false, 0, true); !ok {
 		t.Fatal("k0 evicted under budget")
 	}
 	// k0 is now most recent; inserting k3 must evict k1 (the coldest).
 	c.put(mk(3))
-	if _, ok := c.get("k1", false, 0); ok {
+	if _, ok := c.get("k1", false, 0, true); ok {
 		t.Fatal("k1 survived past the budget")
 	}
 	for _, want := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.get(want, false, 0); !ok {
+		if _, ok := c.get(want, false, 0, true); !ok {
 			t.Fatalf("%s missing", want)
 		}
 	}
@@ -227,13 +221,13 @@ func TestCacheLRU(t *testing.T) {
 	// An entry alone exceeding the budget is refused outright.
 	big := &entry{key: "big", epoch: 0, hasMappings: true, mappings: make([][]int32, 64)}
 	c.put(big)
-	if _, ok := c.get("big", false, 0); ok {
+	if _, ok := c.get("big", false, 0, true); ok {
 		t.Fatal("over-budget entry was cached")
 	}
 	// Disabled cache accepts nothing.
 	d := newCache(0)
 	d.put(mk(0))
-	if _, ok := d.get("k0", false, 0); ok {
+	if _, ok := d.get("k0", false, 0, true); ok {
 		t.Fatal("disabled cache served an entry")
 	}
 }
@@ -244,19 +238,19 @@ func TestCacheLRU(t *testing.T) {
 func TestCacheCountOnlyUpgrade(t *testing.T) {
 	c := newCache(100)
 	c.put(&entry{key: "k", res: parsge.Result{Matches: 2}, epoch: 0})
-	if _, ok := c.get("k", false, 0); !ok {
+	if _, ok := c.get("k", false, 0, true); !ok {
 		t.Fatal("count-only entry does not serve counts")
 	}
-	if _, ok := c.get("k", true, 0); ok {
+	if _, ok := c.get("k", true, 0, true); ok {
 		t.Fatal("count-only entry served a mappings request")
 	}
 	c.put(&entry{key: "k", res: parsge.Result{Matches: 2}, epoch: 0, hasMappings: true, mappings: [][]int32{{0}, {1}}})
-	e, ok := c.get("k", true, 0)
+	e, ok := c.get("k", true, 0, true)
 	if !ok || len(e.mappings) != 2 {
 		t.Fatal("upgrade failed")
 	}
 	c.put(&entry{key: "k", res: parsge.Result{Matches: 2}, epoch: 0})
-	if e, ok := c.get("k", true, 0); !ok || !e.hasMappings {
+	if e, ok := c.get("k", true, 0, true); !ok || !e.hasMappings {
 		t.Fatal("count-only put downgraded a mappings entry")
 	}
 }

@@ -31,7 +31,7 @@ import (
 type CensusRequest struct {
 	// K is the subgraph size, in [parsge.MinCensusK, parsge.MaxCensusK].
 	K int
-	// Timeout bounds the run (0 falls back to Config.DefaultTimeout).
+	// Timeout bounds the run (0 falls back to RouterConfig.DefaultTimeout).
 	Timeout time.Duration
 }
 
@@ -78,7 +78,9 @@ func (s *Service) Census(ctx context.Context, req CensusRequest) (CensusReply, e
 	var reply CensusReply
 	res, src, err := s.censusRuns.do(ctx,
 		func() censusID { return censusID{k: req.K, epoch: s.tgt.Epoch()} },
-		func(id censusID) (*parsge.CensusResult, bool) { return s.censusCache.get(id.k, id.epoch) },
+		func(id censusID, count bool) (*parsge.CensusResult, bool) {
+			return s.censusCache.get(id.k, id.epoch, count)
+		},
 		func() (*parsge.CensusResult, bool, error) {
 			r, res, err := s.runCensusLeader(ctx, req)
 			reply = r

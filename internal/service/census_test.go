@@ -40,10 +40,7 @@ func censusOracle(t *testing.T, w *soakWorld, res parsge.CensusResult, k int) {
 // counts, the per-K cache, and the admission counters.
 func TestServiceCensus(t *testing.T) {
 	w := buildSoakWorld(t, 91)
-	svc, err := New(Config{Target: w.tgt, Workers: 4, ParallelWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{Workers: 4, ParallelWorkers: 2})
 	ctx := context.Background()
 
 	reply, err := svc.Census(ctx, CensusRequest{K: 3})
@@ -99,10 +96,7 @@ func TestServiceCensus(t *testing.T) {
 // and share; followers report Shared or CacheHit, never a second run.
 func TestServiceCensusSingleflight(t *testing.T) {
 	w := buildSoakWorld(t, 92)
-	svc, err := New(Config{Target: w.tgt, Workers: 4, ParallelWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{Workers: 4, ParallelWorkers: 2})
 	const clients = 8
 	var wg sync.WaitGroup
 	replies := make([]CensusReply, clients)
@@ -137,10 +131,7 @@ func TestServiceCensusSingleflight(t *testing.T) {
 // service refuses censuses with ErrClosed.
 func TestServiceCensusValidationAndClose(t *testing.T) {
 	w := buildSoakWorld(t, 93)
-	svc, err := New(Config{Target: w.tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{})
 	for _, k := range []int{0, 1, 7, -2} {
 		if _, err := svc.Census(context.Background(), CensusRequest{K: k}); err == nil {
 			t.Errorf("K=%d accepted", k)
@@ -160,10 +151,7 @@ func TestServiceCensusValidationAndClose(t *testing.T) {
 // caller but never cached.
 func TestServiceCensusCancelled(t *testing.T) {
 	w := buildSoakWorld(t, 94)
-	svc, err := New(Config{Target: w.tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reply, err := svc.Census(ctx, CensusRequest{K: 4})
@@ -175,22 +163,19 @@ func TestServiceCensusCancelled(t *testing.T) {
 	} else if !reply.Result.TimedOut {
 		t.Fatal("census under a cancelled context reported complete")
 	}
-	if _, ok := svc.censusCache.get(4, 0); ok {
+	if _, ok := svc.censusCache.get(4, 0, true); ok {
 		t.Fatal("truncated census was cached")
 	}
 }
 
-// TestHTTPCensus: the /census endpoint end to end — counts held to the
-// oracle, representatives resubmittable as /query patterns, the cache
+// TestHTTPCensus: the census endpoint end to end — counts held to the
+// oracle, representatives resubmittable as query patterns, the cache
 // hit on the second request, and the error statuses.
 func TestHTTPCensus(t *testing.T) {
 	w := buildSoakWorld(t, 95)
-	svc, err := New(Config{Target: w.tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := soloRouter(t, w.tgt, RouterConfig{})
 	table := identityTable(w.gt)
-	handler := NewServer(svc, table)
+	handler := NewRouterServer(r, table)
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 
@@ -200,7 +185,7 @@ func TestHTTPCensus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(ts.URL+"/census", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(ts.URL+soloPath+"/census", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +221,7 @@ func TestHTTPCensus(t *testing.T) {
 	if c0.Pattern == "" || !strings.Contains(c0.Pattern, "#motif-0") {
 		t.Fatalf("representative pattern not serialized: %q", c0.Pattern)
 	}
-	qresp, err := postQuery(t, ts.URL, map[string]any{"pattern": c0.Pattern, "semantics": "induced"})
+	qresp, err := postQuery(t, ts.URL+soloPath, map[string]any{"pattern": c0.Pattern, "semantics": "induced"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ const (
 	ClassLarge
 	// ClassExplosive is predicted to blow its budget however many
 	// workers it gets: shed (ErrPredictedExplosive) or deprioritized,
-	// per Config.ExplosivePolicy.
+	// per RouterConfig.ExplosivePolicy.
 	ClassExplosive
 )
 
@@ -68,8 +68,9 @@ const (
 )
 
 // ErrPredictedExplosive reports a query shed by the cost model: its
-// predicted cost exceeded Config.ExplosiveBudget (or its domain bound
-// exceeded Config.ExplosiveLogDomain with no history to say otherwise).
+// predicted cost exceeded RouterConfig.ExplosiveBudget (or its domain
+// bound exceeded RouterConfig.ExplosiveLogDomain with no history to say
+// otherwise).
 // Errors returned by the service wrap it in an *ExplosiveError carrying
 // the estimate, so clients can back off proportionally.
 var ErrPredictedExplosive = errors.New("service: predicted explosive, query shed")
@@ -254,7 +255,7 @@ func (s *Service) classifyEstimate(est parsge.CostEstimate) (AdmissionClass, tim
 // hit carries none and its run preprocesses afresh.
 func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.CostEstimate, error) {
 	if key != "" {
-		if est, ok := s.estCache.get(key, s.tgt.Epoch()); ok {
+		if est, ok := s.estCache.get(key, s.tgt.Epoch(), true); ok {
 			return est, nil
 		}
 	}

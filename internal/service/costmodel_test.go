@@ -35,9 +35,9 @@ func star(leaves int) *graph.Graph {
 	return b.MustBuild()
 }
 
-// TestMaxTimeoutClampsClientTimeout: Config.MaxTimeout must bound every
-// query and census however generous the client's own timeout is — a
-// client asking for an hour must not hold a worker for an hour. The
+// TestMaxTimeoutClampsClientTimeout: RouterConfig.MaxTimeout must bound
+// every query and census however generous the client's own timeout is —
+// a client asking for an hour must not hold a worker for an hour. The
 // regression this pins: before the clamp, the serving path trusted
 // Options.Timeout verbatim, so one hostile request could pin the pool
 // for its full client-side budget.
@@ -49,10 +49,7 @@ func TestMaxTimeoutClampsClientTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Target: tgt, MaxTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, tgt, RouterConfig{MaxTimeout: 100 * time.Millisecond})
 	start := time.Now()
 	reply, err := svc.Count(context.Background(), Query{
 		Pattern: star(7),
@@ -75,10 +72,7 @@ func TestMaxTimeoutClampsClientTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csvc, err := New(Config{Target: ctgt, MaxTimeout: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, csvc := soloRouter(t, ctgt, RouterConfig{MaxTimeout: 20 * time.Millisecond})
 	start = time.Now()
 	crep, err := csvc.Census(context.Background(), CensusRequest{K: 6, Timeout: time.Hour})
 	if err != nil {
@@ -108,16 +102,12 @@ func TestAdmissionClassDifferential(t *testing.T) {
 	// has log2 bound 8·log2(20) ≈ 34.6 (explosive), a 3-node one
 	// ≈ 13 (between small and explosive: large), and a pattern with a
 	// label absent from the target is unsatisfiable (small).
-	cfg := Config{
-		Target:             tgt,
+	cfg := RouterConfig{
 		SmallLogDomain:     8,
 		ExplosiveLogDomain: 30,
 		CacheMaxMatches:    -1,
 	}
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, tgt, cfg)
 
 	labeled := graph.NewBuilder(2, 2)
 	labeled.AddNode(7) // label 7 does not occur in the unlabeled target
@@ -176,12 +166,8 @@ func TestAdmissionClassDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	dcfg := cfg
-	dcfg.Target = dtgt
 	dcfg.ExplosivePolicy = ExplosiveDeprioritize
-	dsvc, err := New(dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dsvc := soloRouter(t, dtgt, dcfg)
 	reply, err := dsvc.Count(context.Background(), Query{
 		Pattern: star(7),
 		Options: parsge.Options{Semantics: parsge.Homomorphism, Timeout: 50 * time.Millisecond},
@@ -209,14 +195,10 @@ func TestMispredictionFeedbackFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{
-		Target:          tgt,
+	_, svc := soloRouter(t, tgt, RouterConfig{
 		SmallLogDomain:  0.001, // everything satisfiable scores above this
 		CacheMaxMatches: -1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Query{
 		Pattern: star(2), // hom 3-path over K6: 6·5·5 = 150 matches, microseconds
 		Options: parsge.Options{Semantics: parsge.Homomorphism, Timeout: 5 * time.Second},
@@ -260,10 +242,7 @@ func TestClassEpochPinnedUnderUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Target: tgt, CacheMaxMatches: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, tgt, RouterConfig{CacheMaxMatches: -1})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -325,10 +304,7 @@ func TestAdmittedRunAnswersAtClassEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Target: tgt, CacheMaxMatches: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, tgt, RouterConfig{CacheMaxMatches: -1})
 
 	// Distinct directed 4-node patterns, deduplicated by canonical form.
 	rng := rand.New(rand.NewSource(7))
@@ -412,7 +388,7 @@ func TestAdmittedRunAnswersAtClassEpoch(t *testing.T) {
 // that truncation as TimedOut — but the cost did not outgrow the
 // prediction, so it must not count as MispredictSmall.
 func TestCancelledStreamNotMispredicted(t *testing.T) {
-	svc, gp := blockingWorld(t, Config{})
+	_, svc, gp := blockingWorld(t, RouterConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	matches, end, err := svc.Stream(ctx, Query{Pattern: gp, Options: parsge.Options{Semantics: parsge.Homomorphism}})

@@ -42,15 +42,22 @@ type flightCall[V any] struct {
 // runs the request, publishes its value to the store, and reports
 // whether identical requests may share it.
 //
+// The first lookup takes no lock, so it can miss a value a leader
+// publishes just after it. Before leading, the request therefore looks
+// again under g.mu: a leader publishes before it unregisters, so a
+// request that finds no flight to join finds that leader's value in
+// the store. get's count is false for this second look, which the
+// store's hit and miss counters must not see.
+//
 // A joined leader's error is shared, since it is deterministic for an
 // identical request (validation, overload backpressure) — unless it is
 // the leader's own cancellation or deadline. After such an error, or
 // after a truncated run, the waiter retries with its own live context.
-func (g *flightGroup[K, V]) do(ctx context.Context, key func() K, get func(K) (V, bool), lead func() (V, bool, error)) (V, source, error) {
+func (g *flightGroup[K, V]) do(ctx context.Context, key func() K, get func(k K, count bool) (V, bool), lead func() (V, bool, error)) (V, source, error) {
 	var zero V
 	for turn := 0; ; turn++ {
 		k := key()
-		if v, ok := get(k); ok {
+		if v, ok := get(k, true); ok {
 			return v, hit, nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -71,6 +78,10 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key func() K, get func(K) (V
 				return zero, joined, f.err
 			}
 			continue
+		}
+		if v, ok := get(k, false); ok {
+			g.mu.Unlock()
+			return v, hit, nil
 		}
 		var f *flightCall[V]
 		if turn < flightTurns {

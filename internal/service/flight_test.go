@@ -25,7 +25,7 @@ func finished(val int, ok bool, err error) *flightCall[int] {
 }
 
 // miss is a store that never holds the key.
-func miss(fkey) (int, bool) { return 0, false }
+func miss(fkey, bool) (int, bool) { return 0, false }
 
 // TestFlightGroupSharesDeterministicError: a leader's error that any
 // identical request would also get (here ErrQueueTimeout) reaches the
@@ -84,6 +84,37 @@ func TestFlightGroupRetriesAfterLeaderTruncation(t *testing.T) {
 				t.Fatalf("%d flights left after the run", len(g.flights))
 			}
 		})
+	}
+}
+
+// TestFlightGroupLateArrivalServedFromStore: a request whose lock-free
+// lookup missed just before a leader published, and which takes the
+// group lock only after that leader unregistered, finds no flight to
+// join. The look under the lock finds the published value, so the
+// request is a hit and leads no second run — and that look, unlike the
+// first, is uncounted.
+func TestFlightGroupLateArrivalServedFromStore(t *testing.T) {
+	var g flightGroup[fkey, int]
+	k := fkey{name: "q", epoch: 1}
+	var counted []bool
+	get := func(_ fkey, count bool) (int, bool) {
+		counted = append(counted, count)
+		if len(counted) == 1 {
+			return 0, false // the leader has not published yet
+		}
+		return 5, true // published, and unregistered, in the meantime
+	}
+	leads := 0
+	v, src, err := g.do(context.Background(), func() fkey { return k }, get,
+		func() (int, bool, error) { leads++; return 6, true, nil })
+	if err != nil || src != hit || v != 5 || leads != 0 {
+		t.Fatalf("late arrival got (%d, %v, %v) with leads=%d, want (5, hit, nil) and no run", v, src, err, leads)
+	}
+	if len(counted) != 2 || !counted[0] || counted[1] {
+		t.Fatalf("lookups counted %v, want the first counted and the re-check not", counted)
+	}
+	if len(g.flights) != 0 {
+		t.Fatalf("%d flights left after a hit", len(g.flights))
 	}
 }
 
@@ -175,7 +206,7 @@ func TestFlightGroupConcurrent(t *testing.T) {
 				start := epoch.Load()
 				v, src, err := g.do(context.Background(),
 					func() fkey { return fkey{name: name, epoch: epoch.Load()} },
-					func(k fkey) (fkey, bool) {
+					func(k fkey, _ bool) (fkey, bool) {
 						mu.Lock()
 						defer mu.Unlock()
 						v, ok := store[k.name]
@@ -220,10 +251,7 @@ func TestFlightGroupConcurrent(t *testing.T) {
 // work the loop adds fails the test.
 func TestHitPathAllocs(t *testing.T) {
 	w := buildSoakWorld(t, 91)
-	svc, err := New(Config{Target: w.tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{})
 	ctx := context.Background()
 	q := Query{Pattern: w.patterns[0]}
 	req := CensusRequest{K: 3}

@@ -14,20 +14,14 @@ import (
 	"parsge/internal/graphio"
 )
 
-// Server exposes a Service — or a multi-target Router — over HTTP with
-// a small JSON API:
+// Server exposes a Router over HTTP with a small JSON API:
 //
-//	POST /query                  — submit a pattern; count, enumerate, or stream matches
-//	POST /census                 — motif census of the target
-//	POST /targets/{name}/query   — the same, against a named router target
-//	POST /targets/{name}/census
-//	POST /targets/{name}/update  — apply an edge-update batch to a named target
+//	POST /targets/{name}/query   — submit a pattern; count, enumerate, or stream matches
+//	POST /targets/{name}/census  — motif census of the named target
+//	POST /targets/{name}/update  — apply an edge-update batch to the named target
 //	GET  /healthz                — liveness; 503 once draining
-//	GET  /stats                  — the Stats snapshot, plan histogram included
-//
-// The single-target endpoints exist on a NewServer server; the
-// /targets/{name}/ tree on a NewRouterServer server (whose /stats lists
-// every hosted target with its mutation epoch).
+//	GET  /stats                  — the RouterStats snapshot: every hosted target
+//	                               with its mutation epoch, plan histograms included
 //
 // The query body is JSON: {"pattern": "<graph section in the GFF text
 // format>", "semantics": "iso"|"induced"|"hom", "algorithm": "auto"|...,
@@ -47,7 +41,6 @@ import (
 // concurrent interning. A pattern text is parsed and canonicalized once:
 // the memo serves every later post of the same text, to any target.
 type Server struct {
-	svc     *Service
 	router  *Router
 	table   *graphio.LabelTable
 	tableMu sync.Mutex
@@ -68,21 +61,18 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// NewServer wraps svc. table must be the label table the target graph
-// was read with (a fresh table is only correct for label-free use).
-func NewServer(svc *Service, table *graphio.LabelTable) *Server {
-	h := newServer(svc, nil, table)
-	h.mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { h.handleQuery(w, r, svc) })
-	h.mux.HandleFunc("POST /census", func(w http.ResponseWriter, r *http.Request) { h.handleCensus(w, r, svc) })
-	return h
-}
-
-// NewRouterServer wraps a multi-target router: every hosted target is
-// served under /targets/{name}/, and /stats reports the router
-// snapshot. table must be the label table the target graphs were read
-// with.
+// NewRouterServer wraps a router: every hosted target is served under
+// /targets/{name}/, and /stats reports the router snapshot. table must
+// be the label table the target graphs were read with (a fresh table,
+// or nil, is only correct for label-free use).
 func NewRouterServer(router *Router, table *graphio.LabelTable) *Server {
-	h := newServer(nil, router, table)
+	if table == nil {
+		table = graphio.NewLabelTable()
+	}
+	h := &Server{router: router, table: table, memo: patternMemo{max: memoMaxBytes}, MaxPatternNodes: 64, MaxUpdateBatch: 1 << 16}
+	h.mux = http.NewServeMux()
+	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
+	h.mux.HandleFunc("GET /stats", h.handleStats)
 	resolve := func(w http.ResponseWriter, r *http.Request) *Service {
 		svc, err := router.route(r.PathValue("name"))
 		if err != nil {
@@ -110,17 +100,6 @@ func NewRouterServer(router *Router, table *graphio.LabelTable) *Server {
 			h.handleUpdate(w, r, svc)
 		}
 	})
-	return h
-}
-
-func newServer(svc *Service, router *Router, table *graphio.LabelTable) *Server {
-	if table == nil {
-		table = graphio.NewLabelTable()
-	}
-	h := &Server{svc: svc, router: router, table: table, memo: patternMemo{max: memoMaxBytes}, MaxPatternNodes: 64, MaxUpdateBatch: 1 << 16}
-	h.mux = http.NewServeMux()
-	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
-	h.mux.HandleFunc("GET /stats", h.handleStats)
 	return h
 }
 
@@ -409,7 +388,7 @@ func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, sv
 	}
 }
 
-// censusRequest is the POST /census body: {"k": 4, "timeout_ms": n,
+// censusRequest is the POST .../census body: {"k": 4, "timeout_ms": n,
 // "top": n}. top caps the classes returned (default 32, -1 = all); the
 // full class total and subgraph count are always reported.
 type censusRequest struct {
@@ -421,7 +400,7 @@ type censusRequest struct {
 // censusClassJSON is one isomorphism class of a census reply: the count,
 // the class identity (the canonical hash, rendered hex), the shape, and
 // the representative pattern as a GFF text section — directly
-// resubmittable to POST /query.
+// resubmittable to POST .../query.
 type censusClassJSON struct {
 	Count   int64  `json:"count"`
 	ID      string `json:"id"`
@@ -533,11 +512,7 @@ func (h *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (h *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if h.router != nil {
-		json.NewEncoder(w).Encode(h.router.Stats())
-		return
-	}
-	json.NewEncoder(w).Encode(h.svc.Stats())
+	json.NewEncoder(w).Encode(h.router.Stats())
 }
 
 // updateRequest is the POST /targets/{name}/update body. Labels are

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -31,66 +32,136 @@ import (
 // not host.
 var ErrUnknownTarget = fmt.Errorf("service: unknown target")
 
-// RouterConfig configures NewRouter. The worker-budget, queue, cache
-// and timeout fields mean exactly what they do in Config — they are
-// applied machine-wide (admission) or per added target (caches).
+// RouterConfig configures NewRouter. The zero value of every field is a
+// usable default. The admission fields apply machine-wide, shared by
+// every target; the cache and cost-model fields apply to each added
+// target on its own.
 type RouterConfig struct {
-	// Workers is the machine-wide admission budget shared by every
-	// target. Default: GOMAXPROCS.
+	// Workers is the machine's total worker budget — the number of
+	// admission tokens, shared by every target. Default: GOMAXPROCS.
 	Workers int
-	// ParallelWorkers is the pool size granted to a large query.
-	// Default: half the budget, at least 2, at most the budget.
+	// ParallelWorkers is the pool size granted to a large query (its
+	// token demand). Default: half the budget, at least 2, at most the
+	// budget.
 	ParallelWorkers int
-	// MaxQueue bounds the admission queue across all targets.
+	// MaxQueue bounds the admission queue across all targets; a query
+	// arriving with the queue full is shed with ErrOverloaded.
 	// Default: 8× Workers.
 	MaxQueue int
-	// QueueTimeout bounds admission waits. Default: 2s; negative
-	// disables.
+	// QueueTimeout bounds the time a query waits for admission before
+	// failing with ErrQueueTimeout. Default: 2s; negative disables.
 	QueueTimeout time.Duration
-	// CacheMaxMatches and CacheMaxMappingsPerEntry configure each
-	// target's result cache (per target, not shared).
-	CacheMaxMatches          int64
+	// CacheMaxMatches is each target's result cache budget in
+	// match-count memory units (see entryCost). Default: 1<<20; negative
+	// disables caching.
+	CacheMaxMatches int64
+	// CacheMaxMappingsPerEntry caps the mappings stored in one cache
+	// entry; a complete result set larger than this is cached count-only.
+	// Default: 4096.
 	CacheMaxMappingsPerEntry int
-	// DefaultTimeout is applied to queries that set none.
+	// DefaultTimeout is applied to queries that set no Timeout of their
+	// own (0 keeps them unbounded). A robustness valve for serving
+	// untrusted patterns.
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps every query and census timeout to the server
-	// budget (0 = no clamp); see Config.MaxTimeout.
+	// MaxTimeout clamps every query and census timeout — client-supplied
+	// or defaulted — to the server's budget (0 = no clamp). Without it a
+	// client asking for an hour bypasses DefaultTimeout entirely.
 	MaxTimeout time.Duration
-	// SmallBudget, ExplosiveBudget, SmallLogDomain, ExplosiveLogDomain
-	// and ExplosivePolicy configure each target's cost-model admission
-	// (per-target estimators over the shared budget); see the Config
-	// fields of the same names.
-	SmallBudget                        time.Duration
-	ExplosiveBudget                    time.Duration
+	// SmallBudget is the cost under which a query is classified small
+	// (one sequential token). Default: 25ms.
+	SmallBudget time.Duration
+	// ExplosiveBudget is the predicted cost at or above which a query is
+	// classified explosive (shed or deprioritized, per ExplosivePolicy).
+	// Default: MaxTimeout when set, else 30s; negative disables the
+	// explosive class entirely (everything expensive is just large).
+	ExplosiveBudget time.Duration
+	// SmallLogDomain and ExplosiveLogDomain are the history-free
+	// fallback thresholds on the domain upper bound (log2 of the product
+	// of domain sizes, density-adjusted): at or below SmallLogDomain the
+	// query is small, at or above ExplosiveLogDomain explosive.
+	// Defaults: 22 and 44.
 	SmallLogDomain, ExplosiveLogDomain float64
-	ExplosivePolicy                    ExplosivePolicy
+	// ExplosivePolicy selects shed (default) or deprioritize for
+	// explosive-classified queries.
+	ExplosivePolicy ExplosivePolicy
 	// MaxHotIndexes bounds how many targets may hold their label/NLF
 	// index at once; beyond it the least-recently-used target's index
 	// is released and rebuilt on demand. 0 means unbounded (no
 	// eviction).
 	MaxHotIndexes int
-	// Classify overrides classification for every target.
+	// Classify overrides classification entirely: return true to give
+	// the query the parallel pool, false to run it sequentially. No
+	// query is shed and the cost model is bypassed — the full-override
+	// escape hatch predating the cost model.
 	Classify func(pattern *parsge.Graph, opts parsge.Options) bool
 }
 
-func (c RouterConfig) svcConfig(tgt *parsge.Target) Config {
-	return Config{
-		Target:                   tgt,
-		Workers:                  c.Workers,
-		ParallelWorkers:          c.ParallelWorkers,
-		MaxQueue:                 c.MaxQueue,
-		QueueTimeout:             c.QueueTimeout,
-		CacheMaxMatches:          c.CacheMaxMatches,
-		CacheMaxMappingsPerEntry: c.CacheMaxMappingsPerEntry,
-		DefaultTimeout:           c.DefaultTimeout,
-		MaxTimeout:               c.MaxTimeout,
-		SmallBudget:              c.SmallBudget,
-		ExplosiveBudget:          c.ExplosiveBudget,
-		SmallLogDomain:           c.SmallLogDomain,
-		ExplosiveLogDomain:       c.ExplosiveLogDomain,
-		ExplosivePolicy:          c.ExplosivePolicy,
-		Classify:                 c.Classify,
-	}.withDefaults()
+// withDefaults resolves every zero or negative field to the value the
+// router runs with. It is applied once, by NewRouter: a disabled knob
+// resolves to 0, which a second application would read as unset.
+func (c RouterConfig) withDefaults() RouterConfig {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.ParallelWorkers <= 0 {
+		c.ParallelWorkers = c.Workers / 2
+	}
+	if c.ParallelWorkers < 2 {
+		c.ParallelWorkers = 2
+	}
+	if c.ParallelWorkers > c.Workers {
+		c.ParallelWorkers = c.Workers
+	}
+	if c.MaxQueue <= 0 {
+		c.MaxQueue = 8 * c.Workers
+	}
+	if c.QueueTimeout == 0 {
+		c.QueueTimeout = 2 * time.Second
+	}
+	if c.QueueTimeout < 0 {
+		c.QueueTimeout = 0
+	}
+	if c.CacheMaxMatches == 0 {
+		c.CacheMaxMatches = 1 << 20
+	}
+	if c.CacheMaxMatches < 0 {
+		c.CacheMaxMatches = 0 // newCache(0) disables
+	}
+	if c.CacheMaxMappingsPerEntry <= 0 {
+		c.CacheMaxMappingsPerEntry = 4096
+	}
+	if c.SmallBudget <= 0 {
+		c.SmallBudget = 25 * time.Millisecond
+	}
+	if c.ExplosiveBudget == 0 {
+		if c.MaxTimeout > 0 {
+			c.ExplosiveBudget = c.MaxTimeout
+		} else {
+			c.ExplosiveBudget = 30 * time.Second
+		}
+	}
+	if c.ExplosiveBudget < 0 {
+		c.ExplosiveBudget = 0 // explosive class disabled
+	}
+	if c.SmallLogDomain == 0 {
+		c.SmallLogDomain = 22
+	}
+	if c.ExplosiveLogDomain == 0 {
+		c.ExplosiveLogDomain = 44
+	}
+	return c
+}
+
+// timeout folds DefaultTimeout into a request's own timeout and clamps
+// the result to MaxTimeout: queries and censuses share the budget.
+func (c RouterConfig) timeout(d time.Duration) time.Duration {
+	if d == 0 {
+		d = c.DefaultTimeout
+	}
+	if c.MaxTimeout > 0 && (d == 0 || d > c.MaxTimeout) {
+		d = c.MaxTimeout
+	}
+	return d
 }
 
 // TargetInfo describes one hosted target in listings and /stats.
@@ -125,7 +196,7 @@ type RouterStats struct {
 // Router hosts many named targets behind one shared admission budget.
 // All methods are safe for concurrent use.
 type Router struct {
-	cfg RouterConfig
+	cfg RouterConfig // resolved (withDefaults)
 	adm *admission
 
 	mu     sync.Mutex
@@ -154,13 +225,10 @@ func (e *routerEntry) info(name string) TargetInfo {
 
 // NewRouter builds an empty router; add targets with AddTarget.
 func NewRouter(cfg RouterConfig) *Router {
-	probe := cfg.svcConfig(nil) // resolve defaults once for the shared admission
-	cfg.Workers = probe.Workers
-	cfg.ParallelWorkers = probe.ParallelWorkers
-	cfg.MaxQueue = probe.MaxQueue
+	cfg = cfg.withDefaults()
 	return &Router{
 		cfg:    cfg,
-		adm:    newAdmission(int64(probe.Workers), probe.MaxQueue),
+		adm:    newAdmission(int64(cfg.Workers), cfg.MaxQueue),
 		routes: make(map[string]*routerEntry),
 	}
 }
@@ -183,6 +251,9 @@ func (r *Router) AddTargetSession(name string, tgt *parsge.Target) error {
 	if name == "" {
 		return fmt.Errorf("service: empty target name")
 	}
+	if tgt == nil {
+		return fmt.Errorf("service: nil Target")
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -192,11 +263,8 @@ func (r *Router) AddTargetSession(name string, tgt *parsge.Target) error {
 		return fmt.Errorf("service: duplicate target %q", name)
 	}
 	r.clock++
-	r.routes[name] = &routerEntry{
-		svc:     newServiceWith(r.cfg.svcConfig(tgt), r.adm, name),
-		tgt:     tgt,
-		lastUse: r.clock,
-	}
+	svc := &Service{cfg: r.cfg, tgt: tgt, cache: newCache(r.cfg.CacheMaxMatches), adm: r.adm, cls: name}
+	r.routes[name] = &routerEntry{svc: svc, tgt: tgt, lastUse: r.clock}
 	r.enforceIndexBudgetLocked(name)
 	return nil
 }

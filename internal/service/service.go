@@ -16,16 +16,16 @@
 //     Target's session statistics, including the plan histogram that
 //     makes the adaptive preprocessing scheduler visible in production.
 //
-// cmd/sgeserve exposes the service over HTTP; the soak and property
-// tests in this package hold it to the brute-force oracle under
-// concurrency, cancellation and cache churn.
+// A Router hosts each target graph as one Service over a shared worker
+// budget, and cmd/sgeserve exposes the router over HTTP; the soak and
+// property tests in this package hold it to the brute-force oracle
+// under concurrency, cancellation and cache churn.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,128 +36,6 @@ import (
 
 // ErrClosed reports a query submitted after Close began draining.
 var ErrClosed = errors.New("service: closed")
-
-// Config configures New. The zero value of every field is a usable
-// default; only Target is required.
-type Config struct {
-	// Target is the session the service serves queries against.
-	Target *parsge.Target
-	// Workers is the machine's total worker budget — the number of
-	// admission tokens. Default: GOMAXPROCS.
-	Workers int
-	// ParallelWorkers is the pool size granted to a large query (its
-	// token demand). Default: half the budget, at least 2, at most the
-	// budget.
-	ParallelWorkers int
-	// MaxQueue bounds the admission queue; a query arriving with the
-	// queue full is shed with ErrOverloaded. Default: 8× Workers.
-	MaxQueue int
-	// QueueTimeout bounds the time a query waits for admission before
-	// failing with ErrQueueTimeout. Default: 2s; negative disables.
-	QueueTimeout time.Duration
-	// CacheMaxMatches is the result cache budget in match-count memory
-	// units (see entryCost). Default: 1<<20; negative disables caching.
-	CacheMaxMatches int64
-	// CacheMaxMappingsPerEntry caps the mappings stored in one cache
-	// entry; a complete result set larger than this is cached count-only.
-	// Default: 4096.
-	CacheMaxMappingsPerEntry int
-	// DefaultTimeout is applied to queries that set no Timeout of their
-	// own (0 keeps them unbounded). A robustness valve for serving
-	// untrusted patterns.
-	DefaultTimeout time.Duration
-	// MaxTimeout clamps every query and census timeout — client-supplied
-	// or defaulted — to the server's budget (0 = no clamp). Without it a
-	// client asking for an hour bypasses DefaultTimeout entirely.
-	MaxTimeout time.Duration
-	// SmallBudget is the cost under which a query is classified small
-	// (one sequential token). Default: 25ms.
-	SmallBudget time.Duration
-	// ExplosiveBudget is the predicted cost at or above which a query is
-	// classified explosive (shed or deprioritized, per ExplosivePolicy).
-	// Default: MaxTimeout when set, else 30s; negative disables the
-	// explosive class entirely (everything expensive is just large).
-	ExplosiveBudget time.Duration
-	// SmallLogDomain and ExplosiveLogDomain are the history-free
-	// fallback thresholds on the domain upper bound (log2 of the product
-	// of domain sizes, density-adjusted): at or below SmallLogDomain the
-	// query is small, at or above ExplosiveLogDomain explosive.
-	// Defaults: 22 and 44.
-	SmallLogDomain, ExplosiveLogDomain float64
-	// ExplosivePolicy selects shed (default) or deprioritize for
-	// explosive-classified queries.
-	ExplosivePolicy ExplosivePolicy
-	// Classify overrides classification entirely: return true to give
-	// the query the parallel pool, false to run it sequentially. No
-	// query is shed and the cost model is bypassed — the full-override
-	// escape hatch predating the cost model.
-	Classify func(pattern *parsge.Graph, opts parsge.Options) bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ParallelWorkers <= 0 {
-		c.ParallelWorkers = c.Workers / 2
-	}
-	if c.ParallelWorkers < 2 {
-		c.ParallelWorkers = 2
-	}
-	if c.ParallelWorkers > c.Workers {
-		c.ParallelWorkers = c.Workers
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 8 * c.Workers
-	}
-	if c.QueueTimeout == 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
-	if c.QueueTimeout < 0 {
-		c.QueueTimeout = 0
-	}
-	if c.CacheMaxMatches == 0 {
-		c.CacheMaxMatches = 1 << 20
-	}
-	if c.CacheMaxMatches < 0 {
-		c.CacheMaxMatches = 0 // newCache(0) disables
-	}
-	if c.CacheMaxMappingsPerEntry <= 0 {
-		c.CacheMaxMappingsPerEntry = 4096
-	}
-	if c.SmallBudget <= 0 {
-		c.SmallBudget = 25 * time.Millisecond
-	}
-	if c.ExplosiveBudget == 0 {
-		if c.MaxTimeout > 0 {
-			c.ExplosiveBudget = c.MaxTimeout
-		} else {
-			c.ExplosiveBudget = 30 * time.Second
-		}
-	}
-	if c.ExplosiveBudget < 0 {
-		c.ExplosiveBudget = 0 // explosive class disabled
-	}
-	if c.SmallLogDomain == 0 {
-		c.SmallLogDomain = 22
-	}
-	if c.ExplosiveLogDomain == 0 {
-		c.ExplosiveLogDomain = 44
-	}
-	return c
-}
-
-// timeout folds DefaultTimeout into a request's own timeout and clamps
-// the result to MaxTimeout: queries and censuses share the budget.
-func (c Config) timeout(d time.Duration) time.Duration {
-	if d == 0 {
-		d = c.DefaultTimeout
-	}
-	if c.MaxTimeout > 0 && (d == 0 || d > c.MaxTimeout) {
-		d = c.MaxTimeout
-	}
-	return d
-}
 
 // Query is one client request: a pattern plus the options it should run
 // under. Options.Visit must be nil (the service owns result delivery)
@@ -220,17 +98,16 @@ type flightKey struct {
 	epoch        uint64
 }
 
-// Service multiplexes concurrent queries onto one Target. All methods
-// are safe for concurrent use.
+// Service multiplexes concurrent queries onto one Target: it is one
+// route of a Router, sharing the router's admission with its sibling
+// targets. All methods are safe for concurrent use.
 type Service struct {
-	cfg   Config
+	cfg   RouterConfig // resolved (withDefaults)
 	tgt   *parsge.Target
 	cache *cache
 	adm   *admission
-	// cls is the admission class the service's queries queue under: ""
-	// for a standalone Service (a single class degenerates to plain
-	// FIFO), the target name when the Service is one route of a Router
-	// sharing its admission with sibling targets.
+	// cls is the admission class the service's queries queue under: the
+	// name its Router hosts the target under.
 	cls string
 
 	// queryRuns and censusRuns are the two instantiations of the shared
@@ -257,32 +134,6 @@ type counters struct {
 	queries, shared, sequential, parallel, census, updates         atomic.Int64
 	shedExplosive, deprioritized, mispredictSmall, mispredictLarge atomic.Int64
 }
-
-// New builds a Service over cfg.Target.
-func New(cfg Config) (*Service, error) {
-	if cfg.Target == nil {
-		return nil, fmt.Errorf("service: nil Target")
-	}
-	cfg = cfg.withDefaults()
-	return newServiceWith(cfg, newAdmission(int64(cfg.Workers), cfg.MaxQueue), ""), nil
-}
-
-// newServiceWith builds a Service over an externally-owned admission —
-// how a Router gives every target its own cache and singleflight state
-// while all targets share one machine-wide worker budget, queueing
-// under their own class.
-func newServiceWith(cfg Config, adm *admission, cls string) *Service {
-	return &Service{
-		cfg:   cfg,
-		tgt:   cfg.Target,
-		cache: newCache(cfg.CacheMaxMatches),
-		adm:   adm,
-		cls:   cls,
-	}
-}
-
-// Target returns the underlying session.
-func (s *Service) Target() *parsge.Target { return s.tgt }
 
 // begin registers an in-flight request, refusing once draining started.
 func (s *Service) begin() error {
@@ -410,7 +261,9 @@ func (s *Service) do(ctx context.Context, q Query, needMappings bool) (Reply, er
 	var reply Reply
 	ent, src, err := s.queryRuns.do(ctx,
 		func() flightKey { return flightKey{key: key, needMappings: needMappings, epoch: s.tgt.Epoch()} },
-		func(k flightKey) (*entry, bool) { return s.cache.get(k.key, k.needMappings, k.epoch) },
+		func(k flightKey, count bool) (*entry, bool) {
+			return s.cache.get(k.key, k.needMappings, k.epoch, count)
+		},
 		func() (*entry, bool, error) {
 			r, ent, err := s.runLeader(ctx, q, sem, perm, key, needMappings)
 			reply = r
@@ -544,7 +397,7 @@ func (s *Service) cacheGetStream(key string) (*entry, bool) {
 	if key == "" {
 		return nil, false
 	}
-	return s.cache.get(key, true, s.tgt.Epoch())
+	return s.cache.get(key, true, s.tgt.Epoch(), true)
 }
 
 // replyFromEntry materializes a cached/shared entry for a client whose

@@ -57,13 +57,36 @@ func buildSoakWorld(t testing.TB, seed int64) *soakWorld {
 	return w
 }
 
+// soloTarget is the name the one-target routers of these tests host
+// their target under, and soloPath the URL prefix of its endpoints.
+const (
+	soloTarget = "solo"
+	soloPath   = "/targets/" + soloTarget
+)
+
+// soloRouter hosts tgt as the only target of a router built from cfg —
+// the one way a Service is built — and returns the router and the
+// target's Service.
+func soloRouter(t testing.TB, tgt *parsge.Target, cfg RouterConfig) (*Router, *Service) {
+	t.Helper()
+	r := NewRouter(cfg)
+	if err := r.AddTargetSession(soloTarget, tgt); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := r.route(soloTarget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, svc
+}
+
 // blockingWorld builds a service whose homomorphism stream of a 3-path
 // over a one-label clique yields thousands of matches — far more than
 // the ~128 slots of channel buffering between producer and consumer —
 // so a stream that is not drained genuinely holds its admission token
 // and its producer goroutine until cancelled. The fixture behind every
 // test that needs a query to still be "in flight" when asserted on.
-func blockingWorld(t testing.TB, cfg Config) (*Service, *graph.Graph) {
+func blockingWorld(t testing.TB, cfg RouterConfig) (*Router, *Service, *graph.Graph) {
 	t.Helper()
 	b := graph.NewBuilder(12, 12*11)
 	b.AddNodes(12)
@@ -82,12 +105,8 @@ func blockingWorld(t testing.TB, cfg Config) (*Service, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Target = tgt
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc, gp
+	r, svc := soloRouter(t, tgt, cfg)
+	return r, svc, gp
 }
 
 // verifyMapping checks that a delivered mapping really is an embedding
@@ -141,17 +160,13 @@ func verifyMapping(t *testing.T, gp, gt *graph.Graph, m []int32, sem parsge.Sema
 // churn happen during the run.
 func TestServiceSoak(t *testing.T) {
 	w := buildSoakWorld(t, 42)
-	svc, err := New(Config{
-		Target:          w.tgt,
+	_, svc := soloRouter(t, w.tgt, RouterConfig{
 		Workers:         4,
 		ParallelWorkers: 2,
 		MaxQueue:        256,
 		QueueTimeout:    30 * time.Second,
 		CacheMaxMatches: 512, // small: force eviction churn mid-soak
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	algs := []parsge.Algorithm{parsge.Auto, parsge.RI, parsge.RIDSSIFC, parsge.VF2, parsge.LAD}
 	sems := []parsge.Semantics{parsge.SubgraphIso, parsge.InducedIso, parsge.Homomorphism}
 
@@ -279,10 +294,7 @@ func TestServiceSoak(t *testing.T) {
 // (ideally once), and every answer must agree with the oracle.
 func TestSingleflightDeduplicates(t *testing.T) {
 	w := buildSoakWorld(t, 7)
-	svc, err := New(Config{Target: w.tgt, Workers: 4, QueueTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{Workers: 4, QueueTimeout: 30 * time.Second})
 	gp := w.patterns[0]
 	want := w.oracle[0][parsge.Homomorphism] // hom: the most expensive of the three
 	const n = 24
@@ -320,7 +332,7 @@ func TestSingleflightDeduplicates(t *testing.T) {
 // time out (ErrQueueTimeout). Distinct patterns keep the cache and
 // singleflight out of the way.
 func TestAdmissionOverload(t *testing.T) {
-	svc, gp := blockingWorld(t, Config{
+	_, svc, gp := blockingWorld(t, RouterConfig{
 		Workers:      1,
 		MaxQueue:     1,
 		QueueTimeout: 500 * time.Millisecond,
@@ -380,15 +392,11 @@ func TestAdmissionOverload(t *testing.T) {
 func TestAdmissionPartition(t *testing.T) {
 	w := buildSoakWorld(t, 23)
 	large := false
-	svc, err := New(Config{
-		Target:          w.tgt,
+	_, svc := soloRouter(t, w.tgt, RouterConfig{
 		Workers:         4,
 		ParallelWorkers: 3,
 		Classify:        func(*parsge.Graph, parsge.Options) bool { return large },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Query{Pattern: w.patterns[0], Options: parsge.Options{Workers: 16}} // client asks for 16; service decides
 	r, err := svc.Count(context.Background(), q)
 	if err != nil {
@@ -414,7 +422,7 @@ func TestAdmissionPartition(t *testing.T) {
 // TestServiceClose: draining refuses new queries with ErrClosed and
 // waits for in-flight streams.
 func TestServiceClose(t *testing.T) {
-	svc, gp := blockingWorld(t, Config{Workers: 2})
+	_, svc, gp := blockingWorld(t, RouterConfig{Workers: 2})
 	w := buildSoakWorld(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -458,10 +466,7 @@ func TestServiceClose(t *testing.T) {
 // TestServiceValidation: the error paths clients actually hit.
 func TestServiceValidation(t *testing.T) {
 	w := buildSoakWorld(t, 5)
-	svc, err := New(Config{Target: w.tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, w.tgt, RouterConfig{})
 	if _, err := svc.Count(context.Background(), Query{}); err == nil {
 		t.Error("nil pattern accepted")
 	}
@@ -471,8 +476,12 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := svc.Count(context.Background(), Query{Pattern: w.patterns[0], Options: parsge.Options{Semantics: 99}}); err == nil {
 		t.Error("invalid semantics accepted")
 	}
-	if _, err := New(Config{}); err == nil {
+	r := NewRouter(RouterConfig{})
+	if err := r.AddTargetSession("nil", nil); err == nil {
 		t.Error("nil target accepted")
+	}
+	if ts := r.Targets(); len(ts) != 0 || r.Target("nil") != nil {
+		t.Errorf("a nil target was routed: %+v", ts)
 	}
 }
 
@@ -502,10 +511,7 @@ func TestHostileSymmetricPatternUncacheable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Target: tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := soloRouter(t, tgt, RouterConfig{})
 	start := time.Now()
 	for round := 0; round < 2; round++ {
 		r, err := svc.Count(context.Background(), Query{Pattern: gp, Options: parsge.Options{Limit: 1000}})
@@ -535,7 +541,7 @@ func TestHostileSymmetricPatternUncacheable(t *testing.T) {
 // must not fail its waiters — they retry and succeed with their live
 // contexts.
 func TestSingleflightLeaderCancellation(t *testing.T) {
-	svc, gp := blockingWorld(t, Config{Workers: 1, MaxQueue: 8, QueueTimeout: 30 * time.Second})
+	_, svc, gp := blockingWorld(t, RouterConfig{Workers: 1, MaxQueue: 8, QueueTimeout: 30 * time.Second})
 	// Occupy the only token so the leader queues in admission.
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()

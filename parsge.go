@@ -214,14 +214,6 @@ type Options struct {
 	// stays available under every semantics. An extension beyond the
 	// paper.
 	Semantics Semantics
-	// Induced is the legacy spelling of Semantics: InducedIso. It may
-	// accompany an unset Semantics or a redundant InducedIso; any other
-	// explicit Semantics — SubgraphIso included, now that the unset
-	// sentinel makes it an explicit choice — is a contradiction (an
-	// error).
-	//
-	// Deprecated: set Semantics instead.
-	Induced bool
 	// Pruning tunes the semantics-aware domain filters applied during
 	// preprocessing. The zero value enables everything; the fields are
 	// opt-outs for ablation, debugging and differential testing.
@@ -340,26 +332,6 @@ func (p PruningOptions) filters() domain.Filters {
 		Schedule:      p.Schedule,
 		Kernel:        p.Kernel,
 	}
-}
-
-// resolveSemantics folds the legacy Induced flag into the Semantics
-// axis and validates the combination. SemanticsUnset (without Induced)
-// passes through so the session layer can substitute its default.
-func resolveSemantics(opts Options) (Semantics, error) {
-	if !opts.Semantics.Valid() {
-		return 0, fmt.Errorf("parsge: unknown semantics %d", int32(opts.Semantics))
-	}
-	if opts.Induced {
-		switch opts.Semantics {
-		case SemanticsUnset, InducedIso:
-			return InducedIso, nil
-		default:
-			// Post-sentinel, any other Semantics is an explicit choice
-			// the legacy flag contradicts — SubgraphIso included.
-			return 0, fmt.Errorf("parsge: Options.Induced contradicts Semantics: %v", opts.Semantics)
-		}
-	}
-	return opts.Semantics, nil
 }
 
 // Result reports one enumeration.

@@ -379,9 +379,6 @@ func TestTargetDefaultSemantics(t *testing.T) {
 	if n, err := tgt.Count(ctx, gp, Options{Semantics: InducedIso}); err != nil || n != 0 {
 		t.Errorf("explicit InducedIso overrides default: got %d, %v; want 0", n, err)
 	}
-	if n, err := tgt.Count(ctx, gp, Options{Induced: true}); err != nil || n != 0 {
-		t.Errorf("Induced overrides default: got %d, %v; want 0", n, err)
-	}
 	if _, err := NewTarget(gt, TargetOptions{DefaultSemantics: Semantics(9)}); err == nil {
 		t.Error("invalid DefaultSemantics accepted")
 	}
@@ -451,15 +448,15 @@ func TestEnumerateBatchItemsMixedSemantics(t *testing.T) {
 			}
 		}
 	}
-	// A per-item choice also wins over the legacy Induced flag.
+	// A per-item choice also wins over a batch-wide InducedIso.
 	res, err := tgt.EnumerateBatchItems(context.Background(),
 		[]BatchItem{{Pattern: gp, Semantics: Homomorphism}, {Pattern: gp}},
-		Options{Induced: true})
+		Options{Semantics: InducedIso})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Matches != 12 || res[1].Matches != 0 {
-		t.Errorf("Induced batch with hom item: got %d/%d, want 12/0", res[0].Matches, res[1].Matches)
+		t.Errorf("InducedIso batch with hom item: got %d/%d, want 12/0", res[0].Matches, res[1].Matches)
 	}
 }
 

@@ -19,12 +19,6 @@ import (
 
 // TargetOptions configures NewTarget.
 type TargetOptions struct {
-	// SkipLabelIndex skips precomputing the label→node buckets. Queries
-	// then fall back to whole-vertex-set scans during preprocessing,
-	// exactly like the one-shot API of earlier versions. Only worth
-	// setting for a Target that will serve a single query on a graph
-	// where the index memory matters.
-	SkipLabelIndex bool
 	// NLF selects the representation of the index's neighborhood-label-
 	// frequency signatures: NLFAuto (the zero value) picks exact
 	// signatures below a million target edges and the bucketed compact
@@ -34,8 +28,7 @@ type TargetOptions struct {
 	// size (maximum pruning on huge label-rich targets, at full memory
 	// cost). The compact filter is sound (never loses matches) and
 	// exact for small label alphabets; on large alphabets it may prune
-	// slightly less than the exact signatures. Ignored with
-	// SkipLabelIndex.
+	// slightly less than the exact signatures.
 	NLF NLFMode
 	// DefaultWorkers replaces Options.Workers for queries that leave it
 	// at zero ("unset"): a service can configure its parallelism once
@@ -46,8 +39,8 @@ type TargetOptions struct {
 	// never substituted.
 	DefaultWorkers int
 	// DefaultSemantics replaces Options.Semantics for queries that
-	// leave it at SemanticsUnset (and don't set the legacy Induced
-	// flag): a service can fix the matching semantics once per target.
+	// leave it at SemanticsUnset: a service can fix the matching
+	// semantics once per target.
 	// The zero value (SemanticsUnset) keeps the library default
 	// (SubgraphIso).
 	//
@@ -83,10 +76,9 @@ type Target struct {
 	state atomic.Pointer[targetState]
 	arena *ri.Arena // node count is immutable, so the arena survives updates
 
-	// nlfMode and skipIndex reproduce the NewTarget index configuration
-	// for incremental maintenance and EnsureIndex rebuilds.
-	nlfMode   NLFMode
-	skipIndex bool
+	// nlfMode reproduces the NewTarget index configuration for
+	// incremental maintenance and EnsureIndex rebuilds.
+	nlfMode NLFMode
 	// updateMu serializes the writers — ApplyUpdates, ReleaseIndex,
 	// EnsureIndex — against each other (readers never take it).
 	updateMu sync.Mutex
@@ -98,9 +90,9 @@ type Target struct {
 }
 
 // targetState is one immutable snapshot of the mutable target: the
-// graph, the index derived from it (nil with SkipLabelIndex or after
-// ReleaseIndex), the cached statistics behind the Auto algorithm
-// choice, and the mutation epoch identifying the snapshot.
+// graph, the index derived from it (nil after ReleaseIndex), the cached
+// statistics behind the Auto algorithm choice, and the mutation epoch
+// identifying the snapshot.
 type targetState struct {
 	g             *Graph
 	index         *domain.Index
@@ -118,18 +110,16 @@ func (st *targetState) resolveAlgorithm(a Algorithm) Algorithm {
 }
 
 // newTargetState derives the full snapshot state for g at the given
-// epoch, building a fresh index unless skipped.
-func newTargetState(g *Graph, mode NLFMode, skipIndex bool, epoch uint64) *targetState {
+// epoch, building a fresh index.
+func newTargetState(g *Graph, mode NLFMode, epoch uint64) *targetState {
 	st := &targetState{
 		g:             g,
+		index:         domain.NewIndexMode(g, mode),
 		autoAlgorithm: chooseAlgorithm(Auto, g),
 		epoch:         epoch,
 	}
 	if n := g.NumNodes(); n > 0 {
 		st.meanDegree = 2 * float64(g.NumEdges()) / float64(n)
-	}
-	if !skipIndex {
-		st.index = domain.NewIndexMode(g, mode)
 	}
 	return st
 }
@@ -145,11 +135,10 @@ func NewTarget(g *Graph, opts TargetOptions) (*Target, error) {
 	t := &Target{
 		arena:            ri.NewArena(g.NumNodes()),
 		nlfMode:          opts.NLF,
-		skipIndex:        opts.SkipLabelIndex,
 		defaultWorkers:   opts.DefaultWorkers,
 		defaultSemantics: opts.DefaultSemantics,
 	}
-	t.state.Store(newTargetState(g, opts.NLF, opts.SkipLabelIndex, 0))
+	t.state.Store(newTargetState(g, opts.NLF, 0))
 	return t, nil
 }
 
@@ -164,17 +153,16 @@ func (t *Target) Graph() *Graph { return t.state.Load().g }
 func (t *Target) MeanDegree() float64 { return t.state.Load().meanDegree }
 
 // ResolveSemantics reports the effective matching semantics a query with
-// these options runs under on this Target: the legacy Induced flag is
-// folded first (an explicit choice, contradictions are errors), then the
-// session's DefaultSemantics stands in for a query that chose nothing,
-// and finally the library default (SubgraphIso) applies. The service
-// layer keys its result cache by this resolved value, so an unset-
-// semantics query and an explicit query of the same effective semantics
-// share one cache entry.
+// these options runs under on this Target: the query's own Semantics
+// (an unknown value is an error), else the session's DefaultSemantics
+// for a query that chose nothing, and finally the library default
+// (SubgraphIso). The service layer keys its result cache by this
+// resolved value, so an unset-semantics query and an explicit query of
+// the same effective semantics share one cache entry.
 func (t *Target) ResolveSemantics(opts Options) (Semantics, error) {
-	sem, err := resolveSemantics(opts)
-	if err != nil {
-		return 0, err
+	sem := opts.Semantics
+	if !sem.Valid() {
+		return 0, fmt.Errorf("parsge: unknown semantics %d", int32(sem))
 	}
 	if sem == SemanticsUnset {
 		sem = t.defaultSemantics
@@ -421,11 +409,11 @@ type BatchItem struct {
 	// Pattern is the query graph.
 	Pattern *Graph
 	// Semantics, when not SemanticsUnset, selects this pattern's
-	// matching semantics, overriding the batch Options (the Semantics
-	// field and the legacy Induced flag alike) — so one batch, served
-	// by one shared worker pool, can mix subgraph-iso, induced and
-	// homomorphism queries. SemanticsUnset falls back to the batch
-	// Options, then to the Target's DefaultSemantics.
+	// matching semantics, overriding the batch Options' Semantics — so
+	// one batch, served by one shared worker pool, can mix
+	// subgraph-iso, induced and homomorphism queries. SemanticsUnset
+	// falls back to the batch Options, then to the Target's
+	// DefaultSemantics.
 	Semantics Semantics
 }
 
@@ -449,7 +437,6 @@ func (b *batchRunner) optsFor(i int) Options {
 	o := b.opts
 	if s := b.items[i].Semantics; s != SemanticsUnset {
 		o.Semantics = s
-		o.Induced = false // the explicit per-item choice wins
 	}
 	return o
 }

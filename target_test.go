@@ -329,9 +329,12 @@ func TestTargetSkipLabelIndexAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewTarget(gt, TargetOptions{SkipLabelIndex: true})
+	plain, err := NewTarget(gt, TargetOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !plain.ReleaseIndex() || plain.HasIndex() {
+		t.Fatal("ReleaseIndex left the target indexed")
 	}
 	for _, alg := range []Algorithm{RI, RIDS, RIDSSIFC, LAD} {
 		a, err := indexed.Count(context.Background(), gp, Options{Algorithm: alg})

@@ -123,17 +123,16 @@ func (t *Target) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (Update
 }
 
 // HasIndex reports whether the current snapshot carries a label/NLF
-// index (false with SkipLabelIndex, or between ReleaseIndex and the
-// next EnsureIndex).
+// index (false between ReleaseIndex and the next EnsureIndex).
 func (t *Target) HasIndex() bool { return t.state.Load().index != nil }
 
 // ReleaseIndex drops the target's label/NLF index, freeing its memory
 // while keeping the target fully queryable — preprocessing falls back
-// to whole-vertex-set scans, exactly like a SkipLabelIndex target. The
-// epoch is unchanged: the graph itself did not move, so cached results
-// remain valid. It returns whether an index was actually dropped. The
-// service Router uses this to evict cold targets' indexes under an LRU
-// budget; EnsureIndex rebuilds on demand.
+// to whole-vertex-set scans. The epoch is unchanged: the graph itself
+// did not move, so cached results remain valid. It returns whether an
+// index was actually dropped. The service Router uses this to evict
+// cold targets' indexes under an LRU budget; EnsureIndex rebuilds on
+// demand.
 func (t *Target) ReleaseIndex() bool {
 	t.updateMu.Lock()
 	defer t.updateMu.Unlock()
@@ -148,15 +147,10 @@ func (t *Target) ReleaseIndex() bool {
 }
 
 // EnsureIndex rebuilds the label/NLF index if the current snapshot
-// lacks one, under the NLF mode the target was created with. Targets
-// created with SkipLabelIndex opted out permanently and are left alone.
-// It returns whether an index was (re)built. Like ReleaseIndex it does
-// not advance the epoch — index presence changes preprocessing cost,
-// never results.
+// lacks one, under the NLF mode the target was created with. It returns
+// whether an index was (re)built. Like ReleaseIndex it does not advance
+// the epoch — index presence changes preprocessing cost, never results.
 func (t *Target) EnsureIndex() bool {
-	if t.skipIndex {
-		return false
-	}
 	t.updateMu.Lock()
 	defer t.updateMu.Unlock()
 	st := t.state.Load()

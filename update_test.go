@@ -418,15 +418,6 @@ func TestReleaseEnsureIndex(t *testing.T) {
 	if ok, diff := domain.IndexEqual(tgt.state.Load().index, ref.state.Load().index); !ok {
 		t.Fatalf("post-update EnsureIndex differs from fresh build: %s", diff)
 	}
-
-	// SkipLabelIndex targets opted out for good.
-	skip, err := NewTarget(g, TargetOptions{SkipLabelIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skip.HasIndex() || skip.EnsureIndex() || skip.ReleaseIndex() {
-		t.Fatal("SkipLabelIndex target grew an index")
-	}
 }
 
 // TestPlanHistogramEpochs is the regression test of ISSUE 7 satellite
