@@ -34,9 +34,6 @@ type CensusOptions struct {
 	// Timeout aborts the census after the given wall time (0 = none),
 	// layered over ctx exactly like Options.Timeout.
 	Timeout time.Duration
-	// Seed seeds the steal pool's scheduling decisions; counts are
-	// identical for all seeds.
-	Seed int64
 }
 
 // CensusClass is one isomorphism class of a census: a count plus a
@@ -66,12 +63,12 @@ type CensusResult struct {
 	Subgraphs int64
 	// Classes is sorted by descending Count (ties by encoding).
 	Classes []CensusClass
-	// MemoHits and MemoMisses count lookups of the canonical-class memo:
-	// each miss paid one canonization, each hit skipped it.
+	// MemoHits and MemoMisses count this run's lookups of the
+	// canonical-class memo: each miss paid one canonization, each hit
+	// skipped it. The memo outlives the run (see Target.Census), so a
+	// repeated census at one K misses only on subgraphs it has not seen.
 	MemoHits, MemoMisses int64
-	// Steals counts stolen root tasks (parallel runs only).
-	Steals int64
-	// PerWorkerSubgraphs breaks Subgraphs down by worker (parallel runs
+	// PerWorkerSubgraphs breaks Subgraphs down by walker (parallel runs
 	// only): the work-division profile of the root split.
 	PerWorkerSubgraphs []int64
 	// TimedOut reports the census was cut short by ctx or Timeout;
@@ -91,6 +88,12 @@ type CensusResult struct {
 // graph per class. Classes are induced: two vertex sets fall in the
 // same class when their induced subgraphs — directions, labels,
 // self-loops and parallel edges included — are isomorphic.
+//
+// Subgraphs are classified through a memo the Target keeps per K across
+// runs and epochs: its keys describe labelled subgraphs, not the graph
+// they came from, so a later census, or one after ApplyUpdates, pays a
+// canonization only for subgraph shapes no earlier run met. The memo's
+// retained size is bounded by a constant.
 //
 // Cancelling ctx (or exceeding opts.Timeout) aborts the run promptly;
 // the partial result has TimedOut set and all counts are lower bounds.
@@ -117,7 +120,7 @@ func (t *Target) Census(ctx context.Context, opts CensusOptions) (CensusResult, 
 	qctx, stop := queryContext(ctx, opts.Timeout)
 	defer stop()
 	start := time.Now()
-	res, err := census.Run(qctx, st.g, census.Options{K: opts.K, Workers: workers, Seed: opts.Seed})
+	res, err := census.Run(qctx, st.g, census.Options{K: opts.K, Workers: workers, Memos: &t.censusMemos})
 	if err != nil {
 		return CensusResult{}, err
 	}
@@ -127,7 +130,6 @@ func (t *Target) Census(ctx context.Context, opts CensusOptions) (CensusResult, 
 		Classes:            make([]CensusClass, len(res.Classes)),
 		MemoHits:           res.MemoHits,
 		MemoMisses:         res.MemoMisses,
-		Steals:             res.Steals,
 		PerWorkerSubgraphs: res.PerWorkerSubgraphs,
 		TimedOut:           res.Aborted,
 		Duration:           time.Since(start),

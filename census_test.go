@@ -2,6 +2,7 @@ package parsge
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -76,7 +77,7 @@ func TestCensusOracle(t *testing.T) {
 			if i%2 == 1 {
 				workers = 4
 			}
-			res, err := tgt.Census(context.Background(), CensusOptions{K: k, Workers: workers, Seed: int64(i)})
+			res, err := tgt.Census(context.Background(), CensusOptions{K: k, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +242,7 @@ func TestConcurrentCensus(t *testing.T) {
 		go func(g int) { // censuses, alternating sequential and parallel
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				res, err := tgt.Census(context.Background(), CensusOptions{K: 3, Workers: 1 + (g+i)%4, Seed: int64(i)})
+				res, err := tgt.Census(context.Background(), CensusOptions{K: 3, Workers: 1 + (g+i)%4})
 				if err != nil {
 					errs <- err
 					return
@@ -287,5 +288,80 @@ func TestConcurrentCensus(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestCensusMemoOutlivesRun: the Target keeps its class memo across
+// runs, so a second census at one K canonizes nothing and reports the
+// same classes. After ApplyUpdates the memo carries over to the new
+// graph version, whose census still equals a fresh Target's (and the
+// oracle's).
+func TestCensusMemoOutlivesRun(t *testing.T) {
+	gt := randomUndirected(5, 24, 60, 3)
+	tgt, err := NewTarget(gt, TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := func(res CensusResult) map[string]int64 {
+		m := make(map[string]int64, len(res.Classes))
+		for _, c := range res.Classes {
+			m[string(c.Encoding)] = c.Count
+		}
+		return m
+	}
+	for _, k := range []int{3, 4} {
+		first, err := tgt.Census(context.Background(), CensusOptions{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.MemoMisses == 0 {
+			t.Fatalf("k=%d: first census canonized nothing", k)
+		}
+		second, err := tgt.Census(context.Background(), CensusOptions{K: k, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.MemoMisses != 0 || second.MemoHits != second.Subgraphs {
+			t.Fatalf("k=%d: second census had %d misses and %d hits over %d subgraphs, want 0 misses",
+				k, second.MemoMisses, second.MemoHits, second.Subgraphs)
+		}
+		if second.Subgraphs != first.Subgraphs || !maps.Equal(classes(first), classes(second)) {
+			t.Fatalf("k=%d: second census differs from the first", k)
+		}
+	}
+
+	// New arcs with an edge label the graph never had, and a removal.
+	rng := rand.New(rand.NewSource(5))
+	var ups []EdgeUpdate
+	for len(ups) < 6 {
+		u, v := int32(rng.Intn(24)), int32(rng.Intn(24))
+		if u != v {
+			ups = append(ups, EdgeUpdate{From: u, To: v, Label: 9})
+		}
+	}
+	ups = append(ups, EdgeUpdate{From: 0, To: gt.OutNeighbors(0)[0], Label: gt.OutEdgeLabels(0)[0], Remove: true})
+	if _, err := tgt.ApplyUpdates(context.Background(), ups); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewTarget(tgt.Graph(), TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, 4} {
+		got, err := tgt.Census(context.Background(), CensusOptions{K: k, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Census(context.Background(), CensusOptions{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epoch != 1 || got.Subgraphs != want.Subgraphs || !maps.Equal(classes(got), classes(want)) {
+			t.Fatalf("k=%d: census after ApplyUpdates differs from a fresh Target's", k)
+		}
+		if got.MemoHits == 0 {
+			t.Fatalf("k=%d: census after ApplyUpdates did not reuse the memo", k)
+		}
+		checkCensusOracle(t, tgt.Graph(), got, k, "updated")
 	}
 }

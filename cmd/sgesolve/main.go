@@ -146,9 +146,6 @@ func runCensus(gt *parsge.Graph, table *parsge.LabelTable, k, workers int, timeo
 	fmt.Printf("subgraphs: %d in %d classes\n", res.Subgraphs, len(res.Classes))
 	fmt.Printf("memo:      %d hits / %d misses\n", res.MemoHits, res.MemoMisses)
 	fmt.Printf("elapsed:   %v\n", res.Duration)
-	if workers > 1 {
-		fmt.Printf("steals:    %d\n", res.Steals)
-	}
 	fmt.Printf("%-18s %12s %6s %6s\n", "class", "count", "nodes", "edges")
 	for _, c := range res.Classes {
 		fmt.Printf("%016x   %12d %6d %6d\n", c.Hash, c.Count, c.Pattern.NumNodes(), c.Pattern.NumEdges())

@@ -39,8 +39,8 @@ type CensusCell struct {
 	// totalSubgraphs/maxPerWorkerSubgraphs of the parallel run.
 	WallSpeedup, WorkSpeedup float64
 	// MemoHits and MemoMisses describe the parallel run's canonical
-	// memo; Steals its root-task migration.
-	MemoHits, MemoMisses, Steals int64
+	// memo.
+	MemoHits, MemoMisses int64
 	// truncated marks a cell whose census the context cancelled: its
 	// counts are lower bounds and it is left out of the means.
 	truncated bool
@@ -94,7 +94,7 @@ func (s *Suite) CensusThroughput() CensusBenchResult {
 			continue
 		}
 		start = time.Now()
-		par, err := tgt.Census(ctx, parsge.CensusOptions{K: k, Workers: workers, Seed: s.Seed})
+		par, err := tgt.Census(ctx, parsge.CensusOptions{K: k, Workers: workers})
 		parMS := float64(time.Since(start)) / float64(time.Millisecond)
 		if err != nil {
 			continue
@@ -112,7 +112,6 @@ func (s *Suite) CensusThroughput() CensusBenchResult {
 			ParMS:      parMS,
 			MemoHits:   par.MemoHits,
 			MemoMisses: par.MemoMisses,
-			Steals:     par.Steals,
 			truncated:  seq.TimedOut || par.TimedOut,
 		}
 		if parMS > 0 {
@@ -175,7 +174,7 @@ func censusWorkSpeedup(res parsge.CensusResult) float64 {
 func (s *Suite) printCensus(res CensusBenchResult) {
 	s.printf("\n== Census: sequential vs %d-worker ESU at k=4 ==\n", res.Workers)
 	w := s.tab()
-	row(w, "collection\tn\tm\tsubgraphs\tclasses\tseq ms\tpar ms\twall\twork\tmemo hit%%\tsteals\tok\ttruncated")
+	row(w, "collection\tn\tm\tsubgraphs\tclasses\tseq ms\tpar ms\twall\twork\tmemo hit%%\tok\ttruncated")
 	complete := 0
 	for _, c := range res.Cells {
 		if !c.truncated {
@@ -185,9 +184,9 @@ func (s *Suite) printCensus(res CensusBenchResult) {
 		if lookups := c.MemoHits + c.MemoMisses; lookups > 0 {
 			hitPct = 100 * float64(c.MemoHits) / float64(lookups)
 		}
-		row(w, "%s\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.2fx\t%.2fx\t%.1f\t%d\t%v\t%v",
+		row(w, "%s\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.2fx\t%.2fx\t%.1f\t%v\t%v",
 			c.Collection, c.Nodes, c.Edges, c.Subgraphs, c.Classes,
-			c.SeqMS, c.ParMS, c.WallSpeedup, c.WorkSpeedup, hitPct, c.Steals, c.Consistent, c.truncated)
+			c.SeqMS, c.ParMS, c.WallSpeedup, c.WorkSpeedup, hitPct, c.Consistent, c.truncated)
 	}
 	flush(w)
 	s.printf("mean wall speedup %.2fx, mean work speedup %.2fx over %d complete of %d targets\n",
@@ -202,13 +201,13 @@ func (s *Suite) csvCensus(res CensusBenchResult) {
 			fmt.Sprint(c.Subgraphs), fmt.Sprint(c.Classes),
 			fmt.Sprintf("%.4f", c.SeqMS), fmt.Sprintf("%.4f", c.ParMS),
 			fmt.Sprintf("%.3f", c.WallSpeedup), fmt.Sprintf("%.3f", c.WorkSpeedup),
-			fmt.Sprint(c.MemoHits), fmt.Sprint(c.MemoMisses), fmt.Sprint(c.Steals),
+			fmt.Sprint(c.MemoHits), fmt.Sprint(c.MemoMisses),
 			fmt.Sprint(c.Consistent), fmt.Sprint(c.truncated),
 		})
 	}
 	s.csvOut("census", []string{
 		"collection", "nodes", "edges", "k", "subgraphs", "classes",
 		"seq_ms", "par_ms", "wall_speedup", "work_speedup",
-		"memo_hits", "memo_misses", "steals", "consistent", "truncated",
+		"memo_hits", "memo_misses", "consistent", "truncated",
 	}, rows)
 }

@@ -14,13 +14,14 @@
 // visited mask (bitset.SetRange) that every extension is AndNot-ed
 // against.
 //
-// Parallelism splits the top-level extension trees — one task per root
-// vertex — across the internal/steal work-stealing pool: roots are
-// dealt round-robin and idle workers steal queued roots from busy ones,
-// which is exactly the irregular-tree balancing story of the source
-// paper applied to ESU forests. Each worker accumulates counts into a
-// private map; the maps are reduced after the pool terminates, so the
-// enumeration itself is synchronization-free.
+// Parallelism splits the top-level extension trees — one per root
+// vertex — across walkers that take roots from one shared atomic
+// cursor: a walker that finishes a root takes the next unclaimed one,
+// and leaves once the cursor passes n. Heavy and light roots therefore
+// balance by themselves, with no deal to skew and no idle worker
+// spinning for work. Each walker accumulates counts into a private map;
+// the maps are reduced after the last walker leaves, so the enumeration
+// itself is synchronization-free.
 //
 // Classifying an emitted subgraph runs through a two-level memo so each
 // isomorphism class is canonized once: the induced subgraph serialized
@@ -28,7 +29,9 @@
 // sharded concurrent map; a miss canonizes via
 // graph.CanonicalFormBudget and dedups through a registry keyed by the
 // canonical encoding, so distinct discovery orders of one class share a
-// single classInfo and a single representative graph.
+// single classInfo and a single representative graph. Keys depend only
+// on the labelled subgraph, so a memo outlives its run: Memos keeps one
+// per K for later runs on the same label space.
 package census
 
 import (
@@ -36,6 +39,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -43,7 +47,6 @@ import (
 
 	"parsge/internal/bitset"
 	"parsge/internal/graph"
-	"parsge/internal/steal"
 )
 
 // MinK and MaxK bound the subgraph size: 2 is the smallest connected
@@ -73,11 +76,12 @@ const denseAdjLimit = graph.DenseRowLimit
 type Options struct {
 	// K is the subgraph size, in [MinK, MaxK].
 	K int
-	// Workers sizes the steal pool; ≤ 1 runs sequentially.
+	// Workers is the number of walkers; ≤ 1 runs one walker on the
+	// calling goroutine.
 	Workers int
-	// Seed seeds the pool's scheduling decisions (results are identical
-	// for all seeds).
-	Seed int64
+	// Memos, when non-nil, supplies the class memo the run pins (see
+	// Memos); nil classifies through a memo of the run's own.
+	Memos *Memos
 }
 
 // Class is one induced-subgraph isomorphism class of the census.
@@ -101,12 +105,10 @@ type Result struct {
 	Subgraphs int64
 	// Classes is sorted by descending Count (ties by encoding).
 	Classes []Class
-	// MemoHits and MemoMisses count discovery-order memo lookups; each
-	// miss paid one canonization.
+	// MemoHits and MemoMisses count this run's discovery-order memo
+	// lookups; each miss paid one canonization.
 	MemoHits, MemoMisses int64
-	// Steals counts stolen roots (parallel runs only).
-	Steals int64
-	// PerWorkerSubgraphs breaks Subgraphs down by worker (parallel runs
+	// PerWorkerSubgraphs breaks Subgraphs down by walker (parallel runs
 	// only) — the work-division profile of the root split.
 	PerWorkerSubgraphs []int64
 	// Aborted reports the run was cut short by context cancellation;
@@ -131,76 +133,43 @@ func Run(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
 	if n < opts.K {
 		return res, nil
 	}
+	m := opts.Memos.pin(opts.K)
+	defer opts.Memos.unpin(opts.K, m)
+
 	adj := buildAdjacency(g)
-	m := newMemo()
-
-	workers := opts.Workers
-	if workers > n {
-		workers = n
+	cancelled := func() bool { return ctx.Err() != nil }
+	walkers := make([]*walker, max(1, min(opts.Workers, n)))
+	for i := range walkers {
+		walkers[i] = newWalker(g, adj, opts.K, m, cancelled)
 	}
-	if workers <= 1 {
-		w := newWalker(g, adj, opts.K, m, func() bool { return ctx.Err() != nil })
-		for v := int32(0); v < int32(n) && !w.aborted; v++ {
-			w.root(v)
-		}
-		gather(&res, m, []*walker{w}, false)
-		res.Aborted = w.aborted
-		return res, nil
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for _, w := range walkers[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.walk(&cursor)
+		}()
 	}
-
-	r := &runner{g: g, adj: adj, k: opts.K, memo: m, walkers: make([]*walker, workers)}
-	rt, err := steal.New(steal.Config{Workers: workers, Stealing: true, Seed: opts.Seed}, r)
-	if err != nil {
-		return Result{}, err
-	}
-	for v := 0; v < n; v++ {
-		rt.Seed(v%workers, int32(v))
-	}
-	st := rt.Run(ctx)
-	gather(&res, m, r.walkers, true)
-	res.Steals = st.TotalSteals()
-	if ctx.Err() != nil {
-		res.Aborted = true
-	}
+	walkers[0].walk(&cursor)
+	wg.Wait()
+	gather(&res, walkers, len(walkers) > 1)
 	return res, nil
 }
 
-// runner schedules root vertices as tasks of the steal pool. Execute
-// runs on the owning worker's goroutine, so the lazily-built per-worker
-// walkers (indexed by Worker.ID) are never shared.
-type runner struct {
-	g       *graph.Graph
-	adj     *adjacency
-	k       int
-	memo    *memo
-	walkers []*walker
-}
-
-func (r *runner) Execute(w *steal.Worker[int32], v int32) {
-	wk := r.walkers[w.ID]
-	if wk == nil {
-		wk = newWalker(r.g, r.adj, r.k, r.memo, w.Cancelled)
-		r.walkers[w.ID] = wk
-	}
-	wk.root(v)
-}
-
-func (r *runner) PackSteal(_ *steal.Worker[int32], v int32) int32 { return v }
-
 // gather reduces the per-walker count maps into the Result.
-func gather(res *Result, m *memo, walkers []*walker, perWorker bool) {
+func gather(res *Result, walkers []*walker, perWorker bool) {
 	total := make(map[*classInfo]int64)
 	if perWorker {
 		res.PerWorkerSubgraphs = make([]int64, len(walkers))
 	}
 	for i, w := range walkers {
-		if w == nil {
-			continue
-		}
 		if perWorker {
 			res.PerWorkerSubgraphs[i] = w.subgraphs
 		}
 		res.Subgraphs += w.subgraphs
+		res.MemoHits += w.hits
+		res.MemoMisses += w.misses
 		for ci, c := range w.counts {
 			total[ci] += c
 		}
@@ -219,8 +188,6 @@ func gather(res *Result, m *memo, walkers []*walker, perWorker bool) {
 		}
 		return bytes.Compare(a.Encoding, b.Encoding) < 0
 	})
-	res.MemoHits = m.hits.Load()
-	res.MemoMisses = m.misses.Load()
 }
 
 // adjacency is the undirected-sense neighbor structure ESU walks:
@@ -271,10 +238,11 @@ type walker struct {
 	key     []byte        // discovery-order serialization scratch
 	buckets []labelBucket // k×k per-ordered-pair edge-label collectors
 
-	subgraphs int64
-	steps     int
-	cancelled func() bool
-	aborted   bool
+	subgraphs    int64
+	hits, misses int64 // memo lookups, counted here to keep the memo's hot path free of shared writes
+	steps        int
+	cancelled    func() bool
+	aborted      bool
 }
 
 type labelBucket []graph.Label
@@ -304,13 +272,33 @@ func newWalker(g *graph.Graph, adj *adjacency, k int, m *memo, cancelled func() 
 	return w
 }
 
+// walk runs roots taken from the shared cursor until it passes the
+// node count or the run is cancelled.
+func (w *walker) walk(cursor *atomic.Int64) {
+	n := int64(w.adj.n)
+	for !w.poll() {
+		v := cursor.Add(1) - 1
+		if v >= n {
+			return
+		}
+		w.root(int32(v))
+	}
+}
+
 // poll checks for cancellation every 1024 expansion steps — the same
 // low-frequency polling discipline the search engines use, cheap enough
-// for the hot path yet prompt enough for sub-100ms teardown.
+// for the hot path yet prompt enough for sub-100ms teardown. At the
+// same cadence the walker yields its processor: admission tokens cover
+// the census and the searches, not the goroutines around them (HTTP
+// handlers, cache hits), and with every processor running a walker one
+// of those would otherwise wait for the scheduler's 10 ms preemption.
 func (w *walker) poll() bool {
 	w.steps++
-	if w.steps&1023 == 0 && w.cancelled() {
-		w.aborted = true
+	if w.steps&1023 == 0 {
+		if w.cancelled() {
+			w.aborted = true
+		}
+		runtime.Gosched()
 	}
 	return w.aborted
 }
@@ -412,7 +400,10 @@ func (w *walker) classify() *classInfo {
 	key := w.buildKey()
 	ci := w.memo.lookup(key)
 	if ci == nil {
+		w.misses++
 		ci = w.memo.insert(key, w.buildSubgraph())
+	} else {
+		w.hits++
 	}
 	for i := 0; i < w.k; i++ {
 		w.pos[w.sub[i]] = -1
@@ -491,18 +482,77 @@ type classInfo struct {
 // 32 is far beyond any worker count this library configures.
 const memoShards = 32
 
+// memoBudget bounds, in approximate bytes, what a memo may hold and
+// still be kept for later runs; keyCost and classCost are the charges
+// on top of a key's and an encoding's own bytes (map entry, string
+// header; classInfo and its k-node representative graph). The k=4 memo
+// of the largest PDBSv1-shaped target at scale 0.1 (164 classes)
+// charges about 120 KB.
+const (
+	memoBudget = 1 << 20
+	keyCost    = 48
+	classCost  = 512
+)
+
+// Memos keeps one class memo per K across runs, for one label space:
+// discovery-order keys and canonical encodings depend only on the
+// labelled subgraph, so a memo stays valid across graph versions. The
+// zero value is ready to use and safe for concurrent runs.
+//
+// Each run pins one memo for its whole duration: two classInfos for one
+// class would split its count, so a memo is never cleared under a
+// running census. A memo that outgrows the budget keeps serving the
+// runs that pinned it; the next run pins a fresh one, and a run that
+// finishes on an overgrown memo drops it, so what Memos retains stays
+// bounded.
+type Memos struct {
+	budget int64 // 0 means memoBudget
+	byK    [MaxK + 1]atomic.Pointer[memo]
+}
+
+// pin returns the memo a run at k classifies through; a nil *Memos
+// gives the run a memo of its own.
+func (s *Memos) pin(k int) *memo {
+	if s == nil {
+		return newMemo(memoBudget)
+	}
+	budget := s.budget
+	if budget == 0 {
+		budget = memoBudget
+	}
+	for {
+		m := s.byK[k].Load()
+		if m != nil && !m.full() {
+			return m
+		}
+		fresh := newMemo(budget)
+		if s.byK[k].CompareAndSwap(m, fresh) {
+			return fresh
+		}
+	}
+}
+
+// unpin ends a run's use of m, dropping m from s if it outgrew the
+// budget and no later run has replaced it yet.
+func (s *Memos) unpin(k int, m *memo) {
+	if s != nil && m.full() {
+		s.byK[k].CompareAndSwap(m, nil)
+	}
+}
+
 // memo is the two-level concurrent classifier: a sharded map from
 // discovery-order key to classInfo (the hot path — an RLock and a map
 // probe), backed by a registry keyed by canonical encoding that makes
 // classInfo unique per class no matter how many discovery orders reach
-// it.
+// it. charge sums the approximate bytes of both levels.
 type memo struct {
 	shards [memoShards]memoShard
 
 	classMu sync.Mutex
 	classes map[string]*classInfo
 
-	hits, misses atomic.Int64
+	charge atomic.Int64
+	budget int64
 }
 
 type memoShard struct {
@@ -510,13 +560,16 @@ type memoShard struct {
 	m  map[string]*classInfo
 }
 
-func newMemo() *memo {
-	m := &memo{classes: make(map[string]*classInfo)}
+func newMemo(budget int64) *memo {
+	m := &memo{classes: make(map[string]*classInfo), budget: budget}
 	for i := range m.shards {
 		m.shards[i].m = make(map[string]*classInfo)
 	}
 	return m
 }
+
+// full reports the memo outgrew its budget.
+func (m *memo) full() bool { return m.charge.Load() > m.budget }
 
 func (m *memo) shard(key []byte) *memoShard {
 	return &m.shards[graph.HashBytes(key)%memoShards]
@@ -527,11 +580,6 @@ func (m *memo) lookup(key []byte) *classInfo {
 	sh.mu.RLock()
 	ci := sh.m[string(key)] // string(key) in a map index does not allocate
 	sh.mu.RUnlock()
-	if ci != nil {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
 	return ci
 }
 
@@ -555,6 +603,7 @@ func (m *memo) insert(key []byte, sub *graph.Graph) *classInfo {
 		}
 		ci = &classInfo{enc: enc, hash: graph.HashBytes(enc), rep: rep}
 		m.classes[string(enc)] = ci
+		m.charge.Add(int64(len(enc)) + classCost)
 	}
 	m.classMu.Unlock()
 
@@ -564,6 +613,7 @@ func (m *memo) insert(key []byte, sub *graph.Graph) *classInfo {
 		ci = prior
 	} else {
 		sh.m[string(key)] = ci
+		m.charge.Add(int64(len(key)) + keyCost)
 	}
 	sh.mu.Unlock()
 	return ci

@@ -3,6 +3,7 @@ package census
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"parsge/internal/graph"
@@ -170,7 +171,7 @@ func TestCensusRandomOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAgainstOracle(t, g, k, seq, "seq")
-			par, err := Run(context.Background(), g, Options{K: k, Workers: 4, Seed: seed})
+			par, err := Run(context.Background(), g, Options{K: k, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func TestCensusSparseFallback(t *testing.T) {
 		adj := buildAdjacency(g)
 		sparse := &adjacency{n: adj.n, lists: adj.lists} // dense stripped
 		for _, k := range []int{3, 4} {
-			m1, m2 := newMemo(), newMemo()
+			m1, m2 := newMemo(memoBudget), newMemo(memoBudget)
 			wd := newWalker(g, adj, k, m1, func() bool { return false })
 			ws := newWalker(g, sparse, k, m2, func() bool { return false })
 			for v := int32(0); v < int32(g.NumNodes()); v++ {
@@ -209,8 +210,8 @@ func TestCensusSparseFallback(t *testing.T) {
 				t.Fatalf("seed %d k=%d: dense %d subgraphs, sparse %d", seed, k, wd.subgraphs, ws.subgraphs)
 			}
 			dres, sres := Result{K: k}, Result{K: k}
-			gather(&dres, m1, []*walker{wd}, false)
-			gather(&sres, m2, []*walker{ws}, false)
+			gather(&dres, []*walker{wd}, false)
+			gather(&sres, []*walker{ws}, false)
 			dm, sm := classMap(dres), classMap(sres)
 			if len(dm) != len(sm) {
 				t.Fatalf("seed %d k=%d: dense %d classes, sparse %d", seed, k, len(dm), len(sm))
@@ -299,5 +300,46 @@ func TestCensusTinyTarget(t *testing.T) {
 	}
 	if res.Subgraphs != 0 || len(res.Classes) != 0 {
 		t.Fatalf("census of 2-node target at k=4: %d subgraphs", res.Subgraphs)
+	}
+}
+
+// TestCensusMemoOverflow: with a budget so small that every memo
+// overflows on its first class, concurrent runs keep replacing the
+// memo under each other. Each run classifies through the one memo it
+// pinned, so no class encoding appears twice in a result and every
+// result equals the oracle; and Memos is left holding no memo over its
+// budget.
+func TestCensusMemoOverflow(t *testing.T) {
+	_, g := testutil.RandomInstance(3, testutil.InstanceOptions{TargetNodes: 14, TargetEdges: 40, NodeLabels: 3, EdgeLabels: 2})
+	memos := &Memos{budget: 1}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				k := 3 + (c+i)%2
+				res, err := Run(context.Background(), g, Options{K: k, Workers: 1 + c%3, Memos: memos})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := make(map[string]bool, len(res.Classes))
+				for _, cl := range res.Classes {
+					if seen[string(cl.Encoding)] {
+						t.Errorf("k=%d: class encoding reported twice", k)
+						return
+					}
+					seen[string(cl.Encoding)] = true
+				}
+				checkAgainstOracle(t, g, k, res, "overflowing memo")
+			}
+		}(c)
+	}
+	wg.Wait()
+	for k := MinK; k <= MaxK; k++ {
+		if m := memos.byK[k].Load(); m != nil && m.full() {
+			t.Fatalf("k=%d: Memos retains a memo over its budget", k)
+		}
 	}
 }

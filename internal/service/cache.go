@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"encoding/binary"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -23,14 +24,13 @@ import (
 // engines and all filter plans agree on counts) but change the reported
 // Plan/States, and aliasing them would make /stats lie about what ran.
 func cacheKey(canon []byte, sem parsge.Semantics, opts parsge.Options) string {
-	b := make([]byte, 0, len(canon)+24)
-	b = append(b, canon...)
-	b = append(b, 0xfe) // separator: canon is length-prefixed varints, this byte cannot extend it
-	b = binary.AppendVarint(b, int64(sem))
-	b = binary.AppendVarint(b, opts.Limit)
-	b = binary.AppendVarint(b, int64(opts.Algorithm))
-	b = binary.AppendVarint(b, int64(opts.Pruning.Schedule))
-	b = binary.AppendVarint(b, int64(opts.Pruning.ACPasses))
+	var tail [1 + 6*binary.MaxVarintLen64]byte
+	t := append(tail[:0], 0xfe) // separator: canon is length-prefixed varints, this byte cannot extend it
+	t = binary.AppendVarint(t, int64(sem))
+	t = binary.AppendVarint(t, opts.Limit)
+	t = binary.AppendVarint(t, int64(opts.Algorithm))
+	t = binary.AppendVarint(t, int64(opts.Pruning.Schedule))
+	t = binary.AppendVarint(t, int64(opts.Pruning.ACPasses))
 	var flags int64
 	if opts.Pruning.DisableNLF {
 		flags |= 1
@@ -38,8 +38,13 @@ func cacheKey(canon []byte, sem parsge.Semantics, opts parsge.Options) string {
 	if opts.Pruning.DisableInducedAC {
 		flags |= 2
 	}
-	b = binary.AppendVarint(b, flags)
-	return string(b)
+	t = binary.AppendVarint(t, flags)
+	// One allocation: the Builder's buffer becomes the string.
+	var b strings.Builder
+	b.Grow(len(canon) + len(t))
+	b.Write(canon)
+	b.Write(t)
+	return b.String()
 }
 
 // entry is one cached result. Mappings, when present, are stored in the

@@ -14,9 +14,11 @@ import (
 //
 //   - Admission: a census is always "large". It enumerates every
 //     connected k-subgraph of the whole target, fanning out over every
-//     vertex, so it takes the full parallel-pool token grant
-//     (ParallelWorkers) like the biggest pattern queries do; small
-//     queries keep flowing around it under the weighted-FIFO discipline.
+//     vertex, so it runs one walker per token of a parallel grant. The
+//     grant is capped one short of the machine's budget,
+//     min(ParallelWorkers, Workers−1) tokens (at least one): a census
+//     runs for many milliseconds, and with every token held each small
+//     query beside it would wait the whole run out.
 //   - Caching: a complete census at one K is valid for the graph version
 //     it ran on, so an epochStore keyed by K replaces the LRU — an entry
 //     of a superseded epoch is evicted on sight — and per-(K, epoch)
@@ -97,11 +99,11 @@ func (s *Service) Census(ctx context.Context, req CensusRequest) (CensusReply, e
 	return CensusReply{Result: *res, CacheHit: src == hit, Shared: src == joined}, nil
 }
 
-// runCensusLeader acquires the full parallel-pool grant and runs the
-// census for real; a complete (un-truncated) result is cached under the
-// (K, epoch) its run executed against.
+// runCensusLeader acquires the census grant and runs the census for
+// real with one walker per token; a complete (un-truncated) result is
+// cached under the (K, epoch) its run executed against.
 func (s *Service) runCensusLeader(ctx context.Context, req CensusRequest) (CensusReply, *parsge.CensusResult, error) {
-	need := int64(s.cfg.ParallelWorkers)
+	need := int64(max(1, min(s.cfg.ParallelWorkers, s.cfg.Workers-1)))
 	waited, err := s.adm.acquire(ctx, s.cls, need, s.cfg.QueueTimeout, false)
 	if err != nil {
 		return CensusReply{}, nil, err
@@ -111,7 +113,7 @@ func (s *Service) runCensusLeader(ctx context.Context, req CensusRequest) (Censu
 
 	res, err := s.tgt.Census(ctx, parsge.CensusOptions{
 		K:       req.K,
-		Workers: s.cfg.ParallelWorkers,
+		Workers: int(need),
 		Timeout: s.cfg.timeout(req.Timeout),
 	})
 	if err != nil {

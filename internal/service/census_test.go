@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"parsge"
+	"parsge/internal/graph"
 	"parsge/internal/testutil"
 )
 
@@ -275,4 +278,168 @@ func TestHTTPCensus(t *testing.T) {
 		t.Fatalf("draining census: %s, want 503", resp.Status)
 	}
 	resp.Body.Close()
+}
+
+// buildYieldWorld builds a census target that takes a while as a
+// whole: a random undirected graph on 2000 nodes of 8 labels with mean
+// degree 16, whose k=3 census walks about a quarter million subgraphs.
+// want is its sequential census; it also warms the Target's class memo
+// (a few hundred classes), so a served census walks rather than
+// canonizes.
+func buildYieldWorld(t *testing.T) (tgt *parsge.Target, want parsge.CensusResult) {
+	t.Helper()
+	const nodes, edges = 2000, 16000
+	rng := rand.New(rand.NewSource(19))
+	b := graph.NewBuilder(nodes, 2*edges)
+	for i := 0; i < nodes; i++ {
+		b.AddNode(graph.Label(1 + rng.Intn(yieldLabels)))
+	}
+	for e := 0; e < edges; e++ {
+		if u, v := int32(rng.Intn(nodes)), int32(rng.Intn(nodes)); u != v {
+			b.AddEdgeBoth(u, v, 0)
+		}
+	}
+	tgt, err := parsge.NewTarget(b.MustBuild(), parsge.TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = tgt.Census(context.Background(), parsge.CensusOptions{K: yieldK, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgt, want
+}
+
+const (
+	yieldK      = 3
+	yieldLabels = 8
+)
+
+// labelPaths lists every 3-node path pattern over the buildYieldWorld
+// labels up to isomorphism (end labels ordered): distinct cache
+// identities.
+func labelPaths() []*graph.Graph {
+	var out []*graph.Graph
+	for mid := graph.Label(1); mid <= yieldLabels; mid++ {
+		for a := graph.Label(1); a <= yieldLabels; a++ {
+			for c := a; c <= yieldLabels; c++ {
+				b := graph.NewBuilder(3, 4)
+				b.AddNode(a)
+				b.AddNode(mid)
+				b.AddNode(c)
+				b.AddEdgeBoth(0, 1, 0)
+				b.AddEdgeBoth(1, 2, 0)
+				out = append(out, b.MustBuild())
+			}
+		}
+	}
+	return out
+}
+
+// sameCensus reports two census results agree class by class.
+func sameCensus(a, b parsge.CensusResult) bool {
+	if a.Subgraphs != b.Subgraphs || len(a.Classes) != len(b.Classes) {
+		return false
+	}
+	m := make(map[string]int64, len(a.Classes))
+	for _, c := range a.Classes {
+		m[string(c.Encoding)] = c.Count
+	}
+	for _, c := range b.Classes {
+		if m[string(c.Encoding)] != c.Count {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCensusYieldsToSmallQueries: on a two-token router a census takes
+// one token, so a stream of distinct cold one-token queries runs beside
+// it and none of them queues; a census holding both tokens would make
+// each wait the whole run out. The census still equals the sequential
+// run, and after Close no token is held and no goroutine is left
+// behind. Classify pins every query to one token, so the test measures
+// admission, not the cost model's verdicts. The assertions count
+// queues, not milliseconds; a census that ends before any query
+// completes beside it shows nothing, and the test then skips.
+func TestCensusYieldsToSmallQueries(t *testing.T) {
+	tgt, want := buildYieldWorld(t)
+	patterns := labelPaths()
+	base := runtime.NumGoroutine()
+	r, svc := soloRouter(t, tgt, RouterConfig{
+		Workers:  2,
+		Classify: func(*parsge.Graph, parsge.Options) bool { return false },
+	})
+	ctx := context.Background()
+
+	type censusOut struct {
+		reply CensusReply
+		err   error
+	}
+	done := make(chan censusOut, 1)
+	go func() {
+		reply, err := r.Census(ctx, soloTarget, CensusRequest{K: yieldK})
+		done <- censusOut{reply, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Parallel == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the census was never admitted")
+		}
+	}
+	if held := r.Stats().TokensInUse; held > 1 {
+		t.Fatalf("census holds %d of 2 tokens, want 1", held)
+	}
+
+	var out censusOut
+	finished := false
+	beside := 0 // queries answered while the census still ran
+	for i := 0; i < len(patterns) && !finished; i++ {
+		reply, err := r.Count(ctx, soloTarget, Query{Pattern: patterns[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.CacheHit || reply.Shared || reply.Large {
+			t.Fatalf("query %d: cache hit %v, shared %v, large %v; want a cold one-token run",
+				i, reply.CacheHit, reply.Shared, reply.Large)
+		}
+		if reply.QueueWait > 0 {
+			t.Errorf("query %d queued %v for admission beside the census", i, reply.QueueWait)
+		}
+		select {
+		case out = <-done:
+			finished = true
+		default:
+			beside++
+		}
+	}
+	if !finished {
+		out = <-done
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if out.reply.Result.TimedOut || !sameCensus(out.reply.Result, want) {
+		t.Fatalf("served census (%d subgraphs, truncated %v) differs from the sequential run (%d)",
+			out.reply.Result.Subgraphs, out.reply.Result.TimedOut, want.Subgraphs)
+	}
+
+	closeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := r.Close(closeCtx); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.TokensInUse != 0 || st.Queued != 0 {
+		t.Fatalf("after Close: %d tokens held, %d queued", st.TokensInUse, st.Queued)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before the router", n, base)
+	}
+	if beside == 0 {
+		t.Skipf("the census (%v) ended before a query was answered beside it", out.reply.Result.Duration)
+	}
+	t.Logf("census %v: %d queries answered beside it, none queued", out.reply.Result.Duration, beside)
 }

@@ -192,7 +192,6 @@ func (s *sessionStats) recordCensus(res *CensusResult) {
 		s.timeout++
 	}
 	s.match += res.Duration
-	s.steals += res.Steals
 	b := s.bucket(res.Epoch, fmt.Sprintf("census:k=%d", res.K))
 	if res.TimedOut {
 		b.Truncated++

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parsge/internal/census"
 	"parsge/internal/domain"
 	"parsge/internal/lad"
 	"parsge/internal/parallel"
@@ -85,6 +86,10 @@ type Target struct {
 
 	defaultWorkers   int
 	defaultSemantics Semantics
+
+	// censusMemos keeps Census's class memo per K across runs and
+	// epochs (see census.Memos).
+	censusMemos census.Memos
 
 	stats sessionStats // aggregate query statistics, see Stats
 }
