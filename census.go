@@ -26,8 +26,7 @@ const (
 type CensusOptions struct {
 	// K is the subgraph size, in [MinCensusK, MaxCensusK].
 	K int
-	// Workers sets the parallel worker count: 0 falls back to the
-	// session's DefaultWorkers, 1 (or an unset default) runs the
+	// Workers sets the parallel worker count: 0 or 1 runs the
 	// sequential walker, AutoWorkers sizes the pool as
 	// min(GOMAXPROCS, target nodes).
 	Workers int
@@ -105,9 +104,6 @@ func (t *Target) Census(ctx context.Context, opts CensusOptions) (CensusResult, 
 	}
 	st := t.state.Load() // one snapshot for the whole run, like every query
 	workers := opts.Workers
-	if workers == 0 {
-		workers = t.defaultWorkers
-	}
 	if workers == AutoWorkers {
 		workers = runtime.GOMAXPROCS(0)
 		if n := st.g.NumNodes(); workers > n {

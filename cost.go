@@ -12,15 +12,14 @@ import (
 // This file exposes the cheap per-query cost signals the service layer's
 // admission model classifies on: domain preprocessing run *ahead* of
 // admission (it is milliseconds and shares the target's label index),
-// summarized as a staged upper bound plus the plan key that links the
-// estimate to the epoch-keyed plan histogram (Target.PlanCost).
+// summarized as a staged upper bound plus the plan key that names the
+// plan histogram bucket the query's run will land in.
 
 // CostEstimate is the pre-admission cost summary of one query: the
 // resolved preprocessing plan, the staged domain sizes it produced, and
 // the snapshot epoch everything was pinned at. It is an upper-bound
-// signal, not a prediction — callers combine it with the plan's
-// historical mean match time (Target.PlanCost at the same Epoch) to
-// price the query.
+// signal, not a prediction — callers combine it with what runs of the
+// same plan have cost to price the query.
 type CostEstimate struct {
 	// Plan is the resolved preprocessing plan with its timings and
 	// staged domain sizes; nil when the resolved engine is plain RI
@@ -28,8 +27,7 @@ type CostEstimate struct {
 	// bound, but the query itself will record no plan).
 	Plan *PlanInfo
 	// PlanKey is the histogram bucket key the query's result will land
-	// in: Plan.String(), or "none" for plain RI. Feed it with Epoch to
-	// Target.PlanCost for the plan's historical cost.
+	// in: Plan.String(), or "none" for plain RI.
 	PlanKey string
 	// LogDomainProduct is log2 of the product of final domain sizes —
 	// the staged upper bound on candidate assignments. Zero when

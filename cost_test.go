@@ -73,17 +73,6 @@ func TestTruncatedRunsRecordedSeparately(t *testing.T) {
 	if b.MatchTime != 0 {
 		t.Fatalf("bucket %q: MatchTime=%v leaked from a truncated run", plan, b.MatchTime)
 	}
-
-	pc := tgt.PlanCost(res.Epoch, plan)
-	if pc.Samples != 0 || pc.Truncated != 1 {
-		t.Fatalf("PlanCost: Samples=%d Truncated=%d, want 0/1", pc.Samples, pc.Truncated)
-	}
-	if pc.TruncatedMean <= 0 {
-		t.Fatalf("PlanCost: TruncatedMean=%v, want > 0 (the truncated floor)", pc.TruncatedMean)
-	}
-	if pc.MeanMatch != 0 {
-		t.Fatalf("PlanCost: MeanMatch=%v from zero completed samples", pc.MeanMatch)
-	}
 }
 
 // TestEstimateCostMatchesRealRun pins the contract the admission model

@@ -177,14 +177,10 @@ func (s *Suite) AblationAdmission() AblationResult {
 	if len(insts) == 0 {
 		return res
 	}
-	// One Target per router: Target.PlanCost is fed by every run against
-	// it, and the static service's truncated probe runs must not leak
-	// cost floors into the cost model under measurement.
-	staticTgt, err := parsge.NewTarget(insts[0].Target, parsge.TargetOptions{})
-	if err != nil {
-		return res
-	}
-	costTgt, err := parsge.NewTarget(insts[0].Target, parsge.TargetOptions{})
+	// Both routers host one Target: the cost model learns only from the
+	// runs its own service admits, so the static service's truncated
+	// probe runs leave it no cost floors.
+	tgt, err := parsge.NewTarget(insts[0].Target, parsge.TargetOptions{})
 	if err != nil {
 		return res
 	}
@@ -202,7 +198,7 @@ func (s *Suite) AblationAdmission() AblationResult {
 	// targets), the midpoint keeps the ablation running — the probes
 	// simply are not explosive there and no row asserts shedding.
 	scoreOf := func(gp *graph.Graph, sem parsge.Semantics) float64 {
-		est, err := costTgt.EstimateCost(ctx, gp, parsge.Options{Algorithm: parsge.Auto, Semantics: sem})
+		est, err := tgt.EstimateCost(ctx, gp, parsge.Options{Algorithm: parsge.Auto, Semantics: sem})
 		if err != nil {
 			return 0
 		}
@@ -218,7 +214,7 @@ func (s *Suite) AblationAdmission() AblationResult {
 
 	// The static heuristic, as a Classify override: pattern size × mean
 	// degree, the degree read once since this target never mutates.
-	deg := staticTgt.MeanDegree()
+	deg := tgt.MeanDegree()
 	static := service.NewRouter(service.RouterConfig{
 		Classify: func(gp *parsge.Graph, opts parsge.Options) bool {
 			np := gp.NumNodes()
@@ -226,7 +222,7 @@ func (s *Suite) AblationAdmission() AblationResult {
 		},
 		CacheMaxMatches: -1,
 	})
-	if err := static.AddTargetSession(admissionTarget, staticTgt); err != nil {
+	if err := static.AddTargetSession(admissionTarget, tgt); err != nil {
 		return res
 	}
 	cost := service.NewRouter(service.RouterConfig{
@@ -235,7 +231,7 @@ func (s *Suite) AblationAdmission() AblationResult {
 		ExplosiveLogDomain: explosiveLogDomain,
 		CacheMaxMatches:    -1,
 	})
-	if err := cost.AddTargetSession(admissionTarget, costTgt); err != nil {
+	if err := cost.AddTargetSession(admissionTarget, tgt); err != nil {
 		return res
 	}
 

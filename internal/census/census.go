@@ -7,12 +7,13 @@
 // The enumeration is ESU (Wernicke's FANMOD algorithm): for each root
 // vertex v, grow subgraphs from extension sets restricted to ids > v
 // and to the exclusive neighborhood of the current subgraph, which
-// yields every connected k-vertex set exactly once. The hot-path sets —
-// extension and visited-neighborhood per recursion depth — are
-// internal/bitset masks; the "only ids past the root" rule costs
-// nothing extra because the root's whole id prefix is pre-set into the
-// visited mask (bitset.SetRange) that every extension is AndNot-ed
-// against.
+// yields every connected k-vertex set exactly once. A step extends from
+// u's sorted neighbor list in O(degree of u), and a run allocates
+// O(n + m), never n² bits. The hot-path sets — extension and
+// visited-neighborhood per recursion depth — are internal/bitset masks,
+// and the "only ids past the root" rule costs nothing extra because the
+// root's whole id prefix is pre-set into the visited mask
+// (bitset.SetRange) a neighbor must be absent from to extend.
 //
 // Parallelism splits the top-level extension trees — one per root
 // vertex — across walkers that take roots from one shared atomic
@@ -63,14 +64,6 @@ const (
 // symmetric, so the budget never triggers; it is defense in depth
 // should MaxK ever grow.
 const canonBudget = 1 << 12
-
-// denseAdjLimit is the node count up to which per-node adjacency
-// bitsets are precomputed (O(n²) bits total — 32 MiB at the limit).
-// Above it the walker falls back to sorted neighbor lists, trading the
-// word-parallel set algebra for O(degree) loops. The limit is the
-// shared BitGraph kernel threshold: the dense rows themselves come from
-// graph.UnionRows, the same row construction the query kernels use.
-const denseAdjLimit = graph.DenseRowLimit
 
 // Options configures Run.
 type Options struct {
@@ -190,19 +183,12 @@ func gather(res *Result, walkers []*walker, perWorker bool) {
 	})
 }
 
-// adjacency is the undirected-sense neighbor structure ESU walks:
-// out ∪ in neighbors, self-loops and parallel edges collapsed (they do
-// not affect connectivity; the induced subgraphs keep them). lists is
-// always present; dense adds per-node bitsets when n ≤ denseAdjLimit.
-type adjacency struct {
-	n     int
-	lists [][]int32
-	dense []*bitset.Set // nil above denseAdjLimit
-}
-
-func buildAdjacency(g *graph.Graph) *adjacency {
+// buildAdjacency returns the undirected-sense neighbor lists ESU walks:
+// sorted out ∪ in neighbors, self-loops and parallel edges collapsed
+// (they do not affect connectivity; the induced subgraphs keep them).
+func buildAdjacency(g *graph.Graph) [][]int32 {
 	n := g.NumNodes()
-	a := &adjacency{n: n, lists: make([][]int32, n)}
+	adj := make([][]int32, n)
 	for v := int32(0); v < int32(n); v++ {
 		l := make([]int32, 0, g.Degree(v))
 		l = append(l, g.OutNeighbors(v)...)
@@ -212,20 +198,16 @@ func buildAdjacency(g *graph.Graph) *adjacency {
 		if i, ok := slices.BinarySearch(l, v); ok {
 			l = slices.Delete(l, i, i+1)
 		}
-		a.lists[v] = l
+		adj[v] = l
 	}
-	// The dense rows are the shared BitGraph construction (out ∪ in,
-	// self-loops removed — exactly the undirected sense ESU walks); nil
-	// above denseAdjLimit, which is the same fallback rule.
-	a.dense = graph.UnionRows(g)
-	return a
+	return adj
 }
 
 // walker is one worker's ESU state: the vertex stack plus per-depth
 // extension and visited-neighborhood bitsets, all allocated once.
 type walker struct {
 	g   *graph.Graph
-	adj *adjacency
+	adj [][]int32 // buildAdjacency's neighbor lists
 	k   int
 
 	sub  []int32       // vertex stack, discovery order; length k
@@ -247,7 +229,7 @@ type walker struct {
 
 type labelBucket []graph.Label
 
-func newWalker(g *graph.Graph, adj *adjacency, k int, m *memo, cancelled func() bool) *walker {
+func newWalker(g *graph.Graph, adj [][]int32, k int, m *memo, cancelled func() bool) *walker {
 	n := g.NumNodes()
 	w := &walker{
 		g:         g,
@@ -275,7 +257,7 @@ func newWalker(g *graph.Graph, adj *adjacency, k int, m *memo, cancelled func() 
 // walk runs roots taken from the shared cursor until it passes the
 // node count or the run is cancelled.
 func (w *walker) walk(cursor *atomic.Int64) {
-	n := int64(w.adj.n)
+	n := int64(len(w.adj))
 	for !w.poll() {
 		v := cursor.Add(1) - 1
 		if v >= n {
@@ -304,9 +286,10 @@ func (w *walker) poll() bool {
 }
 
 // root enumerates every connected k-subgraph whose minimum vertex id is
-// v. Seeding seen[0] with the whole prefix [0, v] makes the ESU ">root"
-// rule implicit: every extension set is AndNot-ed against seen, so ids
-// at or below the root can never re-enter.
+// v. Its extension starts with v's neighbors above v; seeding seen[0]
+// with the whole prefix [0, v] makes the ESU ">root" rule implicit
+// deeper down, where a neighbor joins an extension only when it is not
+// yet in seen, so ids at or below the root can never re-enter.
 func (w *walker) root(v int32) {
 	if w.aborted {
 		return
@@ -314,18 +297,12 @@ func (w *walker) root(v int32) {
 	s0, e0 := w.seen[0], w.ext[0]
 	s0.ClearAll()
 	s0.SetRange(0, int(v)+1)
-	if d := w.adj.dense; d != nil {
-		e0.Copy(d[v])
-		e0.AndNot(s0)
-		s0.Or(d[v])
-	} else {
-		e0.ClearAll()
-		for _, u := range w.adj.lists[v] {
-			if u > v {
-				e0.Set(int(u))
-			}
-			s0.Set(int(u))
+	e0.ClearAll()
+	for _, u := range w.adj[v] {
+		if u > v {
+			e0.Set(int(u))
 		}
+		s0.Set(int(u))
 	}
 	w.sub[0] = v
 	w.extend(0)
@@ -354,24 +331,15 @@ func (w *walker) extend(d int) {
 		// remaining candidates.
 		e.Clear(u)
 		w.sub[d+1] = int32(u)
+		// Child candidates: the remaining siblings plus u's exclusive
+		// neighborhood (N(u) minus everything already visited or ≤ root).
 		ne, ns := w.ext[d+1], w.seen[d+1]
-		if dense := w.adj.dense; dense != nil {
-			// Child candidates: u's exclusive neighborhood (N(u) minus
-			// everything already visited or ≤ root) plus the remaining
-			// siblings — three word-parallel ops.
-			ne.Copy(dense[u])
-			ne.AndNot(w.seen[d])
-			ne.Or(e)
-			ns.Copy(w.seen[d])
-			ns.Or(dense[u])
-		} else {
-			ne.Copy(e)
-			ns.Copy(w.seen[d])
-			for _, x := range w.adj.lists[u] {
-				if !ns.Test(int(x)) {
-					ns.Set(int(x))
-					ne.Set(int(x))
-				}
+		ne.Copy(e)
+		ns.Copy(w.seen[d])
+		for _, x := range w.adj[u] {
+			if !ns.Test(int(x)) {
+				ns.Set(int(x))
+				ne.Set(int(x))
 			}
 		}
 		w.extend(d + 1)

@@ -3,9 +3,11 @@ package census
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"parsge/internal/datasets"
 	"parsge/internal/graph"
 	"parsge/internal/testutil"
 )
@@ -190,38 +192,30 @@ func TestCensusRandomOracle(t *testing.T) {
 	}
 }
 
-// TestCensusSparseFallback forces the neighbor-list fallback (the code
-// path graphs above denseAdjLimit take) and cross-checks it against the
-// dense bitset path on the same graphs.
-func TestCensusSparseFallback(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		_, g := testutil.RandomInstance(seed, testutil.InstanceOptions{TargetNodes: 12, TargetEdges: 30, NodeLabels: 3})
-		adj := buildAdjacency(g)
-		sparse := &adjacency{n: adj.n, lists: adj.lists} // dense stripped
-		for _, k := range []int{3, 4} {
-			m1, m2 := newMemo(memoBudget), newMemo(memoBudget)
-			wd := newWalker(g, adj, k, m1, func() bool { return false })
-			ws := newWalker(g, sparse, k, m2, func() bool { return false })
-			for v := int32(0); v < int32(g.NumNodes()); v++ {
-				wd.root(v)
-				ws.root(v)
-			}
-			if wd.subgraphs != ws.subgraphs {
-				t.Fatalf("seed %d k=%d: dense %d subgraphs, sparse %d", seed, k, wd.subgraphs, ws.subgraphs)
-			}
-			dres, sres := Result{K: k}, Result{K: k}
-			gather(&dres, []*walker{wd}, false)
-			gather(&sres, []*walker{ws}, false)
-			dm, sm := classMap(dres), classMap(sres)
-			if len(dm) != len(sm) {
-				t.Fatalf("seed %d k=%d: dense %d classes, sparse %d", seed, k, len(dm), len(sm))
-			}
-			for enc, c := range dm {
-				if sm[enc] != c {
-					t.Fatalf("seed %d k=%d: class count mismatch dense %d sparse %d", seed, k, c, sm[enc])
-				}
-			}
-		}
+// TestCensusSparseAllocation: the walker extends from neighbor lists,
+// so a census allocates in proportion to the graph's edges and k, not
+// to n². A k=3 census of a 4096-node cycle finds its 4096 paths within
+// 1 MiB of allocation; n²-bit adjacency rows alone would be 2 MiB.
+func TestCensusSparseAllocation(t *testing.T) {
+	const n = 4096
+	b := graph.NewBuilder(n, 2*n)
+	b.AddNodes(n)
+	for v := int32(0); v < n; v++ {
+		b.AddEdgeBoth(v, (v+1)%n, 0)
+	}
+	g := b.MustBuild()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(context.Background(), g, Options{K: 3})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Subgraphs != n || len(res.Classes) != 1 {
+		t.Fatalf("cycle census: %d subgraphs in %d classes, want %d in 1", res.Subgraphs, len(res.Classes), n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("k=3 census of a %d-node cycle allocated %d bytes, want < 1 MiB", n, alloc)
 	}
 }
 
@@ -340,6 +334,34 @@ func TestCensusMemoOverflow(t *testing.T) {
 	for k := MinK; k <= MaxK; k++ {
 		if m := memos.byK[k].Load(); m != nil && m.full() {
 			t.Fatalf("k=%d: Memos retains a memo over its budget", k)
+		}
+	}
+}
+
+// BenchmarkCensusSparse prices one census the way the sparse-mutate
+// serving workload's writer pays it: a sequential k=4 census with a warm
+// class memo of the largest target of the PDBSv1 collection at scale
+// 0.1, seed 20170525 (3312 nodes). One op is one census.
+func BenchmarkCensusSparse(b *testing.B) {
+	coll, err := datasets.ByName("PDBSv1", datasets.Config{Scale: 0.1, Seed: 20170525})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := coll.Targets[0]
+	for _, gt := range coll.Targets[1:] {
+		if gt.NumNodes() > g.NumNodes() {
+			g = gt
+		}
+	}
+	memos := &Memos{}
+	opts := Options{K: 4, Workers: 1, Memos: memos}
+	if _, err := Run(context.Background(), g, opts); err != nil { // warm the memo
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Run(context.Background(), g, opts); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

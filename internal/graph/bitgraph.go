@@ -34,8 +34,7 @@ type BitGraph struct {
 // DenseRowLimit is the node count up to which dense bitset adjacency
 // rows are built (O(n²) bits — 32 MiB per direction at the limit).
 // Above it NewBitGraph returns nil and every kernel consumer falls back
-// to the sorted-slice CSR paths. The census's dense-adjacency heuristic
-// is this same constant (it predates the BitGraph and was lifted here).
+// to the sorted-slice CSR paths.
 const DenseRowLimit = 1 << 14
 
 // LabelRowLimit is the tighter node-count bound for the per-edge-label
@@ -204,32 +203,6 @@ func BitGraphEqual(a, b *BitGraph) (bool, string) {
 		}
 	}
 	return true, ""
-}
-
-// UnionRows returns per-vertex undirected adjacency rows — out ∪ in
-// neighbors with self-loops removed — or nil above DenseRowLimit. This
-// is the census walker's neighbor structure (connectivity ignores
-// direction, multiplicity and self-loops), derived from the same
-// per-direction row construction as the query kernels so there is one
-// adjacency-row implementation.
-func UnionRows(g *Graph) []*bitset.Set {
-	n := g.NumNodes()
-	if n > DenseRowLimit {
-		return nil
-	}
-	rows := make([]*bitset.Set, n)
-	for v := int32(0); v < int32(n); v++ {
-		s := bitset.New(n)
-		for _, u := range g.OutNeighbors(v) {
-			s.Set(int(u))
-		}
-		for _, u := range g.InNeighbors(v) {
-			s.Set(int(u))
-		}
-		s.Clear(int(v))
-		rows[v] = s
-	}
-	return rows
 }
 
 // edgeLabelAlphabet collects the distinct edge labels of g, giving up

@@ -254,3 +254,32 @@ func TestCacheCountOnlyUpgrade(t *testing.T) {
 		t.Fatal("count-only put downgraded a mappings entry")
 	}
 }
+
+// TestServiceMappingCapCachesCountOnly: a complete Enumerate with more
+// than cacheMaxMappingsPerEntry embeddings is cached without its
+// mappings, so the next Count is a cache hit and the next Enumerate
+// runs again.
+func TestServiceMappingCapCachesCountOnly(t *testing.T) {
+	tgt, err := parsge.NewTarget(clique(20), parsge.TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, svc := soloRouter(t, tgt, RouterConfig{})
+	defer r.Close(context.Background())
+	q := Query{Pattern: star(2)} // iso 3-paths in K20: 20·19·18 = 6840
+	const want = 20 * 19 * 18
+	rep, err := svc.Enumerate(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CacheHit || rep.Result.Matches != want || len(rep.Mappings) != want || want <= cacheMaxMappingsPerEntry {
+		t.Fatalf("first Enumerate: hit=%v matches=%d mappings=%d, want a run with %d (> %d) mappings",
+			rep.CacheHit, rep.Result.Matches, len(rep.Mappings), want, cacheMaxMappingsPerEntry)
+	}
+	if rep, err = svc.Count(context.Background(), q); err != nil || !rep.CacheHit || rep.Result.Matches != want {
+		t.Fatalf("Count after it: hit=%v matches=%d err=%v, want a cache hit with %d", rep.CacheHit, rep.Result.Matches, err, want)
+	}
+	if rep, err = svc.Enumerate(context.Background(), q); err != nil || rep.CacheHit || len(rep.Mappings) != want {
+		t.Fatalf("second Enumerate: hit=%v mappings=%d err=%v, want a fresh run with %d", rep.CacheHit, len(rep.Mappings), err, want)
+	}
+}

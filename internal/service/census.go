@@ -8,7 +8,7 @@ import (
 	"parsge"
 )
 
-// This file is the census request path of the Service: the same three
+// This file is the census request path of a targetService: the same three
 // production concerns the query path has — caching, admission control,
 // observability — applied to the motif-census workload.
 //
@@ -66,7 +66,7 @@ type censusID struct {
 // Census serves a motif-census request through the same loop as the
 // query path: cache, then singleflight, then an admission-controlled
 // run on the parallel pool.
-func (s *Service) Census(ctx context.Context, req CensusRequest) (CensusReply, error) {
+func (s *targetService) Census(ctx context.Context, req CensusRequest) (CensusReply, error) {
 	if err := s.begin(); err != nil {
 		return CensusReply{}, err
 	}
@@ -102,9 +102,9 @@ func (s *Service) Census(ctx context.Context, req CensusRequest) (CensusReply, e
 // runCensusLeader acquires the census grant and runs the census for
 // real with one walker per token; a complete (un-truncated) result is
 // cached under the (K, epoch) its run executed against.
-func (s *Service) runCensusLeader(ctx context.Context, req CensusRequest) (CensusReply, *parsge.CensusResult, error) {
+func (s *targetService) runCensusLeader(ctx context.Context, req CensusRequest) (CensusReply, *parsge.CensusResult, error) {
 	need := int64(max(1, min(s.cfg.ParallelWorkers, s.cfg.Workers-1)))
-	waited, err := s.adm.acquire(ctx, s.cls, need, s.cfg.QueueTimeout, false)
+	waited, err := s.adm.acquire(ctx, s.name, need, s.cfg.QueueTimeout, false)
 	if err != nil {
 		return CensusReply{}, nil, err
 	}

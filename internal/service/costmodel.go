@@ -3,8 +3,8 @@
 // preprocessing *first* (milliseconds, cached per canonical form via
 // the estimate cache) and classifies from what it learns — the
 // product-of-domain upper bound, the target's arc density, and the
-// plan's historical mean match time from the epoch-keyed plan histogram
-// plus a per-plan EWMA the service feeds with realized costs. Small
+// plan's realized cost: a per-plan EWMA the service feeds with every
+// run it admits, raised by the longest truncated run. Small
 // queries take one sequential token, large ones the steal pool, and
 // predicted-explosive ones are shed with ErrPredictedExplosive (HTTP
 // 429) or deprioritized behind the low-priority admission tier.
@@ -118,9 +118,9 @@ type planEstimate struct {
 }
 
 // estimator is the per-service realized-cost feedback state, keyed by
-// plan rendering. It deliberately ignores epochs: the epoch-keyed plan
-// histogram (Target.PlanCost) is the attributable record; the EWMA is
-// the fast-adapting overlay that tracks the current workload.
+// plan rendering. It deliberately ignores epochs: an update rarely
+// changes what a plan costs, and when it does the EWMA follows within a
+// few runs (the truncation floor only ever rises).
 type estimator struct {
 	mu    sync.Mutex
 	plans map[string]*planEstimate
@@ -183,23 +183,16 @@ type admitRecord struct {
 	override  bool
 }
 
-// predictCost combines the plan's history at the estimate's pinned
-// epoch with the service's EWMA into one cost prediction. The second
-// return reports whether any history backed the number; floors from
-// truncated runs raise the prediction even when no completed sample
-// exists.
-func (s *Service) predictCost(est parsge.CostEstimate) (time.Duration, bool) {
-	pc := s.tgt.PlanCost(est.Epoch, est.PlanKey)
+// predictCost prices the estimate's plan from the service's realized
+// costs: the EWMA once estimatorMinSamples completed runs back it,
+// raised by the truncation floor. The second return reports whether any
+// history backed the number; a truncated run prices the plan even when
+// no completed sample exists.
+func (s *targetService) predictCost(est parsge.CostEstimate) (time.Duration, bool) {
 	ewmaSec, n, floorSec := s.est.predict(est.PlanKey)
 	sec := -1.0
-	if pc.Samples >= estimatorMinSamples {
-		sec = pc.MeanMatch.Seconds()
-	}
 	if n >= estimatorMinSamples {
-		sec = ewmaSec // the recency-weighted overlay wins
-	}
-	if f := pc.TruncatedMean.Seconds(); f > floorSec {
-		floorSec = f
+		sec = ewmaSec
 	}
 	if floorSec > 0 && floorSec > sec {
 		sec = floorSec // a truncated run is a cost floor, sample or not
@@ -222,7 +215,7 @@ func (s *Service) predictCost(est parsge.CostEstimate) (time.Duration, bool) {
 // Between those guards, plan history (when backed by enough samples)
 // prices the query against the small/explosive budgets; without
 // history the score alone picks the class.
-func (s *Service) classifyEstimate(est parsge.CostEstimate) (AdmissionClass, time.Duration) {
+func (s *targetService) classifyEstimate(est parsge.CostEstimate) (AdmissionClass, time.Duration) {
 	if est.Unsatisfiable {
 		return ClassSmall, 0 // preprocessing proved it free
 	}
@@ -253,7 +246,7 @@ func (s *Service) classifyEstimate(est parsge.CostEstimate) (AdmissionClass, tim
 // price live queries). The cache holds detached estimates: a fresh
 // estimate hands its domains to this request's run alone, while a cache
 // hit carries none and its run preprocesses afresh.
-func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.CostEstimate, error) {
+func (s *targetService) estimate(ctx context.Context, q Query, key string) (parsge.CostEstimate, error) {
 	if key != "" {
 		if est, ok := s.estCache.get(key, s.tgt.Epoch(), true); ok {
 			return est, nil
@@ -270,7 +263,7 @@ func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.Cos
 // class and pins the epoch the decision was made at. A Classify
 // override short-circuits the cost model entirely (override=true keeps
 // it out of the feedback loop).
-func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admitRecord, error) {
+func (s *targetService) classifyQuery(ctx context.Context, q Query, key string) (admitRecord, error) {
 	if s.cfg.Classify != nil {
 		cls := ClassSmall
 		if s.cfg.Classify(q.Pattern, q.Options) {
@@ -309,7 +302,7 @@ func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admit
 // caller gave up (ctx done) is truncated by the caller, not by its
 // cost, so it is not scored — its partial time still feeds the
 // estimator as a cost floor.
-func (s *Service) observe(ctx context.Context, rec admitRecord, res *parsge.Result) {
+func (s *targetService) observe(ctx context.Context, rec admitRecord, res *parsge.Result) {
 	if rec.override {
 		return // no model prediction to score or train
 	}

@@ -231,6 +231,63 @@ func TestMispredictionFeedbackFlips(t *testing.T) {
 	}
 }
 
+// TestCostFloorShedsAcrossEpochs: one truncated run prices its plan
+// through the EWMA's truncation floor, so the next query on that plan
+// is shed with a history-backed prediction even though its own domain
+// bound is below ExplosiveLogDomain — and still after updates have
+// advanced the epoch, since the floor is kept per plan, not per epoch.
+func TestCostFloorShedsAcrossEpochs(t *testing.T) {
+	t.Parallel()
+	tgt, err := parsge.NewTarget(clique(14), parsge.TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, svc := soloRouter(t, tgt, RouterConfig{
+		ExplosiveBudget:    10 * time.Millisecond,
+		ExplosiveLogDomain: 1000, // no shed on sight: only history can shed
+	})
+	// A 9-leaf hom star over K14 has 14·13^9 ≈ 1.5e11 embeddings; 50 ms
+	// cannot finish it.
+	q := Query{
+		Pattern: star(9),
+		Options: parsge.Options{Algorithm: parsge.RIDSSIFC, Semantics: parsge.Homomorphism, Timeout: 50 * time.Millisecond},
+	}
+	reply, err := svc.Count(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reply.Result.TimedOut || reply.PredictedCost != 0 {
+		t.Fatalf("first run: timedOut=%v predicted=%v, want a truncated run priced by no history",
+			reply.Result.TimedOut, reply.PredictedCost)
+	}
+	shed := func(stage string) {
+		t.Helper()
+		_, err := svc.Count(context.Background(), q)
+		var ex *ExplosiveError
+		if !errors.As(err, &ex) || !errors.Is(err, ErrPredictedExplosive) {
+			t.Fatalf("%s: want an *ExplosiveError shed, got %v", stage, err)
+		}
+		if ex.Predicted < 10*time.Millisecond {
+			t.Fatalf("%s: shed with Predicted=%v, want the truncation floor (≥ the 10ms budget)", stage, ex.Predicted)
+		}
+	}
+	shed("same epoch")
+	// Remove and restore one arc: two epochs later the graph, and so the
+	// plan, is the same.
+	for _, remove := range []bool{true, false} {
+		if _, err := svc.Update(context.Background(), []parsge.EdgeUpdate{{From: 0, To: 1, Remove: remove}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tgt.Epoch() != 2 {
+		t.Fatalf("epoch %d after two updates, want 2", tgt.Epoch())
+	}
+	shed("after updates")
+	if st := svc.Stats(); st.ShedExplosive != 2 {
+		t.Fatalf("ShedExplosive = %d, want 2", st.ShedExplosive)
+	}
+}
+
 // TestClassEpochPinnedUnderUpdates hammers classification against
 // concurrent target mutations under -race: every reply's ClassEpoch
 // must be a snapshot that existed (≤ the epoch the query ran against —

@@ -51,12 +51,8 @@ type Server struct {
 	// searches are exponential in pattern size). Default 64. Hostile
 	// *symmetric* patterns within this bound are defused separately:
 	// canonicalization runs under a cost budget and a pattern exceeding
-	// it is simply served uncached (see Service.validate).
+	// it is simply served uncached (see targetService.validate).
 	MaxPatternNodes int
-
-	// MaxUpdateBatch bounds the updates accepted in one POST .../update
-	// body. Default 65536.
-	MaxUpdateBatch int
 
 	draining atomic.Bool
 }
@@ -69,11 +65,11 @@ func NewRouterServer(router *Router, table *graphio.LabelTable) *Server {
 	if table == nil {
 		table = graphio.NewLabelTable()
 	}
-	h := &Server{router: router, table: table, memo: patternMemo{max: memoMaxBytes}, MaxPatternNodes: 64, MaxUpdateBatch: 1 << 16}
+	h := &Server{router: router, table: table, memo: patternMemo{max: memoMaxBytes}, MaxPatternNodes: 64}
 	h.mux = http.NewServeMux()
 	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
 	h.mux.HandleFunc("GET /stats", h.handleStats)
-	resolve := func(w http.ResponseWriter, r *http.Request) *Service {
+	resolve := func(w http.ResponseWriter, r *http.Request) *targetService {
 		svc, err := router.route(r.PathValue("name"))
 		if err != nil {
 			code := http.StatusNotFound
@@ -274,7 +270,7 @@ func queryError(w http.ResponseWriter, err error) {
 	httpError(w, errorCode(err), err)
 }
 
-func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *Service) {
+func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *targetService) {
 	if h.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
@@ -349,7 +345,7 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *Servic
 // context tears the enumeration down when the client disconnects: the
 // service stream unblocks on ctx, releases its admission tokens, and the
 // handler returns — the regression tests count goroutines to hold this.
-func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, svc *Service) {
+func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, svc *targetService) {
 	matches, end, err := svc.Stream(r.Context(), q)
 	if err != nil {
 		queryError(w, err)
@@ -425,7 +421,7 @@ type censusResponse struct {
 	MemoMisses   int64             `json:"memo_misses"`
 }
 
-func (h *Server) handleCensus(w http.ResponseWriter, r *http.Request, svc *Service) {
+func (h *Server) handleCensus(w http.ResponseWriter, r *http.Request, svc *targetService) {
 	if h.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
@@ -535,7 +531,10 @@ type updateResponse struct {
 	ElapsedMS       float64 `json:"elapsed_ms"`
 }
 
-func (h *Server) handleUpdate(w http.ResponseWriter, r *http.Request, svc *Service) {
+// maxUpdateBatch bounds the updates accepted in one POST .../update body.
+const maxUpdateBatch = 1 << 16
+
+func (h *Server) handleUpdate(w http.ResponseWriter, r *http.Request, svc *targetService) {
 	if h.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
@@ -550,8 +549,8 @@ func (h *Server) handleUpdate(w http.ResponseWriter, r *http.Request, svc *Servi
 		httpError(w, http.StatusBadRequest, errors.New("empty update batch"))
 		return
 	}
-	if len(req.Updates) > h.MaxUpdateBatch {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("batch has %d updates, limit %d", len(req.Updates), h.MaxUpdateBatch))
+	if len(req.Updates) > maxUpdateBatch {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("batch has %d updates, limit %d", len(req.Updates), maxUpdateBatch))
 		return
 	}
 	ups := make([]parsge.EdgeUpdate, len(req.Updates))

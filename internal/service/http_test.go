@@ -518,6 +518,28 @@ func TestHTTPRouterEndpoints(t *testing.T) {
 	}
 }
 
+// TestHTTPUpdateBatchLimit: a batch one update over maxUpdateBatch is
+// refused with 400 before anything is applied, so the epoch stays put.
+func TestHTTPUpdateBatchLimit(t *testing.T) {
+	tgt, err := parsge.NewTarget(clique(4), parsge.TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := soloRouter(t, tgt, RouterConfig{})
+	defer r.Close(context.Background())
+	ups := make([]map[string]any, maxUpdateBatch+1)
+	for i := range ups {
+		ups[i] = map[string]any{"from": 0, "to": 1}
+	}
+	code, _ := serveQuery(t, NewRouterServer(r, nil), soloPath+"/update", map[string]any{"updates": ups})
+	if code != http.StatusBadRequest {
+		t.Fatalf("batch of %d updates: status %d, want 400", len(ups), code)
+	}
+	if e := tgt.Epoch(); e != 0 {
+		t.Fatalf("refused batch advanced the epoch to %d", e)
+	}
+}
+
 // countOracle is BruteCountSem spelled out for post-update graphs.
 func countOracle(t *testing.T, gp, gt *graph.Graph, sem parsge.Semantics) int64 {
 	t.Helper()
@@ -530,7 +552,7 @@ func countOracle(t *testing.T, gp, gt *graph.Graph, sem parsge.Semantics) int64 
 type memoStack struct {
 	h   *Server
 	r   *Router
-	svc *Service
+	svc *targetService
 }
 
 func newMemoStack(t *testing.T, tgt *parsge.Target, table *graphio.LabelTable) *memoStack {

@@ -12,13 +12,13 @@ import (
 )
 
 // This file is the multi-target router: one machine, many named target
-// graphs, one shared worker budget. Each target gets its own Service —
+// graphs, one shared worker budget. Each target gets its own service —
 // own result cache, census cache, singleflight state — but all of them
 // queue on a single admission instance, each under its own class, so
 // the round-robin discipline in admission.go shares the machine fairly:
 // a flood of queries against one target cannot starve the others.
 //
-// Targets are mutable (Service.Update → Target.ApplyUpdates) and their
+// Targets are mutable (Router.Update → Target.ApplyUpdates) and their
 // dominant memory cost beyond the graph is the label/NLF index. The
 // router bounds that cost with an LRU over *indexes*, not targets: a
 // cold target's index is released (Target.ReleaseIndex) when more than
@@ -55,10 +55,6 @@ type RouterConfig struct {
 	// match-count memory units (see entryCost). Default: 1<<20; negative
 	// disables caching.
 	CacheMaxMatches int64
-	// CacheMaxMappingsPerEntry caps the mappings stored in one cache
-	// entry; a complete result set larger than this is cached count-only.
-	// Default: 4096.
-	CacheMaxMappingsPerEntry int
 	// DefaultTimeout is applied to queries that set no Timeout of their
 	// own (0 keeps them unbounded). A robustness valve for serving
 	// untrusted patterns.
@@ -126,9 +122,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.CacheMaxMatches < 0 {
 		c.CacheMaxMatches = 0 // newCache(0) disables
-	}
-	if c.CacheMaxMappingsPerEntry <= 0 {
-		c.CacheMaxMappingsPerEntry = 4096
 	}
 	if c.SmallBudget <= 0 {
 		c.SmallBudget = 25 * time.Millisecond
@@ -200,26 +193,20 @@ type Router struct {
 	adm *admission
 
 	mu     sync.Mutex
-	routes map[string]*routerEntry
+	routes map[string]*targetService
 	clock  uint64 // logical LRU clock: bumped on every route use
 	closed bool
 }
 
-type routerEntry struct {
-	svc     *Service
-	tgt     *parsge.Target
-	lastUse uint64
-}
-
-// info describes the entry's target, hosted under name.
-func (e *routerEntry) info(name string) TargetInfo {
-	g := e.tgt.Graph()
+// info describes the service's target.
+func (s *targetService) info() TargetInfo {
+	g := s.tgt.Graph()
 	return TargetInfo{
-		Name:     name,
-		Epoch:    e.tgt.Epoch(),
+		Name:     s.name,
+		Epoch:    s.tgt.Epoch(),
 		Nodes:    g.NumNodes(),
 		Edges:    g.NumEdges(),
-		IndexHot: e.tgt.HasIndex(),
+		IndexHot: s.tgt.HasIndex(),
 	}
 }
 
@@ -229,7 +216,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	return &Router{
 		cfg:    cfg,
 		adm:    newAdmission(int64(cfg.Workers), cfg.MaxQueue),
-		routes: make(map[string]*routerEntry),
+		routes: make(map[string]*targetService),
 	}
 }
 
@@ -263,43 +250,29 @@ func (r *Router) AddTargetSession(name string, tgt *parsge.Target) error {
 		return fmt.Errorf("service: duplicate target %q", name)
 	}
 	r.clock++
-	svc := &Service{cfg: r.cfg, tgt: tgt, cache: newCache(r.cfg.CacheMaxMatches), adm: r.adm, cls: name}
-	r.routes[name] = &routerEntry{svc: svc, tgt: tgt, lastUse: r.clock}
+	r.routes[name] = &targetService{cfg: r.cfg, tgt: tgt, cache: newCache(r.cfg.CacheMaxMatches), adm: r.adm, name: name, lastUse: r.clock}
 	r.enforceIndexBudgetLocked(name)
 	return nil
-}
-
-// RemoveTarget closes the named target's service (draining in-flight
-// requests until ctx fires) and drops the route.
-func (r *Router) RemoveTarget(ctx context.Context, name string) error {
-	r.mu.Lock()
-	e := r.routes[name]
-	delete(r.routes, name)
-	r.mu.Unlock()
-	if e == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTarget, name)
-	}
-	return e.svc.Close(ctx)
 }
 
 // route resolves a name to its service, stamps the LRU clock, restores
 // the target's index if it was evicted, and evicts over-budget cold
 // indexes.
-func (r *Router) route(name string) (*Service, error) {
+func (r *Router) route(name string) (*targetService, error) {
 	r.mu.Lock()
-	e := r.routes[name]
-	if e == nil {
+	svc := r.routes[name]
+	if svc == nil {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
 	}
 	r.clock++
-	e.lastUse = r.clock
+	svc.lastUse = r.clock
 	r.enforceIndexBudgetLocked(name)
 	r.mu.Unlock()
 	// Rebuild outside r.mu: index construction is O(graph) and must not
 	// block routing to other targets.
-	e.tgt.EnsureIndex()
-	return e.svc, nil
+	svc.tgt.EnsureIndex()
+	return svc, nil
 }
 
 // enforceIndexBudgetLocked releases the least-recently-used targets'
@@ -309,34 +282,25 @@ func (r *Router) enforceIndexBudgetLocked(keep string) {
 	if r.cfg.MaxHotIndexes <= 0 {
 		return
 	}
-	type hot struct {
-		name    string
-		lastUse uint64
-	}
-	var hots []hot
-	for name, e := range r.routes {
-		if e.tgt.HasIndex() {
-			hots = append(hots, hot{name, e.lastUse})
-		}
-	}
-	// The touched route's index may not be resident yet (EnsureIndex
-	// runs after the lock drops) — count it as hot so the budget holds
-	// after the rebuild.
-	if keep != "" {
-		if e := r.routes[keep]; e != nil && !e.tgt.HasIndex() {
-			hots = append(hots, hot{keep, e.lastUse})
+	var hots []*targetService
+	for name, svc := range r.routes {
+		// The touched route's index may not be resident yet (EnsureIndex
+		// runs after the lock drops) — count it as hot so the budget
+		// holds after the rebuild.
+		if svc.tgt.HasIndex() || name == keep {
+			hots = append(hots, svc)
 		}
 	}
 	sort.Slice(hots, func(i, j int) bool { return hots[i].lastUse < hots[j].lastUse })
 	over := len(hots) - r.cfg.MaxHotIndexes
-	for _, h := range hots {
+	for _, svc := range hots {
 		if over <= 0 {
 			return
 		}
-		if h.name == keep {
+		if svc.name == keep {
 			continue
 		}
-		r.routes[h.name].tgt.ReleaseIndex()
+		svc.tgt.ReleaseIndex()
 		over--
 	}
 }
@@ -378,7 +342,8 @@ func (r *Router) Census(ctx context.Context, name string, req CensusRequest) (Ce
 }
 
 // Update applies an edge-update batch to the named target (see
-// Service.Update: batch-atomic, epoch-advancing, cache-invalidating).
+// targetService.Update: batch-atomic, epoch-advancing,
+// cache-invalidating).
 func (r *Router) Update(ctx context.Context, name string, updates []parsge.EdgeUpdate) (parsge.UpdateResult, error) {
 	svc, err := r.route(name)
 	if err != nil {
@@ -387,23 +352,12 @@ func (r *Router) Update(ctx context.Context, name string, updates []parsge.EdgeU
 	return svc.Update(ctx, updates)
 }
 
-// Target returns the named hosted target session, or nil.
-func (r *Router) Target(name string) *parsge.Target {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.routes[name]; e != nil {
-		return e.tgt
-	}
-	return nil
-}
-
 // Targets lists the hosted targets, sorted by name.
 func (r *Router) Targets() []TargetInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]TargetInfo, 0, len(r.routes))
-	for name, e := range r.routes {
-		out = append(out, e.info(name))
+	svcs := r.services()
+	out := make([]TargetInfo, 0, len(svcs))
+	for _, svc := range svcs {
+		out = append(out, svc.info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -411,17 +365,11 @@ func (r *Router) Targets() []TargetInfo {
 
 // Stats returns a point-in-time snapshot of the router.
 func (r *Router) Stats() RouterStats {
-	r.mu.Lock()
-	entries := make(map[string]*routerEntry, len(r.routes))
-	for name, e := range r.routes {
-		entries[name] = e
-	}
-	r.mu.Unlock()
-
-	st := RouterStats{PerTarget: make(map[string]Stats, len(entries))}
-	for name, e := range entries {
-		st.Targets = append(st.Targets, e.info(name))
-		st.PerTarget[name] = e.svc.Stats()
+	svcs := r.services()
+	st := RouterStats{PerTarget: make(map[string]Stats, len(svcs))}
+	for _, svc := range svcs {
+		st.Targets = append(st.Targets, svc.info())
+		st.PerTarget[svc.name] = svc.Stats()
 	}
 	sort.Slice(st.Targets, func(i, j int) bool { return st.Targets[i].Name < st.Targets[j].Name })
 	st.TokensInUse, st.Queued, st.Granted, st.Shed, st.QueueTimeouts, st.TotalQueueWait = r.adm.load()
@@ -433,16 +381,24 @@ func (r *Router) Stats() RouterStats {
 func (r *Router) Close(ctx context.Context) error {
 	r.mu.Lock()
 	r.closed = true
-	entries := make([]*routerEntry, 0, len(r.routes))
-	for _, e := range r.routes {
-		entries = append(entries, e)
-	}
 	r.mu.Unlock()
 	var first error
-	for _, e := range entries {
-		if err := e.svc.Close(ctx); err != nil && first == nil {
+	for _, svc := range r.services() {
+		if err := svc.Close(ctx); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// services returns the hosted services, read under the lock so that
+// listing, snapshots and drains run outside it.
+func (r *Router) services() []*targetService {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*targetService, 0, len(r.routes))
+	for _, svc := range r.routes {
+		out = append(out, svc)
+	}
+	return out
 }

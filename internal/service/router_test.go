@@ -160,7 +160,7 @@ func TestRouterUpdateInvalidation(t *testing.T) {
 	}
 
 	// Rebuild the oracle graph and recompute.
-	ng := w.r.Target(name).Graph()
+	ng := w.r.routes[name].tgt.Graph()
 	wantCount := testutil.BruteCountSem(gp, ng, parsge.SubgraphIso)
 
 	rep, err = w.r.Count(ctx, name, Query{Pattern: gp})
@@ -193,7 +193,7 @@ func TestRouterUpdateInvalidation(t *testing.T) {
 
 	// The sibling target's epoch and cache are untouched.
 	other := w.names[1]
-	if w.r.Target(other).Epoch() != 0 {
+	if w.r.routes[other].tgt.Epoch() != 0 {
 		t.Fatal("sibling epoch moved")
 	}
 	if _, err := w.r.Count(ctx, other, Query{Pattern: w.patterns[other]}); err != nil {

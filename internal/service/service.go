@@ -16,8 +16,8 @@
 //     Target's session statistics, including the plan histogram that
 //     makes the adaptive preprocessing scheduler visible in production.
 //
-// A Router hosts each target graph as one Service over a shared worker
-// budget, and cmd/sgeserve exposes the router over HTTP; the soak and
+// A Router hosts each target graph as one targetService over a shared
+// worker budget, and cmd/sgeserve exposes the router over HTTP; the soak and
 // property tests in this package hold it to the brute-force oracle
 // under concurrency, cancellation and cache churn.
 package service
@@ -98,17 +98,20 @@ type flightKey struct {
 	epoch        uint64
 }
 
-// Service multiplexes concurrent queries onto one Target: it is one
-// route of a Router, sharing the router's admission with its sibling
+// targetService multiplexes concurrent queries onto one Target: it is
+// one route of a Router, sharing the router's admission with its sibling
 // targets. All methods are safe for concurrent use.
-type Service struct {
+type targetService struct {
 	cfg   RouterConfig // resolved (withDefaults)
 	tgt   *parsge.Target
 	cache *cache
 	adm   *admission
-	// cls is the admission class the service's queries queue under: the
-	// name its Router hosts the target under.
-	cls string
+	// name is the target's routing key and the admission class its
+	// queries queue under.
+	name string
+	// lastUse is the Router's LRU clock at the route's last use; guarded
+	// by the Router's mutex.
+	lastUse uint64
 
 	// queryRuns and censusRuns are the two instantiations of the shared
 	// request loop; censusCache holds complete censuses by K (see
@@ -136,7 +139,7 @@ type counters struct {
 }
 
 // begin registers an in-flight request, refusing once draining started.
-func (s *Service) begin() error {
+func (s *targetService) begin() error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
@@ -149,7 +152,7 @@ func (s *Service) begin() error {
 // Close drains the service: new queries fail with ErrClosed, in-flight
 // ones (streams included) are waited for until ctx fires. The Target is
 // not touched — it may be shared with other services.
-func (s *Service) Close(ctx context.Context) error {
+func (s *targetService) Close(ctx context.Context) error {
 	s.closeMu.Lock()
 	s.closed = true
 	s.closeMu.Unlock()
@@ -193,7 +196,7 @@ func identify(g *parsge.Graph) parsedPattern {
 // validate normalizes a query and resolves its cache identity. An empty
 // key marks the query uncacheable (its canonicalization exceeded
 // canonBudget): it bypasses the cache and singleflight and just runs.
-func (s *Service) validate(q Query) (sem parsge.Semantics, perm []int32, key string, err error) {
+func (s *targetService) validate(q Query) (sem parsge.Semantics, perm []int32, key string, err error) {
 	if q.Pattern == nil {
 		return 0, nil, "", fmt.Errorf("service: nil pattern")
 	}
@@ -219,7 +222,7 @@ func (s *Service) validate(q Query) (sem parsge.Semantics, perm []int32, key str
 // prepared returns the options a query actually runs with: the service
 // owns parallelism and result delivery, folds in DefaultTimeout, and
 // clamps every timeout — client-supplied or defaulted — to MaxTimeout.
-func (s *Service) prepared(opts parsge.Options, workers int) parsge.Options {
+func (s *targetService) prepared(opts parsge.Options, workers int) parsge.Options {
 	opts.Workers = workers
 	opts.Visit = nil
 	opts.Timeout = s.cfg.timeout(opts.Timeout)
@@ -228,20 +231,20 @@ func (s *Service) prepared(opts parsge.Options, workers int) parsge.Options {
 
 // Count serves a match-count query: cache, then singleflight, then an
 // admission-controlled run.
-func (s *Service) Count(ctx context.Context, q Query) (Reply, error) {
+func (s *targetService) Count(ctx context.Context, q Query) (Reply, error) {
 	return s.do(ctx, q, false)
 }
 
 // Enumerate serves a full-result query: like Count, plus the embeddings
 // in the client pattern's numbering. Result sets can be exponential in
 // the pattern size — set Options.Limit when serving untrusted patterns.
-func (s *Service) Enumerate(ctx context.Context, q Query) (Reply, error) {
+func (s *targetService) Enumerate(ctx context.Context, q Query) (Reply, error) {
 	return s.do(ctx, q, true)
 }
 
 // do serves Count and Enumerate through the request loop shared with
 // Census; an uncacheable query skips it.
-func (s *Service) do(ctx context.Context, q Query, needMappings bool) (Reply, error) {
+func (s *targetService) do(ctx context.Context, q Query, needMappings bool) (Reply, error) {
 	if err := s.begin(); err != nil {
 		return Reply{}, err
 	}
@@ -286,7 +289,7 @@ func (s *Service) do(ctx context.Context, q Query, needMappings bool) (Reply, er
 // ExplosiveDeprioritize the query takes pool tokens through the
 // low-priority tier. On success the caller runs with `workers`
 // parallelism and must call release when the query (or stream) ends.
-func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitRecord, workers int, waited time.Duration, release func(), err error) {
+func (s *targetService) admit(ctx context.Context, q Query, key string) (rec admitRecord, workers int, waited time.Duration, release func(), err error) {
 	rec, err = s.classifyQuery(ctx, q, key)
 	if err != nil {
 		return rec, 0, 0, nil, err
@@ -311,7 +314,7 @@ func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitReco
 		workers = s.cfg.ParallelWorkers
 		low = true
 	}
-	waited, err = s.adm.acquire(ctx, s.cls, need, s.cfg.QueueTimeout, low)
+	waited, err = s.adm.acquire(ctx, s.name, need, s.cfg.QueueTimeout, low)
 	if err != nil {
 		return rec, 0, waited, nil, err
 	}
@@ -331,7 +334,7 @@ func (s *Service) admit(ctx context.Context, q Query, key string) (rec admitReco
 // snapshot and domains of the cost estimate admission classified it by.
 // On a complete (un-truncated) run it builds the canonical cache entry,
 // caches it, and returns it for singleflight sharing.
-func (s *Service) runLeader(ctx context.Context, q Query, sem parsge.Semantics, perm []int32, key string, needMappings bool) (Reply, *entry, error) {
+func (s *targetService) runLeader(ctx context.Context, q Query, sem parsge.Semantics, perm []int32, key string, needMappings bool) (Reply, *entry, error) {
 	rec, workers, waited, release, err := s.admit(ctx, q, key)
 	if err != nil {
 		return Reply{}, nil, err
@@ -381,10 +384,14 @@ func (s *Service) runLeader(ctx context.Context, q Query, sem parsge.Semantics, 
 	return reply, ent, nil
 }
 
+// cacheMaxMappingsPerEntry caps the mappings stored in one cache entry;
+// a complete result set larger than this is cached count-only.
+const cacheMaxMappingsPerEntry = 4096
+
 // cachePut inserts an entry, stripping mappings beyond the per-entry cap
 // (the count is still worth caching).
-func (s *Service) cachePut(ent *entry) {
-	if len(ent.mappings) > s.cfg.CacheMaxMappingsPerEntry {
+func (s *targetService) cachePut(ent *entry) {
+	if len(ent.mappings) > cacheMaxMappingsPerEntry {
 		ent = &entry{key: ent.key, res: ent.res, epoch: ent.epoch}
 	}
 	s.cache.put(ent)
@@ -393,7 +400,7 @@ func (s *Service) cachePut(ent *entry) {
 // cacheGetStream looks up a mapping-bearing entry for a stream replay;
 // an uncacheable query (empty key) never consults the cache, so its
 // counters only see real lookups.
-func (s *Service) cacheGetStream(key string) (*entry, bool) {
+func (s *targetService) cacheGetStream(key string) (*entry, bool) {
 	if key == "" {
 		return nil, false
 	}
@@ -402,7 +409,7 @@ func (s *Service) cacheGetStream(key string) (*entry, bool) {
 
 // replyFromEntry materializes a cached/shared entry for a client whose
 // pattern has canonical permutation perm.
-func (s *Service) replyFromEntry(ent *entry, perm []int32, needMappings, hit, shared bool) Reply {
+func (s *targetService) replyFromEntry(ent *entry, perm []int32, needMappings, hit, shared bool) Reply {
 	r := Reply{Result: ent.res, CacheHit: hit, Shared: shared}
 	if needMappings {
 		r.Mappings = make([][]int32, len(ent.mappings))
@@ -422,7 +429,7 @@ func (s *Service) replyFromEntry(ent *entry, perm []int32, needMappings, hit, sh
 // Streams do not join singleflight (two streams would each need every
 // match anyway). Cancelling ctx tears the stream down promptly; a
 // disconnected client costs nothing beyond its context firing.
-func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
+func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
 	if err := s.begin(); err != nil {
 		return nil, nil, err
 	}
@@ -473,7 +480,7 @@ func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-c
 		dead := false
 		for m := range inner {
 			if !overflow {
-				if len(collected) >= s.cfg.CacheMaxMappingsPerEntry {
+				if len(collected) >= cacheMaxMappingsPerEntry {
 					overflow, collected = true, nil
 				} else {
 					collected = append(collected, canonical(m.Mapping, perm))
@@ -513,12 +520,12 @@ func (s *Service) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-c
 // service can never serve a pre-update result for a post-update query.
 // The update takes one admission token, so mutation work queues behind
 // the same budget as everything else.
-func (s *Service) Update(ctx context.Context, updates []parsge.EdgeUpdate) (parsge.UpdateResult, error) {
+func (s *targetService) Update(ctx context.Context, updates []parsge.EdgeUpdate) (parsge.UpdateResult, error) {
 	if err := s.begin(); err != nil {
 		return parsge.UpdateResult{}, err
 	}
 	defer s.wg.Done()
-	if _, err := s.adm.acquire(ctx, s.cls, 1, s.cfg.QueueTimeout, false); err != nil {
+	if _, err := s.adm.acquire(ctx, s.name, 1, s.cfg.QueueTimeout, false); err != nil {
 		return parsge.UpdateResult{}, err
 	}
 	defer s.adm.release(1)
@@ -581,7 +588,7 @@ type Stats struct {
 }
 
 // Stats returns the current snapshot.
-func (s *Service) Stats() Stats {
+func (s *targetService) Stats() Stats {
 	entries, cost, hits, misses, evictions := s.cache.stats()
 	inUse, queued, granted, shed, timedOut, totalWait := s.adm.load()
 	return Stats{

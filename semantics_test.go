@@ -392,34 +392,6 @@ func TestTargetDefaultSemantics(t *testing.T) {
 	}
 }
 
-// TestTargetDefaultWorkersExplicitSequential: Workers: 1 is the explicit
-// spelling of "sequential" and must not be replaced by DefaultWorkers
-// (only the zero value is). The sequential engine reports no per-worker
-// breakdown, which is how the two paths are told apart.
-func TestTargetDefaultWorkersExplicitSequential(t *testing.T) {
-	gp, gt := pathGraph(3), cycleGraph(6)
-	tgt, err := NewTarget(gt, TargetOptions{DefaultWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	res, err := tgt.Enumerate(ctx, gp, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerWorkerStates != nil {
-		t.Errorf("Workers: 1 ran the parallel engine (%d workers) despite the explicit sequential request",
-			len(res.PerWorkerStates))
-	}
-	res, err = tgt.Enumerate(ctx, gp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerWorkerStates) != 4 {
-		t.Errorf("unset Workers: got %d per-worker entries, want the default pool of 4", len(res.PerWorkerStates))
-	}
-}
-
 // TestEnumerateBatchItemsMixedSemantics: one batch over one shared pool
 // answers patterns under different matching semantics; unset items fall
 // back to the batch Options, then to the Target default.

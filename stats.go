@@ -38,8 +38,7 @@ type PlanBucket struct {
 	// queries, so Time/Count gives the mean per-filter cost of the plan.
 	UnaryTime, ACTime, InducedACTime time.Duration
 	// MatchTime is the summed search wall time of the bucket's *completed*
-	// queries; MatchTime/Count is the plan's historical mean match cost —
-	// the signal the service's admission estimator reads.
+	// queries; MatchTime/Count is the plan's historical mean match cost.
 	MatchTime time.Duration
 	// Truncated counts runs that timed out or were aborted mid-search;
 	// TruncatedTime sums their partial match wall times. A truncated
@@ -255,48 +254,3 @@ func (s *sessionStats) snapshot() SessionStats {
 // including the plan histogram. Safe for concurrent use with queries;
 // concurrent queries not yet completed are not included.
 func (t *Target) Stats() SessionStats { return t.stats.snapshot() }
-
-// PlanCost is the historical cost summary of one (epoch, plan) bucket,
-// the estimator-facing view of the plan histogram: completed samples
-// with their mean search time, plus truncated runs whose mean partial
-// time is a cost *floor* (each truncated run cost at least that much).
-type PlanCost struct {
-	// Samples is the number of completed queries in the bucket.
-	Samples int64
-	// MeanMatch is the mean search wall time over completed queries
-	// (zero when Samples is zero).
-	MeanMatch time.Duration
-	// Truncated counts timed-out/aborted runs; TruncatedMean is the mean
-	// of their partial search times (zero when Truncated is zero).
-	Truncated     int64
-	TruncatedMean time.Duration
-}
-
-// planCost reads one bucket's cost summary without building a full
-// snapshot — the hot-path accessor the service's admission estimator
-// calls per query.
-func (s *sessionStats) planCost(epoch uint64, plan string) PlanCost {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.buckets[fmt.Sprintf("%d|%s", epoch, plan)]
-	if b == nil {
-		return PlanCost{}
-	}
-	out := PlanCost{Samples: b.Count, Truncated: b.Truncated}
-	if b.Count > 0 {
-		out.MeanMatch = b.MatchTime / time.Duration(b.Count)
-	}
-	if b.Truncated > 0 {
-		out.TruncatedMean = b.TruncatedTime / time.Duration(b.Truncated)
-	}
-	return out
-}
-
-// PlanCost returns the historical cost summary of the plan's histogram
-// bucket at one target mutation epoch (use the epoch a CostEstimate was
-// pinned at, so pre-mutation history never prices post-mutation
-// queries). A zero PlanCost means no query with that plan has finished
-// at that epoch.
-func (t *Target) PlanCost(epoch uint64, plan string) PlanCost {
-	return t.stats.planCost(epoch, plan)
-}

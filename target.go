@@ -31,14 +31,6 @@ type TargetOptions struct {
 	// exact for small label alphabets; on large alphabets it may prune
 	// slightly less than the exact signatures.
 	NLF NLFMode
-	// DefaultWorkers replaces Options.Workers for queries that leave it
-	// at zero ("unset"): a service can configure its parallelism once
-	// per target instead of at every call site. Zero keeps the library
-	// default (sequential); AutoWorkers sizes the pool per query. A
-	// query that explicitly wants the sequential engine on such a
-	// Target sets Workers: 1 — the explicit spelling of sequential,
-	// never substituted.
-	DefaultWorkers int
 	// DefaultSemantics replaces Options.Semantics for queries that
 	// leave it at SemanticsUnset: a service can fix the matching
 	// semantics once per target.
@@ -84,7 +76,6 @@ type Target struct {
 	// EnsureIndex — against each other (readers never take it).
 	updateMu sync.Mutex
 
-	defaultWorkers   int
 	defaultSemantics Semantics
 
 	// censusMemos keeps Census's class memo per K across runs and
@@ -140,7 +131,6 @@ func NewTarget(g *Graph, opts TargetOptions) (*Target, error) {
 	t := &Target{
 		arena:            ri.NewArena(g.NumNodes()),
 		nlfMode:          opts.NLF,
-		defaultWorkers:   opts.DefaultWorkers,
 		defaultSemantics: opts.DefaultSemantics,
 	}
 	t.state.Store(newTargetState(g, opts.NLF, 0))
@@ -259,9 +249,6 @@ func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Cont
 		return Result{TimedOut: true}, nil
 	}
 	alg := st.resolveAlgorithm(opts.Algorithm)
-	if opts.Workers == 0 {
-		opts.Workers = t.defaultWorkers
-	}
 	sem, err := t.ResolveSemantics(opts)
 	if err != nil {
 		return Result{}, err

@@ -298,29 +298,6 @@ func TestTargetStreamDrainToCompletion(t *testing.T) {
 	}
 }
 
-func TestTargetDefaultWorkers(t *testing.T) {
-	gp, gt := squarePattern(), gridTarget()
-	tgt, err := NewTarget(gt, TargetOptions{DefaultWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tgt.Enumerate(context.Background(), gp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerWorkerStates) != 4 {
-		t.Fatalf("DefaultWorkers ignored: %d per-worker entries", len(res.PerWorkerStates))
-	}
-	// An explicit Workers wins over the session default.
-	res, err = tgt.Enumerate(context.Background(), gp, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerWorkerStates) != 2 {
-		t.Fatalf("explicit Workers overridden: %d per-worker entries", len(res.PerWorkerStates))
-	}
-}
-
 func TestTargetSkipLabelIndexAgrees(t *testing.T) {
 	gp, gt := testutil.RandomInstance(21, testutil.InstanceOptions{
 		TargetNodes: 50, TargetEdges: 300, PatternNodes: 4, NodeLabels: 4, Extract: true,
