@@ -12,13 +12,10 @@
 package parsge_test
 
 import (
-	"context"
-
-	"math/rand"
-	"parsge"
 	"testing"
 	"time"
 
+	"parsge"
 	"parsge/internal/bench"
 	"parsge/internal/testutil"
 )
@@ -321,69 +318,3 @@ func BenchmarkParallelWorkers2(b *testing.B)  { benchAlgorithm(b, parsge.RIDSSIF
 func BenchmarkParallelWorkers4(b *testing.B)  { benchAlgorithm(b, parsge.RIDSSIFC, 4) }
 func BenchmarkParallelWorkers8(b *testing.B)  { benchAlgorithm(b, parsge.RIDSSIFC, 8) }
 func BenchmarkParallelWorkers16(b *testing.B) { benchAlgorithm(b, parsge.RIDSSIFC, 16) }
-
-// -------------------------------------------------------- session benches
-//
-// The pair below quantifies the session API's amortization: the same 12
-// patterns answered through one Target.EnumerateBatch call (target-side
-// state built once, patterns scheduled over one shared work-stealing
-// pool) versus 12 independent one-shot Enumerate calls (each rebuilding
-// all target-side state and running alone). Compare ns/op directly.
-
-// batchWorkload builds one mid-size labeled target and 12 patterns
-// extracted from it, the "many queries, one target" service shape.
-func batchWorkload() (*parsge.Graph, []*parsge.Graph) {
-	_, gt := testutil.RandomInstance(7, testutil.InstanceOptions{
-		TargetNodes:  400,
-		TargetEdges:  4000,
-		PatternNodes: 6,
-		NodeLabels:   4,
-		Extract:      true,
-	})
-	rng := rand.New(rand.NewSource(123))
-	patterns := make([]*parsge.Graph, 12)
-	for i := range patterns {
-		patterns[i] = testutil.ExtractPattern(rng, gt, 5+i%3)
-	}
-	return gt, patterns
-}
-
-func BenchmarkBatchEnumerate(b *testing.B) {
-	gt, patterns := batchWorkload()
-	tgt, err := parsge.NewTarget(gt, parsge.TargetOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var matches int64
-	for i := 0; i < b.N; i++ {
-		results, err := tgt.EnumerateBatch(context.Background(), patterns, parsge.Options{Algorithm: parsge.RIDSSIFC})
-		if err != nil {
-			b.Fatal(err)
-		}
-		matches = 0
-		for _, r := range results {
-			matches += r.Matches
-		}
-	}
-	b.ReportMetric(float64(matches), "matches")
-}
-
-func BenchmarkOneShotEnumerateLoop(b *testing.B) {
-	gt, patterns := batchWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var matches int64
-	for i := 0; i < b.N; i++ {
-		matches = 0
-		for _, gp := range patterns {
-			res, err := parsge.Enumerate(gp, gt, parsge.Options{Algorithm: parsge.RIDSSIFC})
-			if err != nil {
-				b.Fatal(err)
-			}
-			matches += res.Matches
-		}
-	}
-	b.ReportMetric(float64(matches), "matches")
-}

@@ -164,9 +164,9 @@ func TestCensusTruncationRecorded(t *testing.T) {
 // estimate and run must not move it: Result.Epoch is the estimate's
 // epoch and Matches the oracle count of that epoch's graph — for the
 // run that adopts the domains, for a second run from the same estimate
-// (which recomputes them on the same snapshot), and for a stream. A
-// detached estimate, or one computed for another pattern, runs on the
-// current snapshot like Enumerate.
+// (which recomputes them on the same snapshot), and for a run that
+// visits every match. A detached estimate, or one computed for another
+// pattern, runs on the current snapshot like Enumerate.
 func TestEstimatedRunAnswersAtEstimateEpoch(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -209,16 +209,14 @@ func TestEstimatedRunAnswersAtEstimateEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut(2, 3)
-	matches, end := tgt.EnumerateStreamEstimated(ctx, est1, tri, opts)
-	var streamed int64
-	for range matches {
-		streamed++
-	}
-	e := <-end
+	var visited int64
+	visiting := opts
+	visiting.Visit = func([]int32) bool { visited++; return true }
+	res, err := tgt.EnumerateEstimated(ctx, est1, tri, visiting)
 	want = testutil.BruteCountSem(tri, g1, SubgraphIso)
-	if e.Err != nil || e.Result.Epoch != est1.Epoch || e.Result.Matches != want || streamed != want {
-		t.Fatalf("stream from the estimate: err %v epoch %d matches %d streamed %d, want epoch %d matches %d",
-			e.Err, e.Result.Epoch, e.Result.Matches, streamed, est1.Epoch, want)
+	if err != nil || res.Epoch != est1.Epoch || res.Matches != want || visited != want {
+		t.Fatalf("visiting run from the estimate: err %v epoch %d matches %d visited %d, want epoch %d matches %d",
+			err, res.Epoch, res.Matches, visited, est1.Epoch, want)
 	}
 
 	want = testutil.BruteCountSem(tri, tgt.Graph(), SubgraphIso)

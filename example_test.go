@@ -39,8 +39,10 @@ func Example() {
 	// Output: matches: 2
 }
 
-// ExampleFindAll collects every embedding as a slice of mappings.
-func ExampleFindAll() {
+// ExampleOptions_visit collects every embedding as a slice of mappings.
+// Visit's slice is reused, so each mapping is copied; with Workers > 1
+// Visit runs concurrently and the append would need a mutex.
+func ExampleOptions_visit() {
 	pb := parsge.NewBuilder(2, 1)
 	pb.AddNodes(2)
 	pb.AddEdge(0, 1, parsge.NoLabel)
@@ -52,8 +54,12 @@ func ExampleFindAll() {
 	tb.AddEdge(1, 2, parsge.NoLabel)
 	target := tb.MustBuild()
 
-	maps, err := parsge.FindAll(pattern, target, parsge.Options{})
-	if err != nil {
+	var maps [][]int32
+	visit := func(m []int32) bool {
+		maps = append(maps, append([]int32(nil), m...))
+		return true
+	}
+	if _, err := parsge.Enumerate(pattern, target, parsge.Options{Visit: visit}); err != nil {
 		panic(err)
 	}
 	fmt.Println("embeddings:", len(maps))
@@ -61,8 +67,8 @@ func ExampleFindAll() {
 }
 
 // ExampleNewTarget answers several pattern queries against one target
-// through a session: target-side state is preprocessed once, queries
-// take a context, and a batch runs over one shared worker pool.
+// through a session: target-side state is preprocessed once, and every
+// query takes a context.
 func ExampleNewTarget() {
 	// Target: a directed 5-cycle.
 	tb := parsge.NewBuilder(5, 5)
@@ -86,38 +92,14 @@ func ExampleNewTarget() {
 		patterns[k] = pb.MustBuild()
 	}
 
-	results, err := tgt.EnumerateBatch(context.Background(), patterns, parsge.Options{})
-	if err != nil {
-		panic(err)
-	}
-	for i, res := range results {
+	for i, gp := range patterns {
+		res, err := tgt.Enumerate(context.Background(), gp, parsge.Options{})
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("path-%d embeddings: %d\n", i+1, res.Matches)
 	}
 	// Output:
 	// path-1 embeddings: 5
 	// path-2 embeddings: 5
-}
-
-// ExampleEnumerateStream consumes matches as they are produced.
-func ExampleEnumerateStream() {
-	pb := parsge.NewBuilder(1, 0)
-	pb.AddNode(7)
-	pattern := pb.MustBuild()
-
-	tb := parsge.NewBuilder(4, 0)
-	for i := 0; i < 4; i++ {
-		tb.AddNode(7)
-	}
-	target := tb.MustBuild()
-
-	matches, done := parsge.EnumerateStream(pattern, target, parsge.Options{})
-	n := 0
-	for range matches {
-		n++
-	}
-	if err := <-done; err != nil {
-		panic(err)
-	}
-	fmt.Println("streamed:", n)
-	// Output: streamed: 4
 }

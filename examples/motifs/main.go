@@ -26,30 +26,23 @@ func main() {
 	fmt.Printf("network: %d genes, %d directed regulations\n\n",
 		target.NumNodes(), target.NumEdges())
 
-	// A motif census is the canonical batch workload: one target, many
-	// small patterns. EnumerateBatch schedules the whole catalog over
-	// one shared work-stealing pool, reusing the session's target-side
-	// state for every motif.
+	// A motif census is one target queried with many small patterns:
+	// the session computes its target-side state once and reuses it for
+	// every motif.
 	tgt, err := parsge.NewTarget(target, parsge.TargetOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	catalog := motifs()
-	patterns := make([]*parsge.Graph, len(catalog))
-	for i, m := range catalog {
-		patterns[i] = m.pattern
-	}
-	results, err := tgt.EnumerateBatch(context.Background(), patterns, parsge.Options{
-		Algorithm: parsge.RI, // unlabeled sparse queries: plain RI
-	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "motif\tembeddings\tautomorphisms\toccurrences\tstates")
-	for i, m := range catalog {
-		res := results[i]
+	for _, m := range motifs() {
+		res, err := tgt.Enumerate(context.Background(), m.pattern, parsge.Options{
+			Algorithm: parsge.RI, // unlabeled sparse queries: plain RI
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		autos, err := parsge.Automorphisms(m.pattern)
 		if err != nil {
 			log.Fatal(err)

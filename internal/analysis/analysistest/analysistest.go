@@ -32,6 +32,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -153,7 +154,6 @@ func claimWant(ws []*want, message string) bool {
 }
 
 var wantRE = regexp.MustCompile(`// want((?:\s+(?:"(?:[^"\\]|\\.)*"|` + "`[^`]*`" + `))+)`)
-var wantArgRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")
 
 // collectWants parses every // want annotation, keyed by the line the
 // comment sits on.
@@ -168,18 +168,14 @@ func collectWants(t testing.TB, fset *token.FileSet, files []*ast.File) map[posK
 					continue
 				}
 				p := fset.Position(c.Pos())
-				for _, arg := range wantArgRE.FindAllString(m[1], -1) {
-					var pat string
-					if arg[0] == '`' {
-						pat = arg[1 : len(arg)-1]
-					} else {
-						var err error
-						pat, err = strconv.Unquote(arg)
-						if err != nil {
-							t.Errorf("%s:%d: bad want pattern %s: %v", p.Filename, p.Line, arg, err)
-							continue
-						}
+				for rest := strings.TrimSpace(m[1]); rest != ""; {
+					arg, err := strconv.QuotedPrefix(rest)
+					if err != nil {
+						t.Errorf("%s:%d: bad want pattern %s: %v", p.Filename, p.Line, rest, err)
+						break
 					}
+					rest = strings.TrimSpace(rest[len(arg):])
+					pat, _ := strconv.Unquote(arg) // a valid quoted prefix always unquotes
 					re, err := regexp.Compile(pat)
 					if err != nil {
 						t.Errorf("%s:%d: bad want regexp %q: %v", p.Filename, p.Line, pat, err)

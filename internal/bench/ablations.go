@@ -76,20 +76,16 @@ func (s *Suite) printAblation(res AblationResult) {
 // against stealing from the front (deep, short-lived tasks).
 func (s *Suite) AblationStealEnd() AblationResult {
 	insts := s.hardestInstances("PPIS32", 8)
-	res := AblationResult{Title: "load balancing (steal end §3.2(ii); receiver vs sender)"}
+	res := AblationResult{Title: "load balancing (steal end §3.2(ii))"}
 	back := s.runAll(insts, runConfig{
 		variant: ri.VariantRIDS, workers: 8, group: 4, stealing: true, seed: s.Seed,
 	})
 	front := s.runAll(insts, runConfig{
 		variant: ri.VariantRIDS, workers: 8, group: 4, stealing: true, frontSteal: true, seed: s.Seed,
 	})
-	sender := s.runAll(insts, runConfig{
-		variant: ri.VariantRIDS, workers: 8, group: 4, stealing: true, senderInitiated: true, seed: s.Seed,
-	})
 	res.Rows = append(res.Rows,
 		aggregate("steal from back (paper)", back),
-		aggregate("steal from front", front),
-		aggregate("sender-initiated dealing", sender))
+		aggregate("steal from front", front))
 	s.printAblation(res)
 	s.csvAblation(res)
 	return res

@@ -178,8 +178,6 @@ type runConfig struct {
 	// frontSteal services steals from the deep end of the deque
 	// (ablation of §3.2(ii)).
 	frontSteal bool
-	// senderInitiated switches to dealing (ablation of §3.2's choice).
-	senderInitiated bool
 	// noInitDist seeds all root tasks on worker 0 (ablation of §3.3).
 	noInitDist bool
 	// acPasses / skipAC forward to domain computation (ablation of the
@@ -289,7 +287,6 @@ func (s *Suite) runInstance(inst datasets.Instance, cfg runConfig) Record {
 		DisableStealing:       !cfg.stealing,
 		EagerCopy:             cfg.eagerCopy,
 		StealFromFront:        cfg.frontSteal,
-		SenderInitiated:       cfg.senderInitiated,
 		NoInitialDistribution: cfg.noInitDist,
 		Ctx:                   ctx,
 		Seed:                  cfg.seed,

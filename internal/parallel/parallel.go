@@ -60,10 +60,6 @@ type Options struct {
 	// state copied to enable work stealing results in a lot of
 	// overhead", §2.2.2) and is used by the ablation bench.
 	EagerCopy bool
-	// SenderInitiated switches the runtime to sender-initiated dealing
-	// (busy workers push to advertised-idle ones) — the load-balancing
-	// alternative the paper mentions and sets aside (§3.2); ablation.
-	SenderInitiated bool
 	// NoInitialDistribution seeds all root tasks into worker 0's deque
 	// instead of dealing them round-robin — the §3.3 ablation: all
 	// other workers must then bootstrap via stealing.
@@ -235,11 +231,10 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 	}
 
 	rt, err := steal.New(steal.Config{
-		Workers:         opts.Workers,
-		Stealing:        !opts.DisableStealing,
-		StealFromFront:  opts.StealFromFront,
-		SenderInitiated: opts.SenderInitiated,
-		Seed:            opts.Seed,
+		Workers:        opts.Workers,
+		Stealing:       !opts.DisableStealing,
+		StealFromFront: opts.StealFromFront,
+		Seed:           opts.Seed,
 	}, e)
 	if err != nil {
 		// normalized() guarantees Workers ≥ 1; steal.New cannot fail.

@@ -462,14 +462,3 @@ func TestDepthStatesParallel(t *testing.T) {
 		t.Fatalf("profile sums to %d, States = %d", sum, res.States)
 	}
 }
-
-func TestSenderInitiatedParallel(t *testing.T) {
-	gp, gt := mediumInstance(t)
-	want := Enumerate(prepared(t, gp, gt, ri.VariantRIDS), Options{Workers: 1}).Matches
-	res := Enumerate(prepared(t, gp, gt, ri.VariantRIDS), Options{
-		Workers: 4, SenderInitiated: true, Seed: 6,
-	})
-	if res.Matches != want {
-		t.Fatalf("sender-initiated matches = %d, want %d", res.Matches, want)
-	}
-}

@@ -428,7 +428,10 @@ func (s *targetService) replyFromEntry(ent *entry, perm []int32, needMappings, h
 // completes un-truncated within the per-entry cap — populates the cache.
 // Streams do not join singleflight (two streams would each need every
 // match anyway). Cancelling ctx tears the stream down promptly; a
-// disconnected client costs nothing beyond its context firing.
+// disconnected client costs nothing beyond its context firing. A miss
+// runs under the query's resolved timeout like any other, so a consumer
+// that stops reading without cancelling holds its tokens no longer than
+// that timeout, and the stream then ends truncated.
 func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
 	if err := s.begin(); err != nil {
 		return nil, nil, err
@@ -471,43 +474,57 @@ func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Matc
 		return nil, nil, err
 	}
 
-	inner, innerEnd := s.tgt.EnumerateStreamEstimated(ctx, rec.est, q.Pattern, s.prepared(q.Options, workers))
+	opts := s.prepared(q.Options, workers)
+	// The run and every send share one context: the caller's, bounded by
+	// the resolved timeout. A consumer that stops reading without
+	// cancelling then stalls the run only until the timeout, which ends
+	// it and releases its tokens.
+	qctx, stop := ctx, context.CancelFunc(func() {})
+	if opts.Timeout > 0 {
+		qctx, stop = context.WithTimeout(ctx, opts.Timeout)
+		opts.Timeout = 0
+	}
+	// Visit runs concurrently on the steal pool: mu guards the canonical
+	// mappings collected for the cache.
+	var mu sync.Mutex
+	var collected [][]int32
+	overflow := key == "" // uncacheable: don't accumulate for the cache
+	opts.Visit = func(m []int32) bool {
+		cp := append([]int32(nil), m...)
+		mu.Lock()
+		if !overflow {
+			if len(collected) >= cacheMaxMappingsPerEntry {
+				overflow, collected = true, nil
+			} else {
+				collected = append(collected, canonical(cp, perm))
+			}
+		}
+		mu.Unlock()
+		select {
+		case matches <- parsge.Match{Mapping: cp}:
+			return true
+		case <-qctx.Done():
+			return false
+		}
+	}
 	go func() {
 		defer s.wg.Done()
 		defer release()
-		var collected [][]int32
-		overflow := key == "" // uncacheable: don't accumulate for the cache
-		dead := false
-		for m := range inner {
-			if !overflow {
-				if len(collected) >= cacheMaxMappingsPerEntry {
-					overflow, collected = true, nil
-				} else {
-					collected = append(collected, canonical(m.Mapping, perm))
-				}
-			}
-			if !dead {
-				select {
-				case matches <- m:
-				case <-ctx.Done():
-					dead = true // stop forwarding; the producer winds down on the same ctx
-				}
-			}
-		}
-		e := <-innerEnd
-		if e.Err == nil {
-			s.observe(ctx, rec, &e.Result)
+		defer stop()
+		res, err := s.tgt.EnumerateEstimated(qctx, rec.est, q.Pattern, opts)
+		if err == nil {
+			s.observe(ctx, rec, &res)
 		}
 		close(matches)
-		if e.Err == nil && !e.Result.TimedOut && !dead && key != "" {
-			ent := &entry{key: key, res: e.Result, epoch: e.Result.Epoch}
+		if err == nil && !res.TimedOut && key != "" {
+			ent := &entry{key: key, res: res, epoch: res.Epoch}
 			if !overflow {
 				ent.hasMappings = true
 				ent.mappings = collected
 			}
 			s.cache.put(ent)
 		}
-		end <- e
+		end <- parsge.StreamEnd{Result: res, Err: err}
 	}()
 	return matches, end, nil
 }

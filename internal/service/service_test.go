@@ -81,10 +81,10 @@ func soloRouter(t testing.TB, tgt *parsge.Target, cfg RouterConfig) (*Router, *t
 }
 
 // blockingWorld builds a service whose homomorphism stream of a 3-path
-// over a one-label clique yields thousands of matches — far more than
-// the ~128 slots of channel buffering between producer and consumer —
-// so a stream that is not drained genuinely holds its admission token
-// and its producer goroutine until cancelled. The fixture behind every
+// over a one-label clique yields over a thousand matches — far more than
+// the 64 slots of the stream's channel — so a stream that is not drained
+// genuinely holds its admission token and its producer goroutine until
+// cancelled or timed out. The fixture behind every
 // test that needs a query to still be "in flight" when asserted on.
 func blockingWorld(t testing.TB, cfg RouterConfig) (*Router, *targetService, *graph.Graph) {
 	t.Helper()

@@ -63,13 +63,6 @@ type Config struct {
 	// deque instead of the back — an ablation that violates the
 	// "steal close to the root" principle (§3.2(ii)).
 	StealFromFront bool
-	// SenderInitiated switches load balancing to sender-initiated
-	// dealing: busy workers with surplus tasks push work to workers
-	// advertising idleness, instead of idle workers requesting it. The
-	// paper notes both directions are possible and picks
-	// receiver-initiated for comparable performance (§3.2); this mode
-	// exists for the ablation benchmark.
-	SenderInitiated bool
 	// Seed seeds the per-worker victim-selection RNGs.
 	Seed int64
 }
@@ -163,8 +156,6 @@ type Runtime[T any] struct {
 	workAvailable []paddedBool
 	requests      []paddedInt32
 	transfers     []paddedPtr[T]
-	// idle advertises receivers for sender-initiated dealing.
-	idle []paddedBool
 
 	tokenHolder atomic.Int32
 	tokenColor  atomic.Int32
@@ -187,7 +178,6 @@ func New[T any](cfg Config, r Runner[T]) (*Runtime[T], error) {
 		workAvailable: make([]paddedBool, cfg.Workers),
 		requests:      make([]paddedInt32, cfg.Workers),
 		transfers:     make([]paddedPtr[T], cfg.Workers),
-		idle:          make([]paddedBool, cfg.Workers),
 	}
 	for i := range rt.workers {
 		rt.workers[i] = &Worker[T]{
@@ -293,11 +283,7 @@ func (w *Worker[T]) loop() {
 			continue // acquire can return without a task after a reject
 		}
 		rt.workAvailable[w.ID].v.Store(!w.dq.Empty())
-		if rt.cfg.SenderInitiated {
-			w.maybeDeal()
-		} else {
-			w.processRequests()
-		}
+		w.processRequests()
 		rt.runner.Execute(w, task)
 	}
 	// Leave no thief spinning on our transfer cell: answer any pending
@@ -314,9 +300,6 @@ func (w *Worker[T]) loop() {
 func (w *Worker[T]) acquire() bool {
 	rt := w.rt
 	rt.workAvailable[w.ID].v.Store(false)
-	if rt.cfg.SenderInitiated {
-		return w.acquireFromSenders()
-	}
 	for {
 		if rt.terminated.Load() || rt.cancelled.Load() {
 			return false
@@ -345,65 +328,6 @@ func (w *Worker[T]) acquire() bool {
 			return true
 		}
 	}
-}
-
-// acquireFromSenders is the idle phase of sender-initiated dealing: the
-// worker advertises idleness and waits for a busy worker to deliver a
-// task into its transfer cell. The requests cell is used in the reverse
-// direction as the sender's delivery claim.
-func (w *Worker[T]) acquireFromSenders() bool {
-	rt := w.rt
-	rt.idle[w.ID].v.Store(true)
-	defer rt.idle[w.ID].v.Store(false)
-	cell := &rt.transfers[w.ID].v
-	for {
-		if rt.terminated.Load() || rt.cancelled.Load() {
-			return false
-		}
-		// Consume any pending delivery BEFORE touching the termination
-		// token: passing a white token while holding an unconsumed task
-		// would hide the reactivation from the ring and allow a false
-		// termination.
-		if msg := cell.Load(); msg != nil {
-			cell.Store(nil)
-			rt.requests[w.ID].v.Store(noRequest) // release the sender's claim
-			if msg.ok {
-				w.dq.PushFront(msg.task)
-				w.stealsReceived++
-				rt.workAvailable[w.ID].v.Store(true)
-				return true
-			}
-		}
-		w.handleToken()
-		runtime.Gosched()
-	}
-}
-
-// maybeDeal is the busy-side half of sender-initiated dealing: with
-// surplus work, probe one random worker and, if it advertises idleness,
-// claim its delivery slot and hand over the back task group.
-func (w *Worker[T]) maybeDeal() {
-	rt := w.rt
-	if !rt.cfg.Stealing || w.dq.Len() < 2 || len(rt.workers) == 1 {
-		return
-	}
-	j := w.rng.Intn(len(rt.workers))
-	if j == w.ID || !rt.idle[j].v.Load() {
-		return
-	}
-	if !rt.requests[j].v.CompareAndSwap(noRequest, int32(w.ID)) {
-		return // another sender beat us to this receiver
-	}
-	task, ok := w.dq.PopBack()
-	if !ok {
-		rt.requests[j].v.Store(noRequest)
-		return
-	}
-	msg := transferMsg[T]{task: rt.runner.PackSteal(w, task), ok: true}
-	w.stealsGranted++
-	w.color = black // same conservative blackening rule as steal grants
-	rt.workAvailable[w.ID].v.Store(!w.dq.Empty())
-	rt.transfers[j].v.Store(&msg)
 }
 
 // pickVictim returns a random other worker advertising work, or -1.

@@ -311,71 +311,3 @@ func TestTokenRoundsGrowWithIdleTime(t *testing.T) {
 		t.Fatal("negative rejects")
 	}
 }
-
-func TestSenderInitiated(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		r := &rangeRunner{spinWork: 50}
-		st := runRange(t, Config{Workers: workers, Stealing: true, SenderInitiated: true, Seed: int64(workers)}, 20000, r)
-		checkSum(t, r, 20000)
-		var granted int64
-		for _, g := range st.StealsGranted {
-			granted += g
-		}
-		if granted != st.TotalSteals() {
-			t.Errorf("workers=%d: dealt %d != received %d", workers, granted, st.TotalSteals())
-		}
-	}
-}
-
-func TestSenderInitiatedUnevenSeeding(t *testing.T) {
-	r := &rangeRunner{spinWork: 100}
-	rt, err := New(Config{Workers: 8, Stealing: true, SenderInitiated: true, Seed: 7}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20000
-	rt.Seed(0, rangeTask{0, n})
-	done := make(chan Stats, 1)
-	go func() { done <- rt.Run(nil) }()
-	var st Stats
-	select {
-	case st = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("sender-initiated runtime did not terminate")
-	}
-	checkSum(t, r, n)
-	if st.TotalSteals() == 0 {
-		t.Error("no deals despite all work seeded on worker 0")
-	}
-}
-
-// TestQuickSenderInitiatedConservation mirrors TestQuickConservation for
-// the dealing mode — no lost or duplicated tasks under any configuration.
-func TestQuickSenderInitiatedConservation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	f := func(seed int64, workersRaw uint8) bool {
-		workers := 1 + int(workersRaw%8)
-		r := &rangeRunner{spinWork: 10}
-		rt, err := New(Config{Workers: workers, Stealing: true, SenderInitiated: true, Seed: seed}, r)
-		if err != nil {
-			return false
-		}
-		const n = 3000
-		w := 0
-		for lo := int64(0); lo < n; lo += 97 {
-			hi := lo + 97
-			if hi > n {
-				hi = n
-			}
-			rt.Seed(w, rangeTask{lo, hi})
-			w = (w + 1) % workers
-		}
-		rt.Run(nil)
-		return r.sum.Load() == n*(n-1)/2 && r.count.Load() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

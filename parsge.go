@@ -31,8 +31,14 @@
 // context.Context for cancellation:
 //
 //	tgt, err := parsge.NewTarget(gt, parsge.TargetOptions{})
-//	res, err := tgt.Enumerate(ctx, gp, parsge.Options{Workers: 8})
-//	results, err := tgt.EnumerateBatch(ctx, patterns, parsge.Options{})
+//	for _, gp := range patterns {
+//		res, err := tgt.Enumerate(ctx, gp, parsge.Options{Workers: 8})
+//		...
+//	}
+//
+// Options.Visit receives every embedding as it is found, so a caller
+// that wants the mappings collects them there (copying each: the slice
+// is reused).
 //
 // A *Target is safe for concurrent use.
 //
@@ -474,21 +480,6 @@ func Count(pattern, target *Graph, opts Options) (int64, error) {
 	return res.Matches, err
 }
 
-// FindAll collects every mapping into a slice (mapping[patternNode] =
-// targetNode). It overrides opts.Visit; enumeration order is unspecified
-// for parallel runs. Use a Limit for patterns with very many embeddings —
-// the result set can be exponential in the pattern size.
-func FindAll(pattern, target *Graph, opts Options) ([][]int32, error) {
-	if pattern == nil || target == nil {
-		return nil, fmt.Errorf("parsge: nil graph")
-	}
-	t, err := NewTarget(target, TargetOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return t.FindAll(context.Background(), pattern, opts) //sgelint:ignore ctxbackground one-shot convenience wrapper: no ctx in its signature by design; ctx-aware callers use Target.FindAll
-}
-
 // LabelTable interns string labels for the text graph format.
 type LabelTable = graphio.LabelTable
 
@@ -511,37 +502,12 @@ func WriteGraph(w io.Writer, name string, g *Graph, table *LabelTable) error {
 	return graphio.Write(w, name, g, table)
 }
 
-// Match is one enumerated embedding delivered by EnumerateStream.
+// Match is one enumerated embedding delivered by a match stream (see
+// StreamEnd).
 type Match struct {
 	// Mapping maps pattern node id → target node id. The slice is owned
 	// by the receiver.
 	Mapping []int32
-}
-
-// EnumerateStream runs Enumerate in a background goroutine and delivers
-// matches over a channel; see Target.EnumerateStream for the streaming
-// contract. This wrapper has no context, so the only ways to end a
-// stream early are opts.Timeout, opts.Limit, or draining it — set one
-// of those when early termination is expected, or use
-// Target.EnumerateStream with a cancellable context, which tears the
-// producer down on cancellation. opts.Visit must be nil.
-func EnumerateStream(pattern, target *Graph, opts Options) (<-chan Match, <-chan error) {
-	if pattern == nil || target == nil {
-		matches := make(chan Match)
-		close(matches)
-		done := make(chan error, 1)
-		done <- fmt.Errorf("parsge: nil graph")
-		return matches, done
-	}
-	t, err := NewTarget(target, TargetOptions{})
-	if err != nil {
-		matches := make(chan Match)
-		close(matches)
-		done := make(chan error, 1)
-		done <- err
-		return matches, done
-	}
-	return t.EnumerateStream(context.Background(), pattern, opts) //sgelint:ignore ctxbackground one-shot convenience wrapper: no ctx in its signature by design; ctx-aware callers use Target.EnumerateStream
 }
 
 // Automorphisms returns the size of the pattern's automorphism group,

@@ -294,19 +294,28 @@ func TestAutoWorkersNarrowSearch(t *testing.T) {
 	}
 }
 
-func TestFindAll(t *testing.T) {
+// TestVisitCollectsEveryMapping: Options.Visit sees every embedding
+// once, at one worker and on the steal pool, where it runs concurrently.
+func TestVisitCollectsEveryMapping(t *testing.T) {
 	gp, gt := squarePattern(), gridTarget()
 	want, err := Count(gp, gt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 4} {
-		maps, err := FindAll(gp, gt, Options{Workers: w})
-		if err != nil {
+		var mu sync.Mutex
+		var maps [][]int32
+		visit := func(m []int32) bool {
+			mu.Lock()
+			maps = append(maps, append([]int32(nil), m...))
+			mu.Unlock()
+			return true
+		}
+		if _, err := Enumerate(gp, gt, Options{Workers: w, Visit: visit}); err != nil {
 			t.Fatal(err)
 		}
 		if int64(len(maps)) != want {
-			t.Fatalf("workers=%d: FindAll returned %d mappings, want %d", w, len(maps), want)
+			t.Fatalf("workers=%d: Visit collected %d mappings, want %d", w, len(maps), want)
 		}
 		for _, m := range maps {
 			for _, e := range gp.Edges() {
@@ -316,8 +325,8 @@ func TestFindAll(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FindAll(nil, gt, Options{}); err == nil {
-		t.Fatal("FindAll accepted nil pattern")
+	if _, err := Enumerate(nil, gt, Options{}); err == nil {
+		t.Fatal("Enumerate accepted nil pattern")
 	}
 }
 
@@ -403,37 +412,6 @@ func TestInducedFacade(t *testing.T) {
 	}
 	if _, err := Count(gp, gt, Options{Semantics: Semantics(42)}); err == nil {
 		t.Error("unknown Semantics accepted")
-	}
-}
-
-func TestEnumerateStream(t *testing.T) {
-	gp, gt := squarePattern(), gridTarget()
-	want, err := Count(gp, gt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, done := EnumerateStream(gp, gt, Options{Workers: 4})
-	var got int64
-	for m := range matches {
-		got++
-		for _, e := range gp.Edges() {
-			if !gt.HasEdgeLabeled(m.Mapping[e.From], m.Mapping[e.To], e.Label) {
-				t.Fatal("invalid streamed mapping")
-			}
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("streamed %d matches, want %d", got, want)
-	}
-	// Visit must be rejected.
-	m2, d2 := EnumerateStream(gp, gt, Options{Visit: func([]int32) bool { return true }})
-	for range m2 {
-	}
-	if err := <-d2; err == nil {
-		t.Fatal("stream with Visit accepted")
 	}
 }
 

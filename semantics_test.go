@@ -392,46 +392,6 @@ func TestTargetDefaultSemantics(t *testing.T) {
 	}
 }
 
-// TestEnumerateBatchItemsMixedSemantics: one batch over one shared pool
-// answers patterns under different matching semantics; unset items fall
-// back to the batch Options, then to the Target default.
-func TestEnumerateBatchItemsMixedSemantics(t *testing.T) {
-	gp, gt := pathGraph(3), cycleGraph(3) // 6 iso / 0 induced / 12 hom
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []BatchItem{
-		{Pattern: gp, Semantics: SubgraphIso},
-		{Pattern: gp, Semantics: InducedIso},
-		{Pattern: gp, Semantics: Homomorphism},
-		{Pattern: gp}, // falls back to the batch Options below
-	}
-	want := []int64{6, 0, 12, 12}
-	for _, workers := range []int{1, 3} {
-		res, err := tgt.EnumerateBatchItems(context.Background(), items,
-			Options{Semantics: Homomorphism, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range res {
-			if r.Matches != want[i] {
-				t.Errorf("workers=%d item %d: got %d matches, want %d", workers, i, r.Matches, want[i])
-			}
-		}
-	}
-	// A per-item choice also wins over a batch-wide InducedIso.
-	res, err := tgt.EnumerateBatchItems(context.Background(),
-		[]BatchItem{{Pattern: gp, Semantics: Homomorphism}, {Pattern: gp}},
-		Options{Semantics: InducedIso})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Matches != 12 || res[1].Matches != 0 {
-		t.Errorf("InducedIso batch with hom item: got %d/%d, want 12/0", res[0].Matches, res[1].Matches)
-	}
-}
-
 // TestSemanticsString pins the names used in logs and CLI output.
 func TestSemanticsString(t *testing.T) {
 	for sem, want := range map[Semantics]string{

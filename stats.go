@@ -18,17 +18,12 @@ import (
 
 // PlanBucket aggregates every query whose preprocessing resolved to one
 // filter plan (bucketed by the plan's String rendering, e.g.
-// "nlf+ac:adaptive:1" or "ac:fixpoint+inducedAC") at one target
-// mutation epoch. On an immutable target all buckets carry Epoch 0;
-// after ApplyUpdates, traffic against the updated graph lands in fresh
-// buckets, so /stats distinguishes pre- and post-mutation behavior
-// instead of silently aliasing them.
+// "nlf+ac:adaptive:1" or "ac:fixpoint+inducedAC"), across every target
+// mutation epoch: the histogram holds one bucket per distinct plan, so
+// it stays bounded however many updates a long-running target takes.
 type PlanBucket struct {
 	// Plan is the bucket key: the PlanInfo.String() rendering.
 	Plan string
-	// Epoch is the target mutation epoch the bucket's queries ran
-	// against.
-	Epoch uint64
 	// Count is the number of queries that resolved to this plan and ran
 	// to completion. Truncated runs (timed out or aborted) are counted
 	// separately — see Truncated — so mean costs derived from this bucket
@@ -64,47 +59,22 @@ type PlanHistogram struct {
 	Buckets []PlanBucket
 }
 
-// Bucket returns the aggregate over all epochs of the buckets for a
-// plan rendering, or a zero bucket when no query resolved to it. For a
-// per-epoch view use BucketAt or walk Buckets directly.
+// Bucket returns the bucket for a plan rendering, or a zero bucket when
+// no query resolved to it.
 func (h *PlanHistogram) Bucket(plan string) PlanBucket {
-	out := PlanBucket{Plan: plan}
 	for _, b := range h.Buckets {
-		if b.Plan != plan {
-			continue
-		}
-		out.Epoch = b.Epoch // of the last contributing bucket; callers wanting epochs use BucketAt
-		out.Count += b.Count
-		out.UnaryTime += b.UnaryTime
-		out.ACTime += b.ACTime
-		out.InducedACTime += b.InducedACTime
-		out.MatchTime += b.MatchTime
-		out.Truncated += b.Truncated
-		out.TruncatedTime += b.TruncatedTime
-		out.DomainAfterUnary += b.DomainAfterUnary
-		out.DomainFinal += b.DomainFinal
-	}
-	return out
-}
-
-// BucketAt returns the bucket for a plan rendering at one target
-// mutation epoch, or a zero bucket when no query at that epoch resolved
-// to it.
-func (h *PlanHistogram) BucketAt(epoch uint64, plan string) PlanBucket {
-	for _, b := range h.Buckets {
-		if b.Plan == plan && b.Epoch == epoch {
+		if b.Plan == plan {
 			return b
 		}
 	}
-	return PlanBucket{Plan: plan, Epoch: epoch}
+	return PlanBucket{Plan: plan}
 }
 
 // SessionStats is a snapshot of everything a Target did since NewTarget:
 // query and match totals, aggregate timings, and the plan histogram.
 type SessionStats struct {
-	// Queries counts every enumeration the session answered (batch items
-	// and streams count individually; queries that failed validation do
-	// not count).
+	// Queries counts every enumeration and census the session answered
+	// (queries that failed validation do not count).
 	Queries int64
 	// Matches and States are summed over all queries.
 	Matches, States int64
@@ -157,7 +127,7 @@ func (s *sessionStats) record(res *Result) {
 		s.noPlan++
 		return
 	}
-	b := s.bucket(res.Epoch, p.String())
+	b := s.bucket(p.String())
 	if res.TimedOut {
 		// A truncated run's match time is a cost floor, not a sample:
 		// folding it into Count/MatchTime would bias per-plan means
@@ -191,7 +161,7 @@ func (s *sessionStats) recordCensus(res *CensusResult) {
 		s.timeout++
 	}
 	s.match += res.Duration
-	b := s.bucket(res.Epoch, fmt.Sprintf("census:k=%d", res.K))
+	b := s.bucket(fmt.Sprintf("census:k=%d", res.K))
 	if res.TimedOut {
 		b.Truncated++
 		b.TruncatedTime += res.Duration
@@ -202,18 +172,15 @@ func (s *sessionStats) recordCensus(res *CensusResult) {
 }
 
 // bucket returns (creating on demand) the accumulator bucket for one
-// (epoch, plan) pair. Keying by epoch is what keeps pre- and
-// post-mutation traffic apart — before epochs existed, a census or plan
-// bucket silently aggregated across graph versions.
-func (s *sessionStats) bucket(epoch uint64, plan string) *PlanBucket {
+// plan.
+func (s *sessionStats) bucket(plan string) *PlanBucket {
 	if s.buckets == nil {
 		s.buckets = make(map[string]*PlanBucket)
 	}
-	key := fmt.Sprintf("%d|%s", epoch, plan)
-	b := s.buckets[key]
+	b := s.buckets[plan]
 	if b == nil {
-		b = &PlanBucket{Plan: plan, Epoch: epoch}
-		s.buckets[key] = b
+		b = &PlanBucket{Plan: plan}
+		s.buckets[plan] = b
 	}
 	return b
 }
@@ -242,10 +209,7 @@ func (s *sessionStats) snapshot() SessionStats {
 		if bi.Count != bj.Count {
 			return bi.Count > bj.Count
 		}
-		if bi.Plan != bj.Plan {
-			return bi.Plan < bj.Plan
-		}
-		return bi.Epoch < bj.Epoch
+		return bi.Plan < bj.Plan
 	})
 	return out
 }

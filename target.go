@@ -2,9 +2,7 @@ package parsge
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"parsge/internal/lad"
 	"parsge/internal/parallel"
 	"parsge/internal/ri"
-	"parsge/internal/steal"
 	"parsge/internal/vf2"
 )
 
@@ -201,38 +198,26 @@ func (t *Target) Enumerate(ctx context.Context, pattern *Graph, opts Options) (R
 func (t *Target) EnumerateEstimated(ctx context.Context, est CostEstimate, pattern *Graph, opts Options) (Result, error) {
 	qctx, stop := queryContext(ctx, opts.Timeout)
 	defer stop()
-	return t.enumerate(qctx, est.pin, pattern, opts)
-}
-
-// enumerate runs one query under an already-derived context (Timeout has
-// been folded into ctx by the caller) and folds the outcome into the
-// session statistics. Every query path — one-shot, batch item, stream —
-// funnels through here, which is what makes Stats() complete.
-func (t *Target) enumerate(ctx context.Context, pin *estimatePin, pattern *Graph, opts Options) (Result, error) {
-	res, err := t.enumerateQuery(ctx, pin, pattern, opts)
-	if err == nil {
-		t.stats.record(&res)
-	}
-	return res, err
-}
-
-// enumerateQuery runs the query against one target snapshot — the one
-// pin's estimate was computed on when the pin covers this query, else
-// the current one — and stamps the result with the snapshot's epoch: the
-// whole query (preprocessing included) sees exactly one graph version
-// however many updates land concurrently.
-func (t *Target) enumerateQuery(ctx context.Context, pin *estimatePin, pattern *Graph, opts Options) (Result, error) {
-	st := t.state.Load()
+	// The query runs against one target snapshot — the one the estimate
+	// was computed on when its pin covers this query, else the current
+	// one — and is stamped with that snapshot's epoch: the whole query
+	// (preprocessing included) sees exactly one graph version however
+	// many updates land concurrently.
+	st, pin := t.state.Load(), est.pin
 	if pin.covers(t, pattern, opts) {
 		st = pin.st
 	} else {
 		pin = nil
 	}
-	res, err := t.enumerateOn(st, pin, ctx, pattern, opts)
-	if err == nil {
-		res.Epoch = st.epoch
+	res, err := t.enumerateOn(st, pin, qctx, pattern, opts)
+	if err != nil {
+		return res, err
 	}
-	return res, err
+	res.Epoch = st.epoch
+	// Every query funnels through here, which is what makes Stats()
+	// complete.
+	t.stats.record(&res)
+	return res, nil
 }
 
 // enumerateOn dispatches one query to the engine the options select,
@@ -243,8 +228,8 @@ func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Cont
 		return Result{}, fmt.Errorf("parsge: nil pattern graph")
 	}
 	// Check before preprocessing, not just in the search loops:
-	// ri.Prepare's domain computation is O(pattern × target) and a
-	// cancelled batch draining its queue must not pay it per pattern.
+	// ri.Prepare's domain computation is O(pattern × target) and a query
+	// whose context fired before it started must not pay it.
 	if ctx.Err() != nil {
 		return Result{TimedOut: true}, nil
 	}
@@ -376,240 +361,13 @@ func (t *Target) Count(ctx context.Context, pattern *Graph, opts Options) (int64
 	return res.Matches, err
 }
 
-// FindAll collects every mapping into a slice (mapping[patternNode] =
-// targetNode). It overrides opts.Visit; enumeration order is unspecified
-// for parallel runs. Use a Limit for patterns with very many embeddings.
-func (t *Target) FindAll(ctx context.Context, pattern *Graph, opts Options) ([][]int32, error) {
-	var mu sync.Mutex
-	var all [][]int32
-	opts.Visit = func(m []int32) bool {
-		cp := append([]int32(nil), m...)
-		mu.Lock()
-		all = append(all, cp)
-		mu.Unlock()
-		return true
-	}
-	if _, err := t.Enumerate(ctx, pattern, opts); err != nil {
-		return nil, err
-	}
-	return all, nil
-}
-
-// BatchItem is one query of a mixed batch: a pattern plus optional
-// per-pattern overrides of the batch-wide Options.
-type BatchItem struct {
-	// Pattern is the query graph.
-	Pattern *Graph
-	// Semantics, when not SemanticsUnset, selects this pattern's
-	// matching semantics, overriding the batch Options' Semantics — so
-	// one batch, served by one shared worker pool, can mix
-	// subgraph-iso, induced and homomorphism queries. SemanticsUnset
-	// falls back to the batch Options, then to the Target's
-	// DefaultSemantics.
-	Semantics Semantics
-}
-
-// batchRunner schedules whole pattern queries as tasks of the shared
-// work-stealing pool: each task is an item index, executed as one
-// sequential enumeration. Distinct tasks write distinct result slots,
-// and steal.Runtime.Run's completion barrier publishes them to the
-// caller.
-type batchRunner struct {
-	t        *Target
-	ctx      context.Context
-	items    []BatchItem
-	opts     Options
-	results  []Result
-	errs     []error
-	executed []bool
-}
-
-// optsFor applies item i's overrides to the batch-wide options.
-func (b *batchRunner) optsFor(i int) Options {
-	o := b.opts
-	if s := b.items[i].Semantics; s != SemanticsUnset {
-		o.Semantics = s
-	}
-	return o
-}
-
-func (b *batchRunner) Execute(_ *steal.Worker[int], i int) {
-	b.executed[i] = true
-	b.results[i], b.errs[i] = b.t.enumerate(b.ctx, nil, b.items[i].Pattern, b.optsFor(i))
-}
-
-func (b *batchRunner) PackSteal(_ *steal.Worker[int], i int) int { return i }
-
-// EnumerateBatch answers many pattern queries against the session's
-// target over one shared work-stealing pool: patterns are dealt
-// round-robin across the workers and idle workers steal queued patterns
-// from busy ones, so an irregular mix of cheap and expensive patterns
-// still balances. Each query runs with the sequential engine (the
-// parallelism is across patterns); target-side preprocessing, the label
-// index, and the per-worker scratch arenas are shared by all of them.
-//
-// Options applies to every pattern, with Workers sizing the shared pool:
-// 0 or AutoWorkers means min(GOMAXPROCS, number of patterns). A non-nil
-// Visit is invoked concurrently (it must be safe for concurrent use) and
-// does not identify which pattern a mapping belongs to — prefer
-// per-pattern FindAll when that matters. Timeout and ctx cover the whole
-// batch.
-//
-// The returned slice has one Result per pattern, index-aligned. The
-// error is the join of all per-pattern errors (nil when every query
-// succeeded); Results of failed patterns are zero.
-func (t *Target) EnumerateBatch(ctx context.Context, patterns []*Graph, opts Options) ([]Result, error) {
-	items := make([]BatchItem, len(patterns))
-	for i, gp := range patterns {
-		items[i] = BatchItem{Pattern: gp}
-	}
-	return t.EnumerateBatchItems(ctx, items, opts)
-}
-
-// EnumerateBatchItems is EnumerateBatch with per-pattern overrides:
-// each BatchItem may choose its own matching semantics, so a mixed
-// workload (say, motif counting under subgraph-iso next to clique
-// detection under induced and reachability-style homomorphism queries)
-// shares one work-stealing pool instead of needing one batch per
-// semantics. Scheduling, cancellation and the result contract are
-// exactly those of EnumerateBatch.
-func (t *Target) EnumerateBatchItems(ctx context.Context, items []BatchItem, opts Options) ([]Result, error) {
-	results := make([]Result, len(items))
-	errs := make([]error, len(items))
-	if len(items) == 0 {
-		return results, nil
-	}
-	qctx, stop := queryContext(ctx, opts.Timeout)
-	defer stop()
-
-	workers := opts.Workers
-	if workers == 0 || workers == AutoWorkers {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-
-	perQuery := opts
-	perQuery.Workers = 1 // parallelism is across patterns
-	perQuery.Timeout = 0 // already folded into qctx
-
-	runner := &batchRunner{
-		t:        t,
-		ctx:      qctx,
-		items:    items,
-		opts:     perQuery,
-		results:  results,
-		errs:     errs,
-		executed: make([]bool, len(items)),
-	}
-
-	if workers <= 1 {
-		for i := range items {
-			results[i], errs[i] = t.enumerate(qctx, nil, items[i].Pattern, runner.optsFor(i))
-		}
-		return results, errors.Join(errs...)
-	}
-
-	rt, err := steal.New(steal.Config{Workers: workers, Stealing: true, Seed: opts.Seed}, runner)
-	if err != nil {
-		// workers ≥ 2 here; steal.New cannot fail.
-		panic(err)
-	}
-	for i := range items {
-		rt.Seed(i%workers, i)
-	}
-	rt.Run(qctx)
-	// A cancelled pool exits with seeded-but-never-popped patterns
-	// still queued; their zero Results must not read as "completed, no
-	// matches". Mark them aborted like every executed-and-cancelled
-	// query.
-	if qctx.Err() != nil {
-		for i, done := range runner.executed {
-			if !done {
-				results[i].TimedOut = true
-			}
-		}
-	}
-	return results, errors.Join(errs...)
-}
-
-// StreamEnd is the terminal event of EnumerateStreamResult: the final
-// Result of the enumeration (Result.TimedOut reports a truncated
-// stream — context cancellation or Timeout) and the query error. A
-// stream capped by Options.Limit is reported as complete, not
-// truncated: the caller received everything it asked for.
+// StreamEnd is the terminal event of a match stream (the service layer
+// streams its queries as Match values): the final Result of the
+// enumeration (Result.TimedOut reports a truncated stream — context
+// cancellation or Timeout) and the query error. A stream capped by
+// Options.Limit is reported as complete, not truncated: the caller
+// received everything it asked for.
 type StreamEnd struct {
 	Result Result
 	Err    error
-}
-
-// EnumerateStreamResult runs a query in a background goroutine and
-// delivers matches over a channel, for pipelines that consume embeddings
-// as they are found rather than buffer them (FindAll) or process them
-// inline (Visit). The matches channel is closed when the enumeration
-// finishes; the terminal StreamEnd — final Result plus error — is
-// delivered on the second channel strictly after the close (always
-// exactly one value), so a consumer that received the end event never
-// blocks draining the match channel. A consumer that needs to know
-// whether a stream it drained was complete checks Result.TimedOut — a
-// truncated stream is not an error. opts.Visit must be nil.
-//
-// Contract: cancelling ctx tears the producer down even when the
-// consumer has stopped draining the channel — the producer blocks in a
-// send-or-cancelled select, never in a bare send — so abandoning a
-// stream costs nothing beyond cancelling its context (this fixes the
-// abandonment leak of the pre-session API). A consumer that drains to
-// completion needs no cancel; one that may stop early should
-// defer cancel() and simply return.
-func (t *Target) EnumerateStreamResult(ctx context.Context, pattern *Graph, opts Options) (<-chan Match, <-chan StreamEnd) {
-	return t.EnumerateStreamEstimated(ctx, CostEstimate{}, pattern, opts)
-}
-
-// EnumerateStreamEstimated is EnumerateStreamResult for a query that
-// EstimateCost priced: like EnumerateEstimated, the stream runs on the
-// snapshot est pinned and adopts the domains it computed.
-func (t *Target) EnumerateStreamEstimated(ctx context.Context, est CostEstimate, pattern *Graph, opts Options) (<-chan Match, <-chan StreamEnd) {
-	matches := make(chan Match, 64)
-	end := make(chan StreamEnd, 1)
-	if opts.Visit != nil {
-		close(matches)
-		end <- StreamEnd{Err: fmt.Errorf("parsge: EnumerateStreamResult requires a nil Visit")}
-		return matches, end
-	}
-	qctx, stop := queryContext(ctx, opts.Timeout)
-	opts.Timeout = 0 // folded into qctx; must not be re-applied downstream
-	cancelled := qctx.Done()
-	opts.Visit = func(m []int32) bool {
-		cp := append([]int32(nil), m...)
-		select {
-		case matches <- Match{Mapping: cp}:
-			return true
-		case <-cancelled:
-			return false
-		}
-	}
-	go func() {
-		defer stop()
-		res, err := t.enumerate(qctx, est.pin, pattern, opts)
-		// Close strictly before delivering the terminal event. The old
-		// order (terminal first, close via defer) let a consumer observe
-		// the end of the stream while the match channel was still open —
-		// a race a draining consumer could trip over.
-		close(matches)
-		end <- StreamEnd{Result: res, Err: err}
-	}()
-	return matches, end
-}
-
-// EnumerateStream is EnumerateStreamResult reduced to the error: the
-// matches channel closes when the enumeration finishes, then the final
-// error is delivered (always exactly one value). Callers that need the
-// final Result — e.g. to distinguish a complete stream from a truncated
-// one — use EnumerateStreamResult.
-func (t *Target) EnumerateStream(ctx context.Context, pattern *Graph, opts Options) (<-chan Match, <-chan error) {
-	matches, end := t.EnumerateStreamResult(ctx, pattern, opts)
-	done := make(chan error, 1)
-	go func() { done <- (<-end).Err }()
-	return matches, done
 }

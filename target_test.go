@@ -129,175 +129,6 @@ func TestTargetTimeoutComposesWithCtx(t *testing.T) {
 	}
 }
 
-func TestEnumerateBatchAgreesWithSingles(t *testing.T) {
-	_, gt := testutil.RandomInstance(11, testutil.InstanceOptions{
-		TargetNodes: 80, TargetEdges: 500, PatternNodes: 5, NodeLabels: 3, Extract: true,
-	})
-	rng := rand.New(rand.NewSource(99))
-	var patterns []*Graph
-	for len(patterns) < 9 {
-		patterns = append(patterns, testutil.ExtractPattern(rng, gt, 4+len(patterns)%3))
-	}
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := tgt.EnumerateBatch(context.Background(), patterns, Options{Algorithm: RIDSSIFC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(patterns) {
-		t.Fatalf("%d results for %d patterns", len(results), len(patterns))
-	}
-	for i, gp := range patterns {
-		want, err := tgt.Count(context.Background(), gp, Options{Algorithm: RIDSSIFC})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i].Matches != want {
-			t.Errorf("pattern %d: batch %d matches, single %d", i, results[i].Matches, want)
-		}
-	}
-}
-
-func TestEnumerateBatchErrors(t *testing.T) {
-	gp, gt := squarePattern(), gridTarget()
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty batch: no results, no error.
-	if res, err := tgt.EnumerateBatch(context.Background(), nil, Options{}); err != nil || len(res) != 0 {
-		t.Fatalf("empty batch: %v, %v", res, err)
-	}
-	// One bad pattern must not poison its neighbors.
-	results, err := tgt.EnumerateBatch(context.Background(), []*Graph{gp, nil, gp}, Options{})
-	if err == nil {
-		t.Fatal("nil pattern in batch produced no error")
-	}
-	if results[0].Matches == 0 || results[2].Matches == 0 {
-		t.Fatalf("healthy patterns starved by failing one: %+v", results)
-	}
-	if results[1].Matches != 0 {
-		t.Fatal("failed pattern reported matches")
-	}
-}
-
-func TestEnumerateBatchCancellation(t *testing.T) {
-	gp, gt := hardInstance(t)
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := []*Graph{gp, gp, gp, gp}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err := tgt.EnumerateBatch(ctx, patterns, Options{Algorithm: RI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if !r.TimedOut {
-			t.Errorf("pattern %d: pre-cancelled batch not marked TimedOut", i)
-		}
-	}
-}
-
-// TestEnumerateBatchMidCancel cancels a wide batch shortly after it
-// starts: every slot — patterns aborted mid-search AND patterns the
-// cancelled pool never popped — must read as TimedOut, never as a
-// completed zero-match result.
-func TestEnumerateBatchMidCancel(t *testing.T) {
-	gp, gt := hardInstance(t)
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := make([]*Graph, 16)
-	for i := range patterns {
-		patterns[i] = gp // each takes seconds alone; 16 cannot finish in 30ms
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	results, err := tgt.EnumerateBatch(ctx, patterns, Options{Algorithm: RI, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if !r.TimedOut {
-			t.Errorf("pattern %d: cancelled batch slot not marked TimedOut (Matches=%d)", i, r.Matches)
-		}
-	}
-}
-
-// TestTargetStreamCancelTearsDown abandons a stream mid-consumption:
-// cancelling the context must close the channel and let the producer
-// goroutine exit even though nobody drains the remaining matches — the
-// leak the pre-session API documented.
-func TestTargetStreamCancelTearsDown(t *testing.T) {
-	gp, gt := hardInstance(t)
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	matches, done := tgt.EnumerateStream(ctx, gp, Options{Algorithm: RI})
-	// Take at most one match, then walk away without draining.
-	select {
-	case <-matches:
-	case <-time.After(5 * time.Second):
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer did not exit after ctx cancellation")
-	}
-	// The channel must be closed (drainable) after done reports.
-	for range matches {
-	}
-	// Give exited goroutines a moment to be reaped, then sanity-check we
-	// did not leave a worker pool behind.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Fatalf("goroutines leaked: %d before stream, %d after teardown", before, n)
-	}
-}
-
-func TestTargetStreamDrainToCompletion(t *testing.T) {
-	gp, gt := squarePattern(), gridTarget()
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tgt.Count(context.Background(), gp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, done := tgt.EnumerateStream(context.Background(), gp, Options{Workers: 4})
-	var got int64
-	for range matches {
-		got++
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("streamed %d matches, want %d", got, want)
-	}
-}
-
 func TestTargetSkipLabelIndexAgrees(t *testing.T) {
 	gp, gt := testutil.RandomInstance(21, testutil.InstanceOptions{
 		TargetNodes: 50, TargetEdges: 300, PatternNodes: 4, NodeLabels: 4, Extract: true,
@@ -391,9 +222,9 @@ func TestAutoWorkerCount(t *testing.T) {
 	}
 }
 
-// TestSessionStats: every query path — one-shot, batch item, stream —
-// must fold into Target.Stats(), and plan-reporting queries must land in
-// the histogram bucket their Result.Plan renders as.
+// TestSessionStats: every query must fold into Target.Stats(), and
+// plan-reporting queries must land in the histogram bucket their
+// Result.Plan renders as.
 func TestSessionStats(t *testing.T) {
 	gp, gt := squarePattern(), gridTarget()
 	tgt, err := NewTarget(gt, TargetOptions{})
@@ -405,24 +236,20 @@ func TestSessionStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tgt.EnumerateBatch(ctx, []*Graph{gp, gp}, Options{Algorithm: RIDSSIFC}); err != nil {
-		t.Fatal(err)
-	}
-	matches, done := tgt.EnumerateStream(ctx, gp, Options{Algorithm: RI})
-	for range matches {
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for _, alg := range []Algorithm{RIDSSIFC, RIDSSIFC, RI} {
+		if _, err := tgt.Enumerate(ctx, gp, Options{Algorithm: alg}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	st := tgt.Stats()
 	if st.Queries != 4 {
-		t.Fatalf("Queries = %d, want 4 (one-shot + 2 batch items + stream)", st.Queries)
+		t.Fatalf("Queries = %d, want 4", st.Queries)
 	}
 	if st.Matches != 4*res.Matches {
 		t.Fatalf("Matches = %d, want %d", st.Matches, 4*res.Matches)
 	}
-	// Three RIDSSIFC runs report a plan, the plain-RI stream does not.
+	// Three RIDSSIFC runs report a plan, the plain-RI run does not.
 	if st.Plans.Planned != 3 || st.Plans.NoPlan != 1 {
 		t.Fatalf("histogram planned/noplan = %d/%d, want 3/1", st.Plans.Planned, st.Plans.NoPlan)
 	}
@@ -435,69 +262,6 @@ func TestSessionStats(t *testing.T) {
 	}
 	if st.PreprocTime <= 0 || st.MatchTime < 0 {
 		t.Fatalf("timing aggregates not recorded: %+v", st)
-	}
-}
-
-// TestStreamEndTruncation: EnumerateStreamResult's terminal event must
-// report a complete stream as such, and a cancelled stream as truncated
-// (Result.TimedOut) — delivered strictly after the matches channel
-// closed, so "end received" implies "drain terminates".
-func TestStreamEndTruncation(t *testing.T) {
-	gp, gt := squarePattern(), gridTarget()
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Complete stream.
-	matches, end := tgt.EnumerateStreamResult(context.Background(), gp, Options{})
-	var got int64
-	for range matches {
-		got++
-	}
-	e := <-end
-	if e.Err != nil || e.Result.TimedOut {
-		t.Fatalf("complete stream reported err=%v truncated=%v", e.Err, e.Result.TimedOut)
-	}
-	if e.Result.Matches != got {
-		t.Fatalf("terminal Result.Matches = %d, streamed %d", e.Result.Matches, got)
-	}
-
-	// Cancelled stream: a world with far more matches than the channel
-	// buffer, so the producer is genuinely mid-flight when we walk away
-	// (the square-in-grid stream above fits in the buffer and would
-	// complete before the cancel could truncate it).
-	cb := NewBuilder(12, 12*11)
-	cb.AddNodes(12)
-	for i := int32(0); i < 12; i++ {
-		for j := i + 1; j < 12; j++ {
-			cb.AddEdgeBoth(i, j, NoLabel)
-		}
-	}
-	pb := NewBuilder(3, 2)
-	pb.AddNodes(3)
-	pb.AddEdge(0, 1, NoLabel)
-	pb.AddEdge(1, 2, NoLabel)
-	big, err := NewTarget(cb.MustBuild(), TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	matches, end = big.EnumerateStreamResult(ctx, pb.MustBuild(), Options{Semantics: Homomorphism})
-	<-matches
-	cancel()
-	select {
-	case e = <-end:
-	case <-time.After(10 * time.Second):
-		t.Fatal("terminal event never arrived after cancellation")
-	}
-	if e.Err != nil {
-		t.Fatalf("cancelled stream errored: %v", e.Err)
-	}
-	if !e.Result.TimedOut {
-		t.Fatal("cancelled stream not reported as truncated")
-	}
-	// The matches channel is closed by the time the end event exists.
-	for range matches {
 	}
 }
 
