@@ -299,7 +299,7 @@ func benchAlgorithm(b *testing.B, alg parsge.Algorithm, workers int) {
 	b.ResetTimer()
 	var matches int64
 	for i := 0; i < b.N; i++ {
-		res, err := parsge.Enumerate(gp, gt, parsge.Options{Algorithm: alg, Workers: workers, Seed: int64(i)})
+		res, err := parsge.Enumerate(gp, gt, parsge.Options{Algorithm: alg, Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,11 +29,3 @@ func CanonicalPattern(g *Graph) (encoding []byte, perm []int32) {
 func CanonicalHash(g *Graph) uint64 {
 	return graph.CanonicalHash(g)
 }
-
-// HashEncoding hashes an encoding already in hand — the bytes returned
-// by CanonicalPattern, or CensusClass.Encoding — with the same 64-bit
-// function CanonicalHash uses, so callers holding the encoding never
-// re-derive it just to get its hash.
-func HashEncoding(encoding []byte) uint64 {
-	return graph.HashBytes(encoding)
-}

@@ -47,7 +47,8 @@ type CensusClass struct {
 	// ordered embeddings).
 	Pattern *Graph
 	// Encoding is the canonical encoding identifying the class (the
-	// CanonicalPattern bytes of Pattern); Hash is HashEncoding of it.
+	// CanonicalPattern bytes of Pattern); Hash is CanonicalHash(Pattern),
+	// the 64-bit hash of those bytes.
 	// Treat the bytes as read-only.
 	Encoding []byte
 	Hash     uint64

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"parsge/internal/graph"
 	"parsge/internal/testutil"
 )
 
@@ -154,7 +155,7 @@ func TestCensusRepresentativeQueryable(t *testing.T) {
 		if string(enc) != string(c.Encoding) {
 			t.Fatal("representative does not canonize to its class encoding")
 		}
-		if HashEncoding(c.Encoding) != c.Hash {
+		if graph.HashBytes(c.Encoding) != c.Hash {
 			t.Fatal("class hash does not match its encoding")
 		}
 		auts, err := Automorphisms(c.Pattern)

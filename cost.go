@@ -75,10 +75,10 @@ type estimatePin struct {
 }
 
 // covers reports whether the pin was computed by t for this query: the
-// same pattern under the same semantics and pruning options. A nil pin
-// covers nothing.
+// same pattern under the same semantics and filters. A nil pin covers
+// nothing.
 func (p *estimatePin) covers(t *Target, pattern *Graph, opts Options) bool {
-	if p == nil || p.tgt != t || p.pattern != pattern || p.filters != opts.Pruning.filters() {
+	if p == nil || p.tgt != t || p.pattern != pattern || p.filters != opts.filters {
 		return false
 	}
 	sem, err := t.ResolveSemantics(opts)
@@ -128,7 +128,7 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 	// so the estimate always computes them — and keeps them only for an
 	// engine that adopts them. The bound is taken here, before the run's
 	// forward checking refines them.
-	pin := &estimatePin{tgt: t, st: st, pattern: pattern, sem: sem, filters: opts.Pruning.filters()}
+	pin := &estimatePin{tgt: t, st: st, pattern: pattern, sem: sem, filters: opts.filters}
 	doms, dstats := pin.filters.Compute(gp, st.g, st.index, sem)
 	pin.stats, pin.took = dstats, time.Since(start)
 	logProd, anyEmpty := doms.LogProduct()

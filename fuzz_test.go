@@ -199,26 +199,26 @@ func FuzzContainment(f *testing.F) {
 		if len(data) > 0 {
 			knobs = data[len(data)-1]
 		}
-		kernels := []Kernel{KernelAuto, KernelBitset, KernelSlice}
-		riPruning := PruningOptions{
-			Schedule:   []Schedule{ScheduleAuto, ScheduleFixed}[knobs&1],
-			ACPasses:   int(knobs >> 1 & 1),
-			DisableNLF: knobs>>2&1 == 1,
-			Kernel:     kernels[int(knobs>>4&3)%3],
+		kernels := []domain.Kernel{domain.KernelAuto, domain.KernelBitset, domain.KernelSlice}
+		riPruning := domain.Filters{
+			Schedule: []domain.Schedule{domain.ScheduleAuto, domain.ScheduleFixed}[knobs&1],
+			ACPasses: int(knobs >> 1 & 1),
+			SkipNLF:  knobs>>2&1 == 1,
+			Kernel:   kernels[int(knobs>>4&3)%3],
 		}
-		ladPruning := PruningOptions{
-			Schedule:         []Schedule{ScheduleFixed, ScheduleAuto}[knobs&1],
-			DisableInducedAC: knobs>>3&1 == 1,
-			Kernel:           kernels[int(knobs>>6&3)%3],
+		ladPruning := domain.Filters{
+			Schedule:      []domain.Schedule{domain.ScheduleFixed, domain.ScheduleAuto}[knobs&1],
+			SkipInducedAC: knobs>>3&1 == 1,
+			Kernel:        kernels[int(knobs>>6&3)%3],
 		}
 		var counts [3]int64
 		sems := []Semantics{InducedIso, SubgraphIso, Homomorphism}
 		for i, sem := range sems {
-			ri, err := Count(gp, gt, Options{Algorithm: RIDSSIFC, Semantics: sem, Pruning: riPruning})
+			ri, err := Count(gp, gt, Options{Algorithm: RIDSSIFC, Semantics: sem, filters: riPruning})
 			if err != nil {
 				t.Fatalf("RI-DS-SI-FC under %v: %v\npattern=%v target=%v", sem, err, gp.Edges(), gt.Edges())
 			}
-			lad, err := Count(gp, gt, Options{Algorithm: LAD, Semantics: sem, Pruning: ladPruning})
+			lad, err := Count(gp, gt, Options{Algorithm: LAD, Semantics: sem, filters: ladPruning})
 			if err != nil {
 				t.Fatalf("LAD under %v: %v\npattern=%v target=%v", sem, err, gp.Edges(), gt.Edges())
 			}
@@ -333,7 +333,7 @@ func FuzzEdgeUpdates(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, batches := decodeFuzzUpdates(data)
-		tgt, err := NewTarget(g, TargetOptions{NLF: NLFExact})
+		tgt, err := NewTarget(g, TargetOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func FuzzEdgeUpdates(f *testing.F) {
 				}
 			}
 
-			rebuilt, err := NewTarget(og, TargetOptions{NLF: NLFExact})
+			rebuilt, err := NewTarget(og, TargetOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

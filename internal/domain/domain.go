@@ -206,9 +206,6 @@ func (ix *Index) Nodes(l graph.Label) []int32 { return ix.byLabel[l] }
 // an Index belongs to the graph a query runs against.
 func (ix *Index) NumNodes() int { return ix.nt }
 
-// NumLabels returns the number of distinct node labels in the target.
-func (ix *Index) NumLabels() int { return len(ix.byLabel) }
-
 // nlfKey packs a (neighbor node label, edge label) pair into one
 // comparable word. Labels are int32, so the two halves never collide.
 func nlfKey(nodeLab, edgeLab graph.Label) uint64 {

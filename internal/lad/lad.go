@@ -85,9 +85,6 @@ type Result struct {
 	Unsatisfiable bool
 }
 
-// TotalTime returns preprocessing plus match time.
-func (r Result) TotalTime() time.Duration { return r.PreprocTime + r.MatchTime }
-
 const cancelCheckMask = 0xFF
 
 // solver carries the DFS state. Domains are saved by copy per depth —

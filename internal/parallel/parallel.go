@@ -112,12 +112,8 @@ type Result struct {
 	// DepthStates breaks States down by ordering position (summed over
 	// workers): the search profile.
 	DepthStates []int64
-	// PerWorkerMatches breaks Matches down by worker.
-	PerWorkerMatches []int64
 	// Steals is the number of task groups moved between workers (Fig 4).
 	Steals int64
-	// StealStats retains the full runtime counters.
-	StealStats steal.Stats
 	// PreprocTime is the preprocessing time of the Prepared instance.
 	PreprocTime time.Duration
 	// MatchTime is the wall time of the parallel search phase.
@@ -128,9 +124,6 @@ type Result struct {
 	// Unsatisfiable is inherited from preprocessing.
 	Unsatisfiable bool
 }
-
-// TotalTime returns preprocessing plus matching wall time.
-func (r Result) TotalTime() time.Duration { return r.PreprocTime + r.MatchTime }
 
 // taskGroup packs up to MaxGroupSize sibling tasks: candidate target
 // nodes for the same ordering position, valid under the same mapping
@@ -178,10 +171,9 @@ const cancelCheckMask = 0x3FF
 func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 	opts = opts.normalized()
 	res = Result{
-		PreprocTime:      p.PreprocTime,
-		Unsatisfiable:    p.Unsat,
-		PerWorkerStates:  make([]int64, opts.Workers),
-		PerWorkerMatches: make([]int64, opts.Workers),
+		PreprocTime:     p.PreprocTime,
+		Unsatisfiable:   p.Unsat,
+		PerWorkerStates: make([]int64, opts.Workers),
 	}
 	start := time.Now()
 	defer func() { res.MatchTime = time.Since(start) }()
@@ -246,13 +238,11 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 
 	// The runtime watches Ctx itself (idle workers included); busy
 	// workers additionally poll the done channel inline via shouldStop.
-	res.StealStats = rt.Run(opts.Ctx)
-	res.Steals = res.StealStats.TotalSteals()
+	res.Steals = rt.Run(opts.Ctx).TotalSteals()
 
 	res.DepthStates = make([]int64, p.NumPositions())
 	for i, ws := range e.ws {
 		res.PerWorkerStates[i] = ws.states
-		res.PerWorkerMatches[i] = ws.matches
 		res.States += ws.states
 		res.Matches += ws.matches
 		for d, c := range ws.depthStates {

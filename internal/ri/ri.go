@@ -146,10 +146,6 @@ type Result struct {
 	Unsatisfiable bool
 }
 
-// TotalTime returns preprocessing plus matching time, the paper's "total
-// time" metric (Figs 9-11).
-func (r Result) TotalTime() time.Duration { return r.PreprocTime + r.MatchTime }
-
 // backEdge records a pattern edge from the node at some position to a
 // node at an earlier position; the search validates all of them for every
 // candidate ("introducing additional constraints as early as possible").

@@ -419,13 +419,6 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-func TestTotalTime(t *testing.T) {
-	r := Result{PreprocTime: 2, MatchTime: 3}
-	if r.TotalTime() != 5 {
-		t.Fatal("TotalTime wrong")
-	}
-}
-
 func BenchmarkSequentialRI(b *testing.B) {
 	gp, gt := testutil.RandomInstance(11, testutil.InstanceOptions{
 		TargetNodes:  60,

@@ -15,30 +15,19 @@ import (
 // different clients share an entry) × the resolved matching semantics ×
 // a fingerprint of every option that can change the result *content*.
 //
-// Execution knobs — Workers, TaskGroupSize, DisableStealing, Seed,
-// Timeout, Visit — are deliberately excluded: they change how a result
-// is computed, never what it is (a timed-out run is not cached at all,
-// so Timeout cannot leak partial results into the cache). Everything
-// else is included, conservatively: Limit truncates the result set;
-// Semantics selects it; Algorithm and the pruning knobs are sound (all
-// engines and all filter plans agree on counts) but change the reported
-// Plan/States, and aliasing them would make /stats lie about what ran.
+// Execution knobs — Workers, TaskGroupSize, DisableStealing, Timeout,
+// Visit — are deliberately excluded: they change how a result is
+// computed, never what it is (a timed-out run is not cached at all, so
+// Timeout cannot leak partial results into the cache). The fingerprint
+// is Limit, which truncates the result set, and Algorithm, which is
+// sound (all engines agree on counts) but changes the reported
+// Plan/States — aliasing it would make /stats lie about what ran.
 func cacheKey(canon []byte, sem parsge.Semantics, opts parsge.Options) string {
-	var tail [1 + 6*binary.MaxVarintLen64]byte
+	var tail [1 + 3*binary.MaxVarintLen64]byte
 	t := append(tail[:0], 0xfe) // separator: canon is length-prefixed varints, this byte cannot extend it
 	t = binary.AppendVarint(t, int64(sem))
 	t = binary.AppendVarint(t, opts.Limit)
 	t = binary.AppendVarint(t, int64(opts.Algorithm))
-	t = binary.AppendVarint(t, int64(opts.Pruning.Schedule))
-	t = binary.AppendVarint(t, int64(opts.Pruning.ACPasses))
-	var flags int64
-	if opts.Pruning.DisableNLF {
-		flags |= 1
-	}
-	if opts.Pruning.DisableInducedAC {
-		flags |= 2
-	}
-	t = binary.AppendVarint(t, flags)
 	// One allocation: the Builder's buffer becomes the string.
 	var b strings.Builder
 	b.Grow(len(canon) + len(t))

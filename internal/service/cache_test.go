@@ -40,22 +40,18 @@ func TestCacheKeyRelabelingInvariant(t *testing.T) {
 
 // TestCacheKeySeparatesOptions: every semantics and every result-
 // relevant option axis must produce a distinct key over one pattern;
-// execution-only knobs (Workers, Seed, Timeout) must not.
+// execution-only knobs (Workers, Timeout, TaskGroupSize) must not.
 func TestCacheKeySeparatesOptions(t *testing.T) {
 	gp, _ := testutil.RandomInstance(1, testutil.InstanceOptions{
 		TargetNodes: 12, TargetEdges: 30, PatternNodes: 4, NodeLabels: 2, Extract: true,
 	})
 	canon, _ := parsge.CanonicalPattern(gp)
 	variants := map[string]string{
-		"iso":      cacheKey(canon, parsge.SubgraphIso, parsge.Options{}),
-		"induced":  cacheKey(canon, parsge.InducedIso, parsge.Options{}),
-		"hom":      cacheKey(canon, parsge.Homomorphism, parsge.Options{}),
-		"limit":    cacheKey(canon, parsge.SubgraphIso, parsge.Options{Limit: 5}),
-		"alg":      cacheKey(canon, parsge.SubgraphIso, parsge.Options{Algorithm: parsge.LAD}),
-		"sched":    cacheKey(canon, parsge.SubgraphIso, parsge.Options{Pruning: parsge.PruningOptions{Schedule: parsge.ScheduleFixed}}),
-		"acpasses": cacheKey(canon, parsge.SubgraphIso, parsge.Options{Pruning: parsge.PruningOptions{ACPasses: 2}}),
-		"nonlf":    cacheKey(canon, parsge.SubgraphIso, parsge.Options{Pruning: parsge.PruningOptions{DisableNLF: true}}),
-		"noindac":  cacheKey(canon, parsge.SubgraphIso, parsge.Options{Pruning: parsge.PruningOptions{DisableInducedAC: true}}),
+		"iso":     cacheKey(canon, parsge.SubgraphIso, parsge.Options{}),
+		"induced": cacheKey(canon, parsge.InducedIso, parsge.Options{}),
+		"hom":     cacheKey(canon, parsge.Homomorphism, parsge.Options{}),
+		"limit":   cacheKey(canon, parsge.SubgraphIso, parsge.Options{Limit: 5}),
+		"alg":     cacheKey(canon, parsge.SubgraphIso, parsge.Options{Algorithm: parsge.LAD}),
 	}
 	seen := map[string]string{}
 	for name, key := range variants {
@@ -66,7 +62,6 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	}
 	for name, opts := range map[string]parsge.Options{
 		"workers": {Workers: 8},
-		"seed":    {Seed: 42},
 		"timeout": {Timeout: 1e9},
 		"tgs":     {TaskGroupSize: 8},
 	} {

@@ -468,3 +468,41 @@ func TestCancelledStreamNotMispredicted(t *testing.T) {
 		t.Fatalf("MispredictSmall = %d after a client cancellation, want 0", st.MispredictSmall)
 	}
 }
+
+// TestSlowStreamDoesNotReprice: a stream whose consumer reads slower
+// than the search produces makes the run wait on the consumer, so its
+// MatchTime prices the reader, not the plan. Such a run must feed no
+// cost history: a later query on the same plan is still classified by
+// its own domain bound, and the stream its timeout cut is no
+// misprediction.
+func TestSlowStreamDoesNotReprice(t *testing.T) {
+	_, svc, path := blockingWorld(t, RouterConfig{})
+	matches, end, err := svc.Stream(context.Background(), Query{Pattern: path, Options: parsge.Options{
+		Algorithm: parsge.RIDSSIFC, Semantics: parsge.Homomorphism, Timeout: 500 * time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range matches {
+		time.Sleep(2 * time.Millisecond)
+	}
+	e := <-end
+	if e.Err != nil || !e.Result.TimedOut {
+		t.Fatalf("slow stream ended with err=%v timedOut=%v, want its timeout to cut it", e.Err, e.Result.TimedOut)
+	}
+	reply, err := svc.Count(context.Background(), Query{Pattern: star(2), Options: parsge.Options{
+		Algorithm: parsge.RIDSSIFC, Semantics: parsge.Homomorphism,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reply.Result.Plan.String(), e.Result.Plan.String(); got != want {
+		t.Fatalf("star ran plan %s, the stream %s: the test needs one plan bucket", got, want)
+	}
+	if reply.Class != ClassSmall {
+		t.Fatalf("star classified %v with PredictedCost %v after a slow stream, want small", reply.Class, reply.PredictedCost)
+	}
+	if st := svc.Stats(); st.MispredictSmall != 0 {
+		t.Fatalf("MispredictSmall = %d after a slow consumer's stream, want 0", st.MispredictSmall)
+	}
+}

@@ -429,9 +429,10 @@ func (s *targetService) replyFromEntry(ent *entry, perm []int32, needMappings, h
 // Streams do not join singleflight (two streams would each need every
 // match anyway). Cancelling ctx tears the stream down promptly; a
 // disconnected client costs nothing beyond its context firing. A miss
-// runs under the query's resolved timeout like any other, so a consumer
-// that stops reading without cancelling holds its tokens no longer than
-// that timeout, and the stream then ends truncated.
+// and a replay both run under the query's resolved timeout, so a
+// consumer that stops reading without cancelling holds the stream's
+// goroutine and tokens no longer than that timeout, and the stream then
+// ends truncated.
 func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
 	if err := s.begin(); err != nil {
 		return nil, nil, err
@@ -447,14 +448,16 @@ func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Matc
 	end := make(chan parsge.StreamEnd, 1)
 
 	if ent, ok := s.cacheGetStream(key); ok {
+		rctx, stop := withTimeout(ctx, s.cfg.timeout(q.Options.Timeout))
 		go func() {
 			defer s.wg.Done()
+			defer stop()
 			res := ent.res
 			for _, cm := range ent.mappings {
 				select {
 				case matches <- parsge.Match{Mapping: translate(cm, perm)}:
 					continue
-				case <-ctx.Done():
+				case <-rctx.Done():
 					res.TimedOut = true
 				}
 				break
@@ -479,16 +482,17 @@ func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Matc
 	// the resolved timeout. A consumer that stops reading without
 	// cancelling then stalls the run only until the timeout, which ends
 	// it and releases its tokens.
-	qctx, stop := ctx, context.CancelFunc(func() {})
-	if opts.Timeout > 0 {
-		qctx, stop = context.WithTimeout(ctx, opts.Timeout)
-		opts.Timeout = 0
-	}
+	qctx, stop := withTimeout(ctx, opts.Timeout)
+	opts.Timeout = 0
 	// Visit runs concurrently on the steal pool: mu guards the canonical
 	// mappings collected for the cache.
 	var mu sync.Mutex
 	var collected [][]int32
 	overflow := key == "" // uncacheable: don't accumulate for the cache
+	// waited marks a run that found the channel full: its MatchTime then
+	// includes time the consumer spent reading, which prices the reader,
+	// not the plan, so the run feeds no cost history.
+	var waited atomic.Bool
 	opts.Visit = func(m []int32) bool {
 		cp := append([]int32(nil), m...)
 		mu.Lock()
@@ -503,6 +507,12 @@ func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Matc
 		select {
 		case matches <- parsge.Match{Mapping: cp}:
 			return true
+		default:
+			waited.Store(true)
+		}
+		select {
+		case matches <- parsge.Match{Mapping: cp}:
+			return true
 		case <-qctx.Done():
 			return false
 		}
@@ -512,7 +522,7 @@ func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Matc
 		defer release()
 		defer stop()
 		res, err := s.tgt.EnumerateEstimated(qctx, rec.est, q.Pattern, opts)
-		if err == nil {
+		if err == nil && !waited.Load() {
 			s.observe(ctx, rec, &res)
 		}
 		close(matches)
@@ -527,6 +537,14 @@ func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Matc
 		end <- parsge.StreamEnd{Result: res, Err: err}
 	}()
 	return matches, end, nil
+}
+
+// withTimeout bounds ctx by d when d is positive.
+func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
 }
 
 // Update applies a batch of edge mutations to the service's target

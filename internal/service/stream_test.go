@@ -204,3 +204,55 @@ func TestStreamDrainToCompletion(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamReplayHonorsTimeout: a cache-hit replay whose consumer
+// reads one match and then neither drains nor cancels must end when the
+// query's timeout fires, as the miss path's run does: the end event
+// arrives undrained and truncated, the replay's goroutine exits, and
+// Close drains.
+func TestStreamReplayHonorsTimeout(t *testing.T) {
+	r, svc, gp := blockingWorld(t, RouterConfig{Workers: 2})
+	before := runtime.NumGoroutine()
+	q := Query{Pattern: gp, Options: parsge.Options{Semantics: parsge.Homomorphism, Timeout: 200 * time.Millisecond}}
+	matches, end, err := svc.Stream(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range matches {
+	}
+	if e := <-end; e.Err != nil || e.Result.TimedOut || e.Result.Matches != 1452 {
+		t.Fatalf("first stream ended with err=%v timedOut=%v matches=%d, want all 1452", e.Err, e.Result.TimedOut, e.Result.Matches)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // on the way out only: the consumer below never cancels
+	matches, end, err = svc.Stream(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-matches
+	if hits := svc.Stats().CacheHits; hits != 1 {
+		t.Fatalf("CacheHits = %d, want the second stream replayed from the cache", hits)
+	}
+	select {
+	case e := <-end:
+		if e.Err != nil || !e.Result.TimedOut {
+			t.Fatalf("timed-out replay ended with err=%v timedOut=%v, want a truncated result", e.Err, e.Result.TimedOut)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("replay did not end within 1s of its 200ms timeout")
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("replay goroutine outlived its end event: %d goroutines before, %d after 1s", before, n)
+	}
+	for range matches {
+	}
+	closeCtx, closeCancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer closeCancel()
+	if err := r.Close(closeCtx); err != nil {
+		t.Fatalf("Close after the replay's timeout: %v", err)
+	}
+}

@@ -41,7 +41,7 @@ func TestKernelDifferential(t *testing.T) {
 		{"nasty", testutil.InstanceOptions{TargetNodes: 8, TargetEdges: 22, PatternNodes: 3, Nasty: true}},
 		{"dense", testutil.InstanceOptions{TargetNodes: 7, TargetEdges: 30, PatternNodes: 4, NodeLabels: 2, Extract: true}},
 	}
-	kernels := []Kernel{KernelBitset, KernelSlice}
+	kernels := []domain.Kernel{domain.KernelBitset, domain.KernelSlice}
 	const seedsPerKind = 30 // 4 kinds × 30 seeds = 120 instances per semantics
 	for _, k := range kinds {
 		for seed := int64(0); seed < seedsPerKind; seed++ {
@@ -52,7 +52,7 @@ func TestKernelDifferential(t *testing.T) {
 					for _, kern := range kernels {
 						opts := eng.opts
 						opts.Semantics = sem
-						opts.Pruning.Kernel = kern
+						opts.filters.Kernel = kern
 						got, err := Count(gp, gt, opts)
 						if err != nil {
 							t.Fatalf("%s/seed=%d: %s/%v under %v: %v", k.name, seed, eng.name, kern, sem, err)
@@ -85,7 +85,7 @@ func TestKernelDifferentialGoldenMotifs(t *testing.T) {
 				for _, ec := range engineConfigs {
 					opts := ec.opts
 					opts.Semantics = sem
-					opts.Pruning.Kernel = KernelBitset
+					opts.filters.Kernel = domain.KernelBitset
 					got, err := Count(c.pattern, c.target, opts)
 					if err != nil {
 						t.Fatalf("%s under %v: %v", ec.name, sem, err)
@@ -149,7 +149,7 @@ func TestKernelFallbackAboveLimit(t *testing.T) {
 			t.Errorf("ResolveKernel(%v, 1) = %v, want explicit choice preserved", k, got)
 		}
 	}
-	for k, want := range map[Kernel]string{KernelAuto: "auto", KernelBitset: "bitset", KernelSlice: "slice"} {
+	for k, want := range map[domain.Kernel]string{domain.KernelAuto: "auto", domain.KernelBitset: "bitset", domain.KernelSlice: "slice"} {
 		if got := fmt.Sprint(k); got != want {
 			t.Errorf("Kernel(%d).String() = %q, want %q", int(k), got, want)
 		}

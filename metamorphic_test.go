@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"parsge/internal/domain"
 	"parsge/internal/testutil"
 )
 
@@ -20,7 +21,7 @@ import (
 
 // schedulePoint is one point of the schedule space.
 type schedulePoint struct {
-	sched      Schedule
+	sched      domain.Schedule
 	acPasses   int
 	disableNLF bool
 	disableIAC bool
@@ -30,7 +31,7 @@ type schedulePoint struct {
 // adaptive-controlled filter on/off.
 func schedulePoints() []schedulePoint {
 	var pts []schedulePoint
-	for _, sched := range []Schedule{ScheduleAuto, ScheduleFixed} {
+	for _, sched := range []domain.Schedule{domain.ScheduleAuto, domain.ScheduleFixed} {
 		for _, ac := range []int{0, 1} {
 			for _, noNLF := range []bool{false, true} {
 				for _, noIAC := range []bool{false, true} {
@@ -81,7 +82,7 @@ func TestMetamorphicScheduleSpace(t *testing.T) {
 		for seed := int64(0); seed < seedsPerKind; seed++ {
 			gp, gt := testutil.RandomInstance(seed+100, k.opts)
 			for _, compact := range []bool{false, true} {
-				tgt, err := NewTarget(gt, TargetOptions{NLF: nlfMode(compact)})
+				tgt, err := newTargetNLF(gt, compact)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,11 +92,11 @@ func TestMetamorphicScheduleSpace(t *testing.T) {
 						for _, eng := range engines {
 							opts := eng.opts
 							opts.Semantics = sem
-							opts.Pruning = PruningOptions{
-								Schedule:         pt.sched,
-								ACPasses:         pt.acPasses,
-								DisableNLF:       pt.disableNLF,
-								DisableInducedAC: pt.disableIAC,
+							opts.filters = domain.Filters{
+								Schedule:      pt.sched,
+								ACPasses:      pt.acPasses,
+								SkipNLF:       pt.disableNLF,
+								SkipInducedAC: pt.disableIAC,
 							}
 							got, err := tgt.Count(context.Background(), gp, opts)
 							if err != nil {
@@ -125,14 +126,14 @@ func TestMetamorphicParallelSchedule(t *testing.T) {
 		for _, sem := range allSemantics {
 			want := testutil.BruteCountSem(gp, gt, sem)
 			for _, compact := range []bool{false, true} {
-				tgt, err := NewTarget(gt, TargetOptions{NLF: nlfMode(compact)})
+				tgt, err := newTargetNLF(gt, compact)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, sched := range []Schedule{ScheduleAuto, ScheduleFixed} {
+				for _, sched := range []domain.Schedule{domain.ScheduleAuto, domain.ScheduleFixed} {
 					got, err := tgt.Count(context.Background(), gp, Options{
 						Algorithm: RIDSSIFC, Workers: 4, TaskGroupSize: 2,
-						Semantics: sem, Pruning: PruningOptions{Schedule: sched},
+						Semantics: sem, filters: domain.Filters{Schedule: sched},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -161,7 +162,7 @@ func TestMetamorphicPlanReported(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, alg := range []Algorithm{RIDSSIFC, VF2, LAD} {
-		res, err := tgt.Enumerate(ctx, gp, Options{Algorithm: alg, Pruning: PruningOptions{Schedule: ScheduleFixed}})
+		res, err := tgt.Enumerate(ctx, gp, Options{Algorithm: alg, filters: domain.Filters{Schedule: domain.ScheduleFixed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestMetamorphicPlanReported(t *testing.T) {
 		if !res.Plan.NLF || !res.Plan.AC || res.Plan.ACPasses != 0 {
 			t.Errorf("%v: Fixed plan = %v, want full pipeline at fixpoint", alg, res.Plan)
 		}
-		res, err = tgt.Enumerate(ctx, gp, Options{Algorithm: alg, Pruning: PruningOptions{ACPasses: 1}})
+		res, err = tgt.Enumerate(ctx, gp, Options{Algorithm: alg, filters: domain.Filters{ACPasses: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestConcurrentAutoScheduleCancellation(t *testing.T) {
 				opts := Options{
 					Algorithm: []Algorithm{RIDSSIFC, VF2, LAD, RIDSSIFC}[i%4],
 					Semantics: sem,
-					Pruning:   PruningOptions{Schedule: []Schedule{ScheduleAuto, ScheduleFixed}[i%2]},
+					filters:   domain.Filters{Schedule: []domain.Schedule{domain.ScheduleAuto, domain.ScheduleFixed}[i%2]},
 				}
 				if i%4 == 3 {
 					opts.Workers = 3 // exercise the parallel engine too
@@ -256,10 +257,45 @@ func TestConcurrentAutoScheduleCancellation(t *testing.T) {
 	wg.Wait()
 }
 
-// nlfMode maps the battery's compact axis onto TargetOptions.NLF.
-func nlfMode(compact bool) NLFMode {
-	if compact {
-		return NLFCompact
+// newTargetNLF builds a Target whose snapshot carries a compact NLF
+// index when compact is set and an exact one otherwise: the battery's
+// compact axis. NewTarget alone builds a compact index only for
+// targets of 2^20 edges or more, far beyond the battery's instances.
+func newTargetNLF(g *Graph, compact bool) (*Target, error) {
+	tgt, err := NewTarget(g, TargetOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return NLFExact
+	mode := domain.NLFExact
+	if compact {
+		mode = domain.NLFCompact
+	}
+	st := *tgt.state.Load()
+	st.index = domain.NewIndexMode(g, mode)
+	tgt.state.Store(&st)
+	return tgt, nil
+}
+
+// TestNewTargetNLFCompactAxis: the compact axis is real — a Fixed run
+// (which always runs NLF) on a helper-built compact Target reports
+// compact signatures, and one on an exact Target does not.
+func TestNewTargetNLFCompactAxis(t *testing.T) {
+	gp, gt := testutil.RandomInstance(5, testutil.InstanceOptions{
+		TargetNodes: 10, TargetEdges: 30, PatternNodes: 4, NodeLabels: 4, EdgeLabels: 3,
+	})
+	for _, compact := range []bool{false, true} {
+		tgt, err := newTargetNLF(gt, compact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tgt.Enumerate(context.Background(), gp, Options{
+			Algorithm: RIDSSIFC, filters: domain.Filters{Schedule: domain.ScheduleFixed},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan == nil || !res.Plan.NLF || res.Plan.CompactNLF != compact {
+			t.Errorf("compact=%v: Fixed plan = %v, want NLF with CompactNLF=%v", compact, res.Plan, compact)
+		}
+	}
 }

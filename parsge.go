@@ -220,124 +220,19 @@ type Options struct {
 	// stays available under every semantics. An extension beyond the
 	// paper.
 	Semantics Semantics
-	// Pruning tunes the semantics-aware domain filters applied during
-	// preprocessing. The zero value enables everything; the fields are
-	// opt-outs for ablation, debugging and differential testing.
-	Pruning PruningOptions
 	// Visit is called for every match with the mapping indexed by
 	// pattern node id (mapping[patternNode] = targetNode). The slice is
 	// reused — copy it to retain. With Workers > 1 it is called
 	// concurrently and must be safe for concurrent use. Returning false
 	// stops the enumeration.
 	Visit func(mapping []int32) bool
-	// Seed seeds scheduling decisions of the parallel engine. Results
-	// are identical for all seeds; timings and steal counts vary.
-	Seed int64
-}
 
-// Schedule selects how the preprocessing filter pipeline is chosen per
-// query; see the constants below. Every point of the schedule space
-// yields identical match counts (the filters are all sound — the
-// metamorphic test battery holds the whole space to the brute-force
-// oracle); schedules differ only in preprocessing cost versus search
-// savings.
-type Schedule = domain.Schedule
-
-const (
-	// ScheduleAuto (the default) adapts the filter plan to the target's
-	// cached statistics — density, label entropy, degree skew — and the
-	// pattern's shape: NLF plus a single arc-consistency pass on
-	// label-rich targets, fixpoint arc consistency otherwise, and the
-	// induced non-edge propagation only on targets dense enough for it
-	// to bite. The chosen plan is reported in Result.Plan.
-	ScheduleAuto = domain.ScheduleAuto
-	// ScheduleFixed runs the full fixed pipeline of earlier versions
-	// (every applicable filter, fixpoint arc consistency) — the
-	// reference configuration for reproducing paper-style runs.
-	ScheduleFixed = domain.ScheduleFixed
-)
-
-// Kernel selects the candidate-intersection implementation of the
-// enumeration hot paths; see the constants below. Like Schedule, every
-// kernel yields identical match counts (the kernel differential battery
-// pins bitset against slice across engines and semantics) — kernels
-// differ only in constant factors and allocation behavior.
-type Kernel = domain.Kernel
-
-const (
-	// KernelAuto (the default) picks per query: bitset adjacency rows
-	// whenever the target fits the dense-row threshold (2^14 nodes),
-	// the classic sorted-slice paths otherwise.
-	KernelAuto = domain.KernelAuto
-	// KernelBitset forces the dense bitset adjacency rows (word-parallel
-	// candidate intersection). Above the dense-row threshold the rows
-	// cannot be built and the engines fall back to the slice paths.
-	KernelBitset = domain.KernelBitset
-	// KernelSlice forces the sorted-slice CSR paths — the ablation
-	// baseline the bitset kernel is measured against.
-	KernelSlice = domain.KernelSlice
-)
-
-// NLFMode selects the representation of a Target index's NLF
-// signatures; see TargetOptions.NLF.
-type NLFMode = domain.NLFMode
-
-const (
-	// NLFAuto (the default) picks NLFExact below a million target edges
-	// and NLFCompact above.
-	NLFAuto = domain.NLFAuto
-	// NLFExact stores exact per-key signatures: maximum pruning,
-	// O(target edges) memory.
-	NLFExact = domain.NLFExact
-	// NLFCompact stores bucketed signatures: constant memory per target
-	// node, sound but possibly coarser pruning (exact for small label
-	// alphabets).
-	NLFCompact = domain.NLFCompact
-)
-
-// PruningOptions selects which of the semantics-aware domain filters
-// run during query preprocessing and how the plan is chosen. All
-// filters are sound under every semantics they apply to — no knob here
-// ever changes match counts, only the preprocessing/search cost split —
-// so beyond Schedule these are opt-outs for ablation, debugging and
-// differential testing.
-type PruningOptions struct {
-	// Schedule picks the filter plan: ScheduleAuto (the zero value)
-	// adapts it to the target statistics, ScheduleFixed reproduces the
-	// fixed full pipeline. The explicit knobs below are respected under
-	// both schedules.
-	Schedule Schedule
-	// ACPasses caps the arc-consistency sweeps at n > 0 (1 reproduces
-	// the original RI-DS schedule); 0 lets the schedule decide (Fixed:
-	// iterate to fixpoint).
-	ACPasses int
-	// DisableNLF turns off the neighborhood-label-frequency filter
-	// (candidate neighborhoods must dominate the pattern node's labeled
-	// neighborhood — multiset domination under the injective semantics,
-	// set containment under Homomorphism).
-	DisableNLF bool
-	// DisableInducedAC turns off the induced non-edge arc-consistency
-	// propagation (InducedIso only: pattern non-edges shrink the
-	// domains before the search).
-	DisableInducedAC bool
-	// Kernel selects the candidate-intersection implementation of the
-	// enumeration hot paths: KernelAuto (the zero value) picks bitset
-	// adjacency rows for targets up to the dense-row threshold,
-	// KernelBitset/KernelSlice force one side (kernel ablations and the
-	// differential battery run both).
-	Kernel Kernel
-}
-
-// filters translates the public pruning knobs into the engines'
-// domain.Filters.
-func (p PruningOptions) filters() domain.Filters {
-	return domain.Filters{
-		ACPasses:      p.ACPasses,
-		SkipNLF:       p.DisableNLF,
-		SkipInducedAC: p.DisableInducedAC,
-		Schedule:      p.Schedule,
-		Kernel:        p.Kernel,
-	}
+	// filters pins the preprocessing filter plan — schedule, AC depth,
+	// filter opt-outs, kernel — for this package's differential and
+	// metamorphic batteries. The zero value (every filter, adaptive
+	// schedule, automatic kernel) is what every caller outside the
+	// package runs.
+	filters domain.Filters
 }
 
 // Result reports one enumeration.
@@ -381,13 +276,13 @@ type Result struct {
 }
 
 // PlanInfo describes the resolved preprocessing filter plan of one
-// query: which filters fired (under ScheduleAuto this depends on the
+// query: which filters fired (the adaptive schedule picks them from the
 // target's statistics), where preprocessing time went, and how far each
 // stage shrank the candidate domains.
 type PlanInfo struct {
 	// NLF reports the neighborhood-label-frequency filter ran;
 	// CompactNLF that it consulted the bucketed signatures of a compact
-	// index (see TargetOptions.NLF).
+	// index, which a Target builds for targets of 2^20 edges or more.
 	NLF, CompactNLF bool
 	// AC reports classic arc consistency ran, capped at ACPasses sweeps
 	// (0 = fixpoint); InducedAC that the induced non-edge propagation
@@ -434,9 +329,6 @@ func planInfo(st *domain.ComputeStats) *PlanInfo {
 		DomainAfterUnary: st.AfterUnary, DomainFinal: st.Final,
 	}
 }
-
-// TotalTime is preprocessing plus match time.
-func (r Result) TotalTime() time.Duration { return r.PreprocTime + r.MatchTime }
 
 // Enumerate finds all subgraphs of target isomorphic to pattern.
 //

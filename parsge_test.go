@@ -168,13 +168,6 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
-func TestTotalTime(t *testing.T) {
-	r := Result{PreprocTime: time.Second, MatchTime: 2 * time.Second}
-	if r.TotalTime() != 3*time.Second {
-		t.Fatal("TotalTime wrong")
-	}
-}
-
 func TestGraphIORoundTripThroughFacade(t *testing.T) {
 	table := NewLabelTable()
 	gp := squarePattern()

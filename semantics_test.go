@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"parsge/internal/domain"
 	"parsge/internal/graph"
 	"parsge/internal/testutil"
 )
@@ -32,27 +33,27 @@ var engineConfigs = []struct {
 	{"parallel-RI-DS-SI-FC", Options{Algorithm: RIDSSIFC, Workers: 4, TaskGroupSize: 2}},
 	{"VF2", Options{Algorithm: VF2}},
 	{"LAD", Options{Algorithm: LAD}},
-	{"RI-DS-SI-FC/noNLF", Options{Algorithm: RIDSSIFC, Pruning: PruningOptions{DisableNLF: true}}},
-	{"RI-DS-SI-FC/noInducedAC", Options{Algorithm: RIDSSIFC, Pruning: PruningOptions{DisableInducedAC: true}}},
-	{"LAD/noNLF", Options{Algorithm: LAD, Pruning: PruningOptions{DisableNLF: true}}},
-	{"VF2/noInducedAC", Options{Algorithm: VF2, Pruning: PruningOptions{DisableInducedAC: true}}},
+	{"RI-DS-SI-FC/noNLF", Options{Algorithm: RIDSSIFC, filters: domain.Filters{SkipNLF: true}}},
+	{"RI-DS-SI-FC/noInducedAC", Options{Algorithm: RIDSSIFC, filters: domain.Filters{SkipInducedAC: true}}},
+	{"LAD/noNLF", Options{Algorithm: LAD, filters: domain.Filters{SkipNLF: true}}},
+	{"VF2/noInducedAC", Options{Algorithm: VF2, filters: domain.Filters{SkipInducedAC: true}}},
 	// Schedule-space points: the default above is ScheduleAuto, so the
 	// Fixed pipeline and the capped-AC (original RI-DS) schedule are the
 	// configurations that need explicit coverage — an adaptive scheduler
 	// bug that loses matches in just one plan must break one of these.
-	{"RI-DS-SI-FC/fixed", Options{Algorithm: RIDSSIFC, Pruning: PruningOptions{Schedule: ScheduleFixed}}},
-	{"RI-DS-SI-FC/ac1", Options{Algorithm: RIDSSIFC, Pruning: PruningOptions{Schedule: ScheduleFixed, ACPasses: 1}}},
-	{"LAD/fixed", Options{Algorithm: LAD, Pruning: PruningOptions{Schedule: ScheduleFixed}}},
-	{"VF2/ac1", Options{Algorithm: VF2, Pruning: PruningOptions{ACPasses: 1}}},
+	{"RI-DS-SI-FC/fixed", Options{Algorithm: RIDSSIFC, filters: domain.Filters{Schedule: domain.ScheduleFixed}}},
+	{"RI-DS-SI-FC/ac1", Options{Algorithm: RIDSSIFC, filters: domain.Filters{Schedule: domain.ScheduleFixed, ACPasses: 1}}},
+	{"LAD/fixed", Options{Algorithm: LAD, filters: domain.Filters{Schedule: domain.ScheduleFixed}}},
+	{"VF2/ac1", Options{Algorithm: VF2, filters: domain.Filters{ACPasses: 1}}},
 	// Kernel-space points: KernelAuto resolves to the bitset rows on
 	// test-sized targets, so the explicit slice configurations keep the
 	// classic CSR hot paths differentially covered, and the explicit
 	// bitset configurations pin the forced side (fallback rules and all).
-	{"RI-DS-SI-FC/sliceKernel", Options{Algorithm: RIDSSIFC, Pruning: PruningOptions{Kernel: KernelSlice}}},
-	{"RI-DS-SI-FC/bitsetKernel", Options{Algorithm: RIDSSIFC, Pruning: PruningOptions{Kernel: KernelBitset}}},
-	{"parallel-RI-DS-SI-FC/sliceKernel", Options{Algorithm: RIDSSIFC, Workers: 4, TaskGroupSize: 2, Pruning: PruningOptions{Kernel: KernelSlice}}},
-	{"VF2/sliceKernel", Options{Algorithm: VF2, Pruning: PruningOptions{Kernel: KernelSlice}}},
-	{"LAD/sliceKernel", Options{Algorithm: LAD, Pruning: PruningOptions{Kernel: KernelSlice}}},
+	{"RI-DS-SI-FC/sliceKernel", Options{Algorithm: RIDSSIFC, filters: domain.Filters{Kernel: domain.KernelSlice}}},
+	{"RI-DS-SI-FC/bitsetKernel", Options{Algorithm: RIDSSIFC, filters: domain.Filters{Kernel: domain.KernelBitset}}},
+	{"parallel-RI-DS-SI-FC/sliceKernel", Options{Algorithm: RIDSSIFC, Workers: 4, TaskGroupSize: 2, filters: domain.Filters{Kernel: domain.KernelSlice}}},
+	{"VF2/sliceKernel", Options{Algorithm: VF2, filters: domain.Filters{Kernel: domain.KernelSlice}}},
+	{"LAD/sliceKernel", Options{Algorithm: LAD, filters: domain.Filters{Kernel: domain.KernelSlice}}},
 }
 
 // countAllEngines runs every engine configuration under sem and fails the
@@ -124,8 +125,8 @@ func checkEstimatedRuns(t *testing.T, gp, gt *Graph, sem Semantics, want int64, 
 	ctx := context.Background()
 	var configs []Options
 	for _, alg := range []Algorithm{RI, RIDS, RIDSSI, RIDSSIFC, VF2, LAD} {
-		for _, kern := range []Kernel{KernelBitset, KernelSlice} {
-			opts := Options{Algorithm: alg, Semantics: sem, Pruning: PruningOptions{Kernel: kern}}
+		for _, kern := range []domain.Kernel{domain.KernelBitset, domain.KernelSlice} {
+			opts := Options{Algorithm: alg, Semantics: sem, filters: domain.Filters{Kernel: kern}}
 			configs = append(configs, opts)
 			if alg != VF2 && alg != LAD {
 				opts.Workers, opts.TaskGroupSize = 4, 2
@@ -135,7 +136,7 @@ func checkEstimatedRuns(t *testing.T, gp, gt *Graph, sem Semantics, want int64, 
 	}
 	for _, opts := range configs {
 		alg := opts.Algorithm
-		name := fmt.Sprintf("%s: estimate-then-run %v/%v/workers=%d under %v", label, alg, opts.Pruning.Kernel, opts.Workers, sem)
+		name := fmt.Sprintf("%s: estimate-then-run %v/%v/workers=%d under %v", label, alg, opts.filters.Kernel, opts.Workers, sem)
 		fresh, err := tgt.Enumerate(ctx, gp, opts)
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", name, err)

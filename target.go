@@ -17,17 +17,6 @@ import (
 
 // TargetOptions configures NewTarget.
 type TargetOptions struct {
-	// NLF selects the representation of the index's neighborhood-label-
-	// frequency signatures: NLFAuto (the zero value) picks exact
-	// signatures below a million target edges and the bucketed compact
-	// ones above; NLFCompact forces the compact representation, which
-	// bounds signature memory at a constant per target node instead of
-	// O(target edges); NLFExact forces exact signatures regardless of
-	// size (maximum pruning on huge label-rich targets, at full memory
-	// cost). The compact filter is sound (never loses matches) and
-	// exact for small label alphabets; on large alphabets it may prune
-	// slightly less than the exact signatures.
-	NLF NLFMode
 	// DefaultSemantics replaces Options.Semantics for queries that
 	// leave it at SemanticsUnset: a service can fix the matching
 	// semantics once per target.
@@ -66,9 +55,6 @@ type Target struct {
 	state atomic.Pointer[targetState]
 	arena *ri.Arena // node count is immutable, so the arena survives updates
 
-	// nlfMode reproduces the NewTarget index configuration for
-	// incremental maintenance and EnsureIndex rebuilds.
-	nlfMode NLFMode
 	// updateMu serializes the writers — ApplyUpdates, ReleaseIndex,
 	// EnsureIndex — against each other (readers never take it).
 	updateMu sync.Mutex
@@ -104,10 +90,10 @@ func (st *targetState) resolveAlgorithm(a Algorithm) Algorithm {
 
 // newTargetState derives the full snapshot state for g at the given
 // epoch, building a fresh index.
-func newTargetState(g *Graph, mode NLFMode, epoch uint64) *targetState {
+func newTargetState(g *Graph, epoch uint64) *targetState {
 	st := &targetState{
 		g:             g,
-		index:         domain.NewIndexMode(g, mode),
+		index:         domain.NewIndex(g),
 		autoAlgorithm: chooseAlgorithm(Auto, g),
 		epoch:         epoch,
 	}
@@ -127,10 +113,9 @@ func NewTarget(g *Graph, opts TargetOptions) (*Target, error) {
 	}
 	t := &Target{
 		arena:            ri.NewArena(g.NumNodes()),
-		nlfMode:          opts.NLF,
 		defaultSemantics: opts.DefaultSemantics,
 	}
-	t.state.Store(newTargetState(g, opts.NLF, 0))
+	t.state.Store(newTargetState(g, 0))
 	return t, nil
 }
 
@@ -185,11 +170,11 @@ func (t *Target) Enumerate(ctx context.Context, pattern *Graph, opts Options) (R
 }
 
 // EnumerateEstimated is Enumerate for a query that EstimateCost priced
-// on this Target with the same pattern, semantics and pruning options
-// (Workers, Limit, Timeout and Visit may differ). The run happens on the
-// snapshot the estimate pinned, so Result.Epoch == est.Epoch however
-// many updates landed in between, and it adopts the domains the estimate
-// computed instead of computing them again: the query pays its domain
+// on this Target with the same pattern and semantics (Workers, Limit,
+// Timeout and Visit may differ). The run happens on the snapshot the
+// estimate pinned, so Result.Epoch == est.Epoch however many updates
+// landed in between, and it adopts the domains the estimate computed
+// instead of computing them again: the query pays its domain
 // preprocessing once, and Result.PreprocTime includes the estimate's
 // share of it. One run adopts the domains; a later run from the same
 // estimate recomputes them on the same snapshot. A zero or Detached
@@ -248,8 +233,6 @@ func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Cont
 			dstats = &pin.stats
 		}
 	}
-	filters := opts.Pruning.filters()
-
 	var res Result
 	switch alg {
 	case VF2:
@@ -258,7 +241,7 @@ func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Cont
 			Visit:       opts.Visit,
 			Ctx:         ctx,
 			Index:       st.index,
-			Filters:     filters,
+			Filters:     opts.filters,
 			Domains:     doms,
 			DomainStats: dstats,
 			Semantics:   sem,
@@ -278,7 +261,7 @@ func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Cont
 			Visit:       opts.Visit,
 			Ctx:         ctx,
 			Index:       st.index,
-			Filters:     filters,
+			Filters:     opts.filters,
 			Domains:     doms,
 			DomainStats: dstats,
 			Semantics:   sem,
@@ -296,7 +279,7 @@ func (t *Target) enumerateOn(st *targetState, pin *estimatePin, ctx context.Cont
 		prep, err := ri.Prepare(pattern, st.g, ri.Options{
 			Variant:     ri.Variant(alg),
 			Semantics:   sem,
-			Filters:     filters,
+			Filters:     opts.filters,
 			Domains:     doms,
 			DomainStats: dstats,
 			TargetIndex: st.index,
@@ -339,7 +322,6 @@ func (t *Target) search(ctx context.Context, prep *ri.Prepared, opts Options) Re
 		Visit:           opts.Visit,
 		Ctx:             ctx,
 		Arena:           t.arena,
-		Seed:            opts.Seed,
 	})
 	return Result{
 		Matches:         res.Matches,

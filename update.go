@@ -147,9 +147,9 @@ func (t *Target) ReleaseIndex() bool {
 }
 
 // EnsureIndex rebuilds the label/NLF index if the current snapshot
-// lacks one, under the NLF mode the target was created with. It returns
-// whether an index was (re)built. Like ReleaseIndex it does not advance
-// the epoch — index presence changes preprocessing cost, never results.
+// lacks one. It returns whether an index was (re)built. Like
+// ReleaseIndex it does not advance the epoch — index presence changes
+// preprocessing cost, never results.
 func (t *Target) EnsureIndex() bool {
 	t.updateMu.Lock()
 	defer t.updateMu.Unlock()
@@ -158,7 +158,7 @@ func (t *Target) EnsureIndex() bool {
 		return false
 	}
 	ns := *st
-	ns.index = domain.NewIndexMode(st.g, t.nlfMode)
+	ns.index = domain.NewIndex(st.g)
 	t.state.Store(&ns)
 	return true
 }

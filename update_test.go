@@ -134,7 +134,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 	for _, undirected := range []bool{false, true} {
 		for trial := 0; trial < 60; trial++ {
 			g := randomUpdateTarget(rng, undirected)
-			tgt, err := NewTarget(g, TargetOptions{NLF: NLFExact})
+			tgt, err := NewTarget(g, TargetOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 
 				// Index: bit-identical to a from-scratch rebuild —
 				// signatures, label buckets, stats floats and all.
-				rebuilt, err := NewTarget(og, TargetOptions{NLF: NLFExact})
+				rebuilt, err := NewTarget(og, TargetOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,14 +211,14 @@ func TestMetamorphicUpdates(t *testing.T) {
 		opts Options
 	}{
 		{"ri", Options{Algorithm: RIDSSIFC, Workers: 1}},
-		{"ri/bitset", Options{Algorithm: RIDSSIFC, Workers: 1, Pruning: PruningOptions{Kernel: KernelBitset}}},
-		{"ri/slice", Options{Algorithm: RIDSSIFC, Workers: 1, Pruning: PruningOptions{Kernel: KernelSlice}}},
+		{"ri/bitset", Options{Algorithm: RIDSSIFC, Workers: 1, filters: domain.Filters{Kernel: domain.KernelBitset}}},
+		{"ri/slice", Options{Algorithm: RIDSSIFC, Workers: 1, filters: domain.Filters{Kernel: domain.KernelSlice}}},
 		{"steal", Options{Algorithm: RIDSSIFC, Workers: 4}},
-		{"steal/bitset", Options{Algorithm: RIDSSIFC, Workers: 4, Pruning: PruningOptions{Kernel: KernelBitset}}},
+		{"steal/bitset", Options{Algorithm: RIDSSIFC, Workers: 4, filters: domain.Filters{Kernel: domain.KernelBitset}}},
 		{"vf2", Options{Algorithm: VF2}},
-		{"vf2/slice", Options{Algorithm: VF2, Pruning: PruningOptions{Kernel: KernelSlice}}},
+		{"vf2/slice", Options{Algorithm: VF2, filters: domain.Filters{Kernel: domain.KernelSlice}}},
 		{"lad", Options{Algorithm: LAD}},
-		{"lad/slice", Options{Algorithm: LAD, Pruning: PruningOptions{Kernel: KernelSlice}}},
+		{"lad/slice", Options{Algorithm: LAD, filters: domain.Filters{Kernel: domain.KernelSlice}}},
 	}
 	for trial := 0; trial < 30; trial++ {
 		g := randomUpdateTarget(rng, trial%2 == 0)
