@@ -63,10 +63,11 @@ type CensusResult struct {
 	Subgraphs int64
 	// Classes is sorted by descending Count (ties by encoding).
 	Classes []CensusClass
-	// MemoHits and MemoMisses count this run's lookups of the
-	// canonical-class memo: each miss paid one canonization, each hit
-	// skipped it. The memo outlives the run (see Target.Census), so a
-	// repeated census at one K misses only on subgraphs it has not seen.
+	// MemoMisses counts the canonizations this run paid, one per
+	// subgraph shape the class memo had not met; every other subgraph
+	// counts as a MemoHit, so the two sum to Subgraphs. The memo
+	// outlives the run (see Target.Census), so a repeated census at one
+	// K misses only on subgraphs it has not seen.
 	MemoHits, MemoMisses int64
 	// PerWorkerSubgraphs breaks Subgraphs down by walker (parallel runs
 	// only): the work-division profile of the root split.

@@ -22,17 +22,24 @@
 // balance by themselves, with no deal to skew and no idle worker
 // spinning for work. Each walker accumulates counts into a private map;
 // the maps are reduced after the last walker leaves, so the enumeration
-// itself is synchronization-free.
+// touches shared state only when a map passes its cap.
 //
-// Classifying an emitted subgraph runs through a two-level memo so each
-// isomorphism class is canonized once: the induced subgraph serialized
-// in discovery order (a cheap, relabeling-*variant* key) indexes a
-// sharded concurrent map; a miss canonizes via
-// graph.CanonicalFormBudget and dedups through a registry keyed by the
-// canonical encoding, so distinct discovery orders of one class share a
-// single classInfo and a single representative graph. Keys depend only
-// on the labelled subgraph, so a memo outlives its run: Memos keeps one
-// per K for later runs on the same label space.
+// Classifying an emitted subgraph costs a few shifts and one map
+// increment. A run first interns its graph in the memo: node labels and
+// the label multisets of the arcs from one vertex to another become small
+// integer codes. A walker packs an emitted subgraph's codes in discovery
+// order — one node code per position, one arc code per ordered position
+// pair, 0 for no arc — into a 128-bit packedKey, or, when the graph's
+// codes do not fit 128 bits at K, into a wideKey of one uint32 per code,
+// and counts the key in a private map. Each distinct key is resolved to
+// its class once, when the run ends or the map passes its cap: through
+// the memo's key level, and on a miss by decoding the key to a graph,
+// canonizing it via graph.CanonicalFormBudget and deduplicating through
+// a registry keyed by the canonical encoding, so distinct discovery
+// orders of one class share a single classInfo and representative.
+// Codes and keys depend only on the labelled subgraph, so a memo
+// outlives its run: Memos keeps one per K for later runs on the same
+// label space.
 package census
 
 import (
@@ -40,6 +47,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -98,8 +107,9 @@ type Result struct {
 	Subgraphs int64
 	// Classes is sorted by descending Count (ties by encoding).
 	Classes []Class
-	// MemoHits and MemoMisses count this run's discovery-order memo
-	// lookups; each miss paid one canonization.
+	// MemoMisses counts the canonizations this run paid, one per
+	// discovery-order key the memo did not know; every other subgraph
+	// is a MemoHit, so MemoHits + MemoMisses == Subgraphs.
 	MemoHits, MemoMisses int64
 	// PerWorkerSubgraphs breaks Subgraphs down by walker (parallel runs
 	// only) — the work-division profile of the root split.
@@ -129,11 +139,11 @@ func Run(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
 	m := opts.Memos.pin(opts.K)
 	defer opts.Memos.unpin(opts.K, m)
 
-	adj := buildAdjacency(g)
+	adj := m.adjacency(g)
 	cancelled := func() bool { return ctx.Err() != nil }
 	walkers := make([]*walker, max(1, min(opts.Workers, n)))
 	for i := range walkers {
-		walkers[i] = newWalker(g, adj, opts.K, m, cancelled)
+		walkers[i] = newWalker(adj, opts.K, m, cancelled)
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -150,26 +160,28 @@ func Run(ctx context.Context, g *graph.Graph, opts Options) (Result, error) {
 	return res, nil
 }
 
-// gather reduces the per-walker count maps into the Result.
+// gather resolves each walker's remaining keys and reduces the
+// per-walker class counts into the Result.
 func gather(res *Result, walkers []*walker, perWorker bool) {
 	total := make(map[*classInfo]int64)
 	if perWorker {
 		res.PerWorkerSubgraphs = make([]int64, len(walkers))
 	}
 	for i, w := range walkers {
+		w.flush()
 		if perWorker {
 			res.PerWorkerSubgraphs[i] = w.subgraphs
 		}
 		res.Subgraphs += w.subgraphs
-		res.MemoHits += w.hits
 		res.MemoMisses += w.misses
-		for ci, c := range w.counts {
+		for ci, c := range w.classes {
 			total[ci] += c
 		}
 		if w.aborted {
 			res.Aborted = true
 		}
 	}
+	res.MemoHits = res.Subgraphs - res.MemoMisses
 	res.Classes = make([]Class, 0, len(total))
 	for ci, c := range total {
 		res.Classes = append(res.Classes, Class{Count: c, Rep: ci.rep, Encoding: ci.enc, Hash: ci.hash})
@@ -183,31 +195,37 @@ func gather(res *Result, walkers []*walker, perWorker bool) {
 	})
 }
 
-// buildAdjacency returns the undirected-sense neighbor lists ESU walks:
-// sorted out ∪ in neighbors, self-loops and parallel edges collapsed
-// (they do not affect connectivity; the induced subgraphs keep them).
-func buildAdjacency(g *graph.Graph) [][]int32 {
-	n := g.NumNodes()
-	adj := make([][]int32, n)
-	for v := int32(0); v < int32(n); v++ {
-		l := make([]int32, 0, g.Degree(v))
-		l = append(l, g.OutNeighbors(v)...)
-		l = append(l, g.InNeighbors(v)...)
-		slices.Sort(l)
-		l = slices.Compact(l)
-		if i, ok := slices.BinarySearch(l, v); ok {
-			l = slices.Delete(l, i, i+1)
-		}
-		adj[v] = l
-	}
-	return adj
+// adjacency is a run's graph as the walkers read it, in the memo's
+// codes: per vertex, its node code, its self-loop arc code, and its
+// sorted distinct neighbors (out ∪ in, itself excluded) with the arc
+// codes of both directions. ESU extends over the neighbor lists, so a
+// step costs O(degree) and a run allocates O(n + m), never n² bits.
+type adjacency struct {
+	node []uint32 // node code per vertex, from 0
+	loop []uint32 // arc code of each vertex's self-loops, 0 for none
+	at   []int32  // vertex v's neighbors are arcs[at[v]:at[v+1]]
+	arcs []arc
+	// nodeBits and arcBits are the widths of the largest node and arc
+	// code the graph uses; packed reports that k node codes and k² arc
+	// codes at those widths fit a packedKey.
+	nodeBits, arcBits uint
+	packed            bool
 }
 
+// arc is one neighbor x of a vertex v: out is the arc code of the arcs
+// v → x, in that of the arcs x → v (each 0 for none).
+type arc struct {
+	to      int32
+	out, in uint32
+}
+
+func (a *adjacency) of(v int32) []arc { return a.arcs[a.at[v]:a.at[v+1]] }
+
 // walker is one worker's ESU state: the vertex stack plus per-depth
-// extension and visited-neighborhood bitsets, all allocated once.
+// extension and visited-neighborhood bitsets, all allocated once, and
+// the counts of the subgraph keys it emitted.
 type walker struct {
-	g   *graph.Graph
-	adj [][]int32 // buildAdjacency's neighbor lists
+	adj *adjacency
 	k   int
 
 	sub  []int32       // vertex stack, discovery order; length k
@@ -215,24 +233,32 @@ type walker struct {
 	seen []*bitset.Set // seen[d]: {0..root} ∪ subgraph ∪ its neighborhood
 	pos  []int32       // target node → position in sub, -1 outside
 
-	memo    *memo
-	counts  map[*classInfo]int64
-	key     []byte        // discovery-order serialization scratch
-	buckets []labelBucket // k×k per-ordered-pair edge-label collectors
+	memo *memo
+	// Exactly one of packed and wide is non-nil: the run's key form.
+	// Each counts the subgraphs emitted per key since the last flush.
+	packed map[packedKey]int64
+	wide   map[wideKey]int64
+	// limit is the most keys the map holds between flushes: one memo
+	// budget's worth.
+	limit int
+	// keys[d] is the packed key of sub[0..d]; header is the layout
+	// header every packed key starts from, off[s] the bit offset of
+	// wideKey slot s.
+	keys    [MaxK]packedKey
+	header  packedKey
+	off     [wideSlots]uint
+	classes map[*classInfo]int64 // flushed counts, per class
 
-	subgraphs    int64
-	hits, misses int64 // memo lookups, counted here to keep the memo's hot path free of shared writes
-	steps        int
-	cancelled    func() bool
-	aborted      bool
+	subgraphs int64
+	misses    int64 // canonizations this walker's flushes paid
+	steps     int
+	cancelled func() bool
+	aborted   bool
 }
 
-type labelBucket []graph.Label
-
-func newWalker(g *graph.Graph, adj [][]int32, k int, m *memo, cancelled func() bool) *walker {
-	n := g.NumNodes()
+func newWalker(adj *adjacency, k int, m *memo, cancelled func() bool) *walker {
+	n := len(adj.node)
 	w := &walker{
-		g:         g,
 		adj:       adj,
 		k:         k,
 		sub:       make([]int32, k),
@@ -240,8 +266,7 @@ func newWalker(g *graph.Graph, adj [][]int32, k int, m *memo, cancelled func() b
 		seen:      make([]*bitset.Set, k),
 		pos:       make([]int32, n),
 		memo:      m,
-		counts:    make(map[*classInfo]int64),
-		buckets:   make([]labelBucket, k*k),
+		classes:   make(map[*classInfo]int64),
 		cancelled: cancelled,
 	}
 	for d := 0; d < k; d++ {
@@ -251,13 +276,26 @@ func newWalker(g *graph.Graph, adj [][]int32, k int, m *memo, cancelled func() b
 	for i := range w.pos {
 		w.pos[i] = -1
 	}
+	if !adj.packed {
+		w.wide = make(map[wideKey]int64)
+		w.limit = int(m.budget / wideCost)
+		return w
+	}
+	w.packed = make(map[packedKey]int64)
+	w.limit = int(m.budget / packedCost)
+	w.header = packedKey{uint64(adj.nodeBits) | uint64(adj.arcBits)<<fieldBits}
+	off := uint(headerBits)
+	for s := range k + k*k {
+		w.off[s] = off
+		off += width(k, s, adj.nodeBits, adj.arcBits)
+	}
 	return w
 }
 
 // walk runs roots taken from the shared cursor until it passes the
 // node count or the run is cancelled.
 func (w *walker) walk(cursor *atomic.Int64) {
-	n := int64(len(w.adj))
+	n := int64(len(w.adj.node))
 	for !w.poll() {
 		v := cursor.Add(1) - 1
 		if v >= n {
@@ -298,14 +336,15 @@ func (w *walker) root(v int32) {
 	s0.ClearAll()
 	s0.SetRange(0, int(v)+1)
 	e0.ClearAll()
-	for _, u := range w.adj[v] {
-		if u > v {
-			e0.Set(int(u))
+	for _, a := range w.adj.of(v) {
+		if a.to > v {
+			e0.Set(int(a.to))
 		}
-		s0.Set(int(u))
+		s0.Set(int(a.to))
 	}
-	w.sub[0] = v
+	w.place(0, v)
 	w.extend(0)
+	w.pos[v] = -1
 }
 
 // extend grows the subgraph from depth d (sub[0..d] placed, ext[d] and
@@ -315,8 +354,9 @@ func (w *walker) root(v int32) {
 func (w *walker) extend(d int) {
 	if d+2 == w.k {
 		w.ext[d].ForEach(func(u int) bool {
-			w.sub[d+1] = int32(u)
+			w.place(d+1, int32(u))
 			w.emit()
+			w.pos[u] = -1
 			return !w.aborted
 		})
 		return
@@ -330,113 +370,198 @@ func (w *walker) extend(d int) {
 		// guarantee), and the child extension below starts from the
 		// remaining candidates.
 		e.Clear(u)
-		w.sub[d+1] = int32(u)
+		w.place(d+1, int32(u))
 		// Child candidates: the remaining siblings plus u's exclusive
 		// neighborhood (N(u) minus everything already visited or ≤ root).
 		ne, ns := w.ext[d+1], w.seen[d+1]
 		ne.Copy(e)
 		ns.Copy(w.seen[d])
-		for _, x := range w.adj[u] {
-			if !ns.Test(int(x)) {
-				ns.Set(int(x))
-				ne.Set(int(x))
+		for _, a := range w.adj.of(int32(u)) {
+			if x := int(a.to); !ns.Test(x) {
+				ns.Set(x)
+				ne.Set(x)
 			}
 		}
 		w.extend(d + 1)
+		w.pos[u] = -1
 		if w.aborted {
 			return
 		}
 	}
 }
 
-// emit classifies the completed subgraph in sub[0..k-1] and counts it.
+// place puts u at position d of the subgraph. On the packed path it also
+// extends the key of sub[0..d-1] by u's node code and the arc codes
+// between u and sub[0..d], so an emitted key costs one vertex's
+// neighbor scan rather than k of them.
+func (w *walker) place(d int, u int32) {
+	w.sub[d] = u
+	w.pos[u] = int32(d)
+	if w.packed == nil {
+		return
+	}
+	a, k := w.adj, w.k
+	key := w.header
+	if d > 0 {
+		key = w.keys[d-1]
+	}
+	key.put(w.off[d], a.node[u])
+	key.put(w.off[k+d*k+d], a.loop[u])
+	for _, x := range a.of(u) {
+		if j := int(w.pos[x.to]); j >= 0 {
+			key.put(w.off[k+d*k+j], x.out)
+			key.put(w.off[k+j*k+d], x.in)
+		}
+	}
+	w.keys[d] = key
+}
+
+// emit counts the completed subgraph in sub[0..k-1] under its
+// discovery-order key, flushing the key map once it passes its cap.
+// Equal keys mean identical labelled adjacency under the identity map
+// on positions, so a key safely proxies the class; it is *not*
+// relabeling-invariant, which is exactly why it is cheap.
 func (w *walker) emit() {
 	if w.poll() {
 		return
 	}
 	w.subgraphs++
-	w.counts[w.classify()]++
-}
-
-// classify resolves the isomorphism class of the current subgraph via
-// the memo: the discovery-order key is built once, and only a memo miss
-// pays for materializing the induced subgraph and canonizing it.
-func (w *walker) classify() *classInfo {
-	for i := 0; i < w.k; i++ {
-		w.pos[w.sub[i]] = int32(i)
-	}
-	key := w.buildKey()
-	ci := w.memo.lookup(key)
-	if ci == nil {
-		w.misses++
-		ci = w.memo.insert(key, w.buildSubgraph())
+	if w.packed != nil {
+		w.packed[w.keys[w.k-1]]++
 	} else {
-		w.hits++
+		w.wide[w.wideKey()]++
 	}
-	for i := 0; i < w.k; i++ {
-		w.pos[w.sub[i]] = -1
+	if len(w.packed)+len(w.wide) > w.limit {
+		w.flush()
 	}
-	return ci
 }
 
-// buildKey serializes the induced subgraph in discovery order: the k
-// node labels, then for each ordered position pair (i,j) — self-loops
-// included — the sorted multiset of edge labels from sub[i] to sub[j].
-// Equal keys mean identical labeled adjacency under the identity map on
-// positions, so the key safely proxies the class; it is *not*
-// relabeling-invariant, which is exactly why it is cheap. Requires pos
-// to be set for the current sub.
-func (w *walker) buildKey() []byte {
-	k := w.k
-	for i := range w.buckets {
-		w.buckets[i] = w.buckets[i][:0]
-	}
-	key := w.key[:0]
-	for i := 0; i < k; i++ {
-		key = binary.AppendVarint(key, int64(w.g.NodeLabel(w.sub[i])))
-	}
-	for i := 0; i < k; i++ {
-		v := w.sub[i]
-		adjRow := w.g.OutNeighbors(v)
-		labs := w.g.OutEdgeLabels(v)
-		for t, u := range adjRow {
-			if j := w.pos[u]; j >= 0 {
-				w.buckets[i*k+int(j)] = append(w.buckets[i*k+int(j)], labs[t])
+// wideKey returns the current subgraph's slots, for runs whose codes do
+// not fit a packedKey. Requires pos to be set for the whole of sub.
+func (w *walker) wideKey() wideKey {
+	a, k := w.adj, w.k
+	var key wideKey
+	for i, v := range w.sub {
+		key[i] = a.node[v]
+		key[k+i*k+i] = a.loop[v]
+		for _, x := range a.of(v) {
+			if j := int(w.pos[x.to]); j >= 0 {
+				key[k+i*k+j] = x.out
 			}
 		}
 	}
-	for i := range w.buckets {
-		b := w.buckets[i]
-		slices.Sort(b)
-		key = binary.AppendUvarint(key, uint64(len(b)))
-		for _, l := range b {
-			key = binary.AppendVarint(key, int64(l))
-		}
-	}
-	w.key = key
 	return key
 }
 
-// buildSubgraph materializes the induced subgraph on sub[0..k-1] in
-// discovery order, keeping directions, labels, self-loops and parallel
-// edges. Requires pos to be set.
-func (w *walker) buildSubgraph() *graph.Graph {
-	k := w.k
-	b := graph.NewBuilder(k, k)
-	for i := 0; i < k; i++ {
-		b.AddNode(w.g.NodeLabel(w.sub[i]))
+// flush resolves every key counted since the last flush into classes.
+func (w *walker) flush() {
+	m := w.memo
+	if w.packed != nil {
+		w.misses += resolve(m, m.packed, packedCost, w.packed, w.classes,
+			func(key packedKey) wideKey { return key.unpack(w.k) })
+		clear(w.packed)
+	} else {
+		w.misses += resolve(m, m.wide, wideCost, w.wide, w.classes,
+			func(key wideKey) wideKey { return key })
+		clear(w.wide)
 	}
-	for i := 0; i < k; i++ {
-		v := w.sub[i]
-		adjRow := w.g.OutNeighbors(v)
-		labs := w.g.OutEdgeLabels(v)
-		for t, u := range adjRow {
-			if j := w.pos[u]; j >= 0 {
-				b.AddEdge(int32(i), j, labs[t])
-			}
+}
+
+// resolve adds each key's count to into under the key's class, found in
+// the memo level keys or, on a miss, by canonizing the subgraph the key
+// decodes to and publishing the key at the given charge. It returns
+// the number of canonizations paid.
+func resolve[K comparable](m *memo, keys map[K]*classInfo, cost int64, counts map[K]int64, into map[*classInfo]int64, decode func(K) wideKey) int64 {
+	var missed []K
+	m.mu.Lock()
+	for key, c := range counts {
+		if ci := keys[key]; ci != nil {
+			into[ci] += c
+		} else {
+			missed = append(missed, key)
 		}
 	}
-	return b.MustBuild()
+	m.mu.Unlock()
+	for _, key := range missed {
+		// Two walkers missing one key both canonize (a benign duplicate)
+		// and converge on one classInfo through the registry.
+		ci := m.class(decode(key))
+		m.mu.Lock()
+		if prior := keys[key]; prior != nil {
+			ci = prior
+		} else {
+			keys[key] = ci
+			m.charge.Add(cost)
+		}
+		m.mu.Unlock()
+		into[ci] += counts[key]
+	}
+	return int64(len(missed))
+}
+
+// wideSlots is the number of codes a key holds at MaxK: one node code
+// per position, then one arc code per ordered position pair (i, j) at
+// slot k + i·k + j, self-loops on the diagonal.
+const wideSlots = MaxK * (MaxK + 1)
+
+// wideKey holds a subgraph's codes one uint32 per slot: every code fits,
+// so it classifies any graph.
+type wideKey [wideSlots]uint32
+
+// packedKey holds the same slots at the narrowest widths the run's codes
+// allow: a header of two 4-bit fields (node-code width, then arc-code
+// width) in the low bits, then the k node codes and the k² arc codes,
+// each field at its fixed width. The header makes a key
+// self-describing, so keys packed at different widths never collide.
+type packedKey [2]uint64
+
+const (
+	fieldBits   = 4
+	headerBits  = 2 * fieldBits
+	maxCodeBits = 1<<fieldBits - 1
+)
+
+// width is the packed width of slot s at k.
+func width(k, s int, nodeBits, arcBits uint) uint {
+	if s < k {
+		return nodeBits
+	}
+	return arcBits
+}
+
+// put ORs v into the field at bit offset off; a field may straddle the
+// two words.
+func (p *packedKey) put(off uint, v uint32) {
+	if off < 64 {
+		p[0] |= uint64(v) << off
+		p[1] |= uint64(v) >> (64 - off) // the bits past word 0, if any
+	} else {
+		p[1] |= uint64(v) << (off - 64)
+	}
+}
+
+// get returns the w-bit field at bit offset off.
+func (p packedKey) get(off, w uint) uint32 {
+	var v uint64
+	if off < 64 {
+		v = p[0]>>off | p[1]<<(64-off)
+	} else {
+		v = p[1] >> (off - 64)
+	}
+	return uint32(v & (1<<w - 1))
+}
+
+// unpack returns the slots of a key packed at k.
+func (p packedKey) unpack(k int) wideKey {
+	nodeBits, arcBits := uint(p[0]&maxCodeBits), uint(p[0]>>fieldBits&maxCodeBits)
+	var key wideKey
+	off := uint(headerBits)
+	for s := range k + k*k {
+		w := width(k, s, nodeBits, arcBits)
+		key[s] = p.get(off, w)
+		off += w
+	}
+	return key
 }
 
 // classInfo is the unique record of one isomorphism class.
@@ -446,26 +571,25 @@ type classInfo struct {
 	rep  *graph.Graph
 }
 
-// memoShards spreads the discovery-order map over independent locks;
-// 32 is far beyond any worker count this library configures.
-const memoShards = 32
-
 // memoBudget bounds, in approximate bytes, what a memo may hold and
-// still be kept for later runs; keyCost and classCost are the charges
-// on top of a key's and an encoding's own bytes (map entry, string
-// header; classInfo and its k-node representative graph). The k=4 memo
-// of the largest PDBSv1-shaped target at scale 0.1 (164 classes)
-// charges about 120 KB.
+// still be kept for later runs. packedCost and wideCost are the charges
+// of one key (map entry and key), codeCost that of one interned code on
+// top of its labels, classCost that of one class on top of its
+// encoding (classInfo and its k-node representative graph). The k=4
+// memo of the largest PDBSv1-shaped target at scale 0.1 (164 classes
+// under 420 keys) charges about 110 KB.
 const (
 	memoBudget = 1 << 20
-	keyCost    = 48
+	packedCost = 48
+	wideCost   = 32 + 4*wideSlots
+	codeCost   = 64
 	classCost  = 512
 )
 
 // Memos keeps one class memo per K across runs, for one label space:
-// discovery-order keys and canonical encodings depend only on the
-// labelled subgraph, so a memo stays valid across graph versions. The
-// zero value is ready to use and safe for concurrent runs.
+// codes, keys and canonical encodings depend only on the labelled
+// subgraph, so a memo stays valid across graph versions. The zero value
+// is ready to use and safe for concurrent runs.
 //
 // Each run pins one memo for its whole duration: two classInfos for one
 // class would split its count, so a memo is never cleared under a
@@ -482,7 +606,7 @@ type Memos struct {
 // gives the run a memo of its own.
 func (s *Memos) pin(k int) *memo {
 	if s == nil {
-		return newMemo(memoBudget)
+		return newMemo(k, memoBudget)
 	}
 	budget := s.budget
 	if budget == 0 {
@@ -493,7 +617,7 @@ func (s *Memos) pin(k int) *memo {
 		if m != nil && !m.full() {
 			return m
 		}
-		fresh := newMemo(budget)
+		fresh := newMemo(k, budget)
 		if s.byK[k].CompareAndSwap(m, fresh) {
 			return fresh
 		}
@@ -508,61 +632,190 @@ func (s *Memos) unpin(k int, m *memo) {
 	}
 }
 
-// memo is the two-level concurrent classifier: a sharded map from
-// discovery-order key to classInfo (the hot path — an RLock and a map
-// probe), backed by a registry keyed by canonical encoding that makes
-// classInfo unique per class no matter how many discovery orders reach
-// it. charge sums the approximate bytes of both levels.
+// memo is one K's classifier: the interned codes, the two key levels
+// mapping packed and wide keys to classes, and the registry keyed by
+// canonical encoding that makes classInfo unique per class no matter
+// how many keys reach it. Runs touch it only to intern labels and to
+// resolve keys, so one mutex guards it all; charge sums the approximate
+// bytes it holds.
 type memo struct {
-	shards [memoShards]memoShard
-
-	classMu sync.Mutex
-	classes map[string]*classInfo
-
-	charge atomic.Int64
+	k      int
 	budget int64
+	charge atomic.Int64
+
+	mu         sync.Mutex
+	nodeCodes  map[graph.Label]uint32 // node label → node code
+	nodeLabels []graph.Label          // node code → node label
+	arcCodes   map[string]uint32      // varint sorted arc labels → arc code
+	arcLabels  [][]graph.Label        // arc code − 1 → sorted arc labels
+	packed     map[packedKey]*classInfo
+	wide       map[wideKey]*classInfo
+	classes    map[string]*classInfo // canonical encoding → class
 }
 
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[string]*classInfo
-}
-
-func newMemo(budget int64) *memo {
-	m := &memo{classes: make(map[string]*classInfo), budget: budget}
-	for i := range m.shards {
-		m.shards[i].m = make(map[string]*classInfo)
+func newMemo(k int, budget int64) *memo {
+	return &memo{
+		k:         k,
+		budget:    budget,
+		nodeCodes: make(map[graph.Label]uint32),
+		arcCodes:  make(map[string]uint32),
+		packed:    make(map[packedKey]*classInfo),
+		wide:      make(map[wideKey]*classInfo),
+		classes:   make(map[string]*classInfo),
 	}
-	return m
 }
 
 // full reports the memo outgrew its budget.
 func (m *memo) full() bool { return m.charge.Load() > m.budget }
 
-func (m *memo) shard(key []byte) *memoShard {
-	return &m.shards[graph.HashBytes(key)%memoShards]
+// nodeCode returns the code of node label l, interning it on first
+// sight.
+func (m *memo) nodeCode(l graph.Label) uint32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	code, ok := m.nodeCodes[l]
+	if !ok {
+		code = uint32(len(m.nodeLabels))
+		m.nodeCodes[l] = code
+		m.nodeLabels = append(m.nodeLabels, l)
+		m.charge.Add(codeCost)
+	}
+	return code
 }
 
-func (m *memo) lookup(key []byte) *classInfo {
-	sh := m.shard(key)
-	sh.mu.RLock()
-	ci := sh.m[string(key)] // string(key) in a map index does not allocate
-	sh.mu.RUnlock()
-	return ci
+// arcCode returns the code of the arcs from one vertex to another, by
+// the multiset of their labels, interning it on first sight; no arcs
+// have code 0.
+func (m *memo) arcCode(labels []graph.Label) uint32 {
+	if len(labels) == 0 {
+		return 0
+	}
+	set := slices.Clone(labels)
+	slices.Sort(set)
+	var enc []byte
+	for _, l := range set {
+		enc = binary.AppendVarint(enc, int64(l))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	code, ok := m.arcCodes[string(enc)]
+	if !ok {
+		m.arcLabels = append(m.arcLabels, set)
+		code = uint32(len(m.arcLabels))
+		m.arcCodes[string(enc)] = code
+		m.charge.Add(codeCost + int64(len(enc)+4*len(set)))
+	}
+	return code
 }
 
-// insert canonizes sub, dedups the class through the encoding registry,
-// and publishes the discovery-order key. Two workers racing on the same
-// key both canonize (a benign duplicate canonization, not a correctness
-// issue) and converge on one classInfo through the registry.
-func (m *memo) insert(key []byte, sub *graph.Graph) *classInfo {
+// labelCache is a run's direct-mapped cache in front of the memo's
+// label codes: a graph uses few labels, so nearly every lookup skips
+// the lock and the map.
+type labelCache [64]struct {
+	label graph.Label
+	code  uint32 // the code + 1; 0 marks an empty entry
+}
+
+func (c *labelCache) get(l graph.Label, intern func(graph.Label) uint32) uint32 {
+	e := &c[uint32(l)%uint32(len(c))]
+	if e.code == 0 || e.label != l {
+		e.label, e.code = l, intern(l)+1
+	}
+	return e.code - 1
+}
+
+// adjacency returns g in the memo's codes, interning the node labels
+// and arc-label multisets the memo has not met, and decides whether
+// the run's keys pack.
+func (m *memo) adjacency(g *graph.Graph) *adjacency {
+	n := int32(g.NumNodes())
+	a := &adjacency{
+		node: make([]uint32, n),
+		loop: make([]uint32, n),
+		at:   make([]int32, n+1),
+		arcs: make([]arc, 0, g.NumEdges()),
+	}
+	var nodes, lone labelCache
+	nodeCode := m.nodeCode
+	loneCode := func(l graph.Label) uint32 { return m.arcCode([]graph.Label{l}) }
+	// code is the arc code of the parallel arcs with labels labs.
+	code := func(labs []graph.Label) uint32 {
+		if len(labs) == 1 {
+			return lone.get(labs[0], loneCode)
+		}
+		return m.arcCode(labs)
+	}
+	var maxNode, maxArc uint32
+	for v := range n {
+		a.node[v] = nodes.get(g.NodeLabel(v), nodeCode)
+		maxNode = max(maxNode, a.node[v])
+		// Merge the sorted out- and in-lists, one entry per neighbor.
+		to, toLab := g.OutNeighbors(v), g.OutEdgeLabels(v)
+		from, fromLab := g.InNeighbors(v), g.InEdgeLabels(v)
+		for i, j := 0, 0; i < len(to) || j < len(from); {
+			x := int32(math.MaxInt32)
+			if i < len(to) {
+				x = to[i]
+			}
+			if j < len(from) {
+				x = min(x, from[j])
+			}
+			i2, j2 := i, j
+			for i2 < len(to) && to[i2] == x {
+				i2++
+			}
+			for j2 < len(from) && from[j2] == x {
+				j2++
+			}
+			out, in := code(toLab[i:i2]), code(fromLab[j:j2])
+			maxArc = max(maxArc, out, in)
+			if x == v {
+				a.loop[v] = out
+			} else {
+				a.arcs = append(a.arcs, arc{to: x, out: out, in: in})
+			}
+			i, j = i2, j2
+		}
+		a.at[v+1] = int32(len(a.arcs))
+	}
+	a.nodeBits, a.arcBits = uint(bits.Len32(maxNode)), uint(bits.Len32(maxArc))
+	a.packed = a.nodeBits <= maxCodeBits && a.arcBits <= maxCodeBits &&
+		headerBits+uint(m.k)*a.nodeBits+uint(m.k*m.k)*a.arcBits <= 128
+	return a
+}
+
+// subgraph builds the labelled subgraph a key's slots describe, in
+// discovery order.
+func (m *memo) subgraph(key wideKey) *graph.Graph {
+	k := m.k
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b := graph.NewBuilder(k, k*k)
+	for i := range k {
+		b.AddNode(m.nodeLabels[key[i]])
+	}
+	for s, code := range key[k : k+k*k] {
+		if code != 0 {
+			for _, l := range m.arcLabels[code-1] {
+				b.AddEdge(int32(s/k), int32(s%k), l)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// class canonizes the subgraph a key decodes to and returns its class,
+// registering the class on first sight.
+func (m *memo) class(key wideKey) *classInfo {
+	sub := m.subgraph(key)
 	enc, perm, ok := graph.CanonicalFormBudget(sub, canonBudget)
 	if !ok {
 		// Unreachable for k ≤ 6 (≤ 720 orderings); keep correctness
 		// independent of the budget anyway.
 		enc, perm = graph.CanonicalForm(sub)
 	}
-	m.classMu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	ci := m.classes[string(enc)]
 	if ci == nil {
 		rep, err := sub.Relabel(perm)
@@ -573,16 +826,5 @@ func (m *memo) insert(key []byte, sub *graph.Graph) *classInfo {
 		m.classes[string(enc)] = ci
 		m.charge.Add(int64(len(enc)) + classCost)
 	}
-	m.classMu.Unlock()
-
-	sh := m.shard(key)
-	sh.mu.Lock()
-	if prior := sh.m[string(key)]; prior != nil {
-		ci = prior
-	} else {
-		sh.m[string(key)] = ci
-		m.charge.Add(int64(len(key)) + keyCost)
-	}
-	sh.mu.Unlock()
 	return ci
 }

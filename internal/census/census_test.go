@@ -2,6 +2,7 @@ package census
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -221,32 +222,36 @@ func TestCensusSparseAllocation(t *testing.T) {
 
 // TestCensusMemoReuse: on a label-free graph every k-subgraph of one
 // shape shares a discovery-order key, so the memo must hit far more
-// often than it misses — that is the whole point of the memo.
+// often than it misses — that is the whole point of the memo. The
+// random graph repeats some edges (parallel arcs); the second input,
+// drawn without repeats, is a plain undirected graph.
 func TestCensusMemoReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	b := graph.NewBuilder(30, 120)
-	for i := 0; i < 30; i++ {
-		b.AddNode(0)
-	}
-	for e := 0; e < 120; e++ {
-		u, v := int32(rng.Intn(30)), int32(rng.Intn(30))
-		if u != v {
-			b.AddEdgeBoth(u, v, 0)
+	for _, simple := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(1))
+		b := graph.NewBuilder(30, 120)
+		for i := 0; i < 30; i++ {
+			b.AddNode(0)
 		}
-	}
-	g := b.MustBuild()
-	res, err := Run(context.Background(), g, Options{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Subgraphs == 0 {
-		t.Fatal("no subgraphs found")
-	}
-	if res.MemoHits+res.MemoMisses != res.Subgraphs {
-		t.Fatalf("memo lookups %d != subgraphs %d", res.MemoHits+res.MemoMisses, res.Subgraphs)
-	}
-	if res.MemoHits < res.MemoMisses {
-		t.Fatalf("memo hits %d < misses %d on a label-free graph", res.MemoHits, res.MemoMisses)
+		for e := 0; e < 120; e++ {
+			u, v := int32(rng.Intn(30)), int32(rng.Intn(30))
+			if u != v && !(simple && b.HasEdgePending(u, v)) {
+				b.AddEdgeBoth(u, v, 0)
+			}
+		}
+		g := b.MustBuild()
+		res, err := Run(context.Background(), g, Options{K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Subgraphs == 0 {
+			t.Fatal("no subgraphs found")
+		}
+		if res.MemoHits+res.MemoMisses != res.Subgraphs {
+			t.Fatalf("memo lookups %d != subgraphs %d", res.MemoHits+res.MemoMisses, res.Subgraphs)
+		}
+		if res.MemoHits < res.MemoMisses {
+			t.Fatalf("memo hits %d < misses %d on a label-free graph", res.MemoHits, res.MemoMisses)
+		}
 	}
 }
 
@@ -335,6 +340,125 @@ func TestCensusMemoOverflow(t *testing.T) {
 		if m := memos.byK[k].Load(); m != nil && m.full() {
 			t.Fatalf("k=%d: Memos retains a memo over its budget", k)
 		}
+	}
+}
+
+// fuzzGraph decodes fuzz bytes into a census input: k in [2, 5], one or
+// three walkers, and a graph of at most 9 nodes whose node and edge
+// labels span [-384, 381], with the self-loops and parallel arcs the
+// byte triples happen to draw.
+func fuzzGraph(data []byte) (g *graph.Graph, k, workers int) {
+	if len(data) < 3 {
+		return nil, 0, 0
+	}
+	k = MinK + int(data[0])%4
+	workers = 1 + 2*int(data[1]&1)
+	n := 1 + int(data[2])%9
+	data = data[3:]
+	label := func(b byte) graph.Label { return 3 * graph.Label(int8(b)) }
+	b := graph.NewBuilder(n, len(data)/3)
+	for i := 0; i < n; i++ {
+		var l graph.Label
+		if i < len(data) {
+			l = label(data[i])
+		}
+		b.AddNode(l)
+	}
+	data = data[min(n, len(data)):]
+	for len(data) >= 3 && b.NumEdges() < 48 {
+		b.AddEdge(int32(data[0])%int32(n), int32(data[1])%int32(n), label(data[2]))
+		data = data[3:]
+	}
+	return b.MustBuild(), k, workers
+}
+
+// fuzzSeed encodes one fuzzGraph input.
+func fuzzSeed(k, workers int, nodes []int8, arcs ...[3]int) []byte {
+	data := []byte{byte(k - MinK), byte(workers / 2), byte(len(nodes) - 1)}
+	for _, l := range nodes {
+		data = append(data, byte(l))
+	}
+	for _, a := range arcs {
+		data = append(data, byte(a[0]), byte(a[1]), byte(int8(a[2])))
+	}
+	return data
+}
+
+// fuzzSeeds are FuzzCensus's seed corpus. The first three pack their
+// keys; the last two give a 9-node graph 20 distinct edge labels, more
+// arc codes than a packed key holds at k=5, so they take the wide key.
+func fuzzSeeds() [][]byte {
+	// ring is a 9-cycle in both directions plus two chords; label(i)
+	// labels the arc pair of cycle edge i, and the chords take
+	// label(9) and label(10).
+	ring := func(label func(i int) (fwd, back int)) [][3]int {
+		var arcs [][3]int
+		for i := 0; i < 9; i++ {
+			fwd, back := label(i)
+			arcs = append(arcs, [3]int{i, (i + 1) % 9, fwd}, [3]int{(i + 1) % 9, i, back})
+		}
+		c9, _ := label(9)
+		c10, _ := label(10)
+		return append(arcs, [3]int{0, 4, c9}, [3]int{2, 7, c10})
+	}
+	many := ring(func(i int) (int, int) { return 2*i - 10, 2*i + 40 })
+	return [][]byte{
+		fuzzSeed(3, 1, []int8{0, 1, 0, 1, 0}, [3]int{0, 1, 0}, [3]int{1, 2, 0}, [3]int{2, 3, 1}, [3]int{3, 4, 0}, [3]int{4, 0, 0}),
+		fuzzSeed(4, 3, []int8{-90, 100, -90, 100, 7, 7},
+			[3]int{0, 1, 5}, [3]int{0, 1, 5}, [3]int{0, 1, -100}, [3]int{1, 1, 90},
+			[3]int{1, 2, 5}, [3]int{2, 3, 0}, [3]int{3, 3, 0}, [3]int{3, 4, 5}, [3]int{4, 5, -100}, [3]int{5, 0, 5}, [3]int{2, 5, 0}),
+		fuzzSeed(5, 1, []int8{0, 0, 0, 0, 0, 0, 0, 0, 0}, ring(func(int) (int, int) { return 0, 0 })...),
+		fuzzSeed(5, 1, []int8{-128, -1, 0, 1, 85, 86, 127, 3, 4}, many...),
+		fuzzSeed(5, 3, []int8{-128, -1, 0, 1, 85, 86, 127, 3, 4}, many...),
+	}
+}
+
+// FuzzCensus holds sequential and parallel runs on small labelled
+// multigraphs to the brute-force oracle, on either key form, and a
+// second run through the same Memos to the first.
+func FuzzCensus(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, k, workers := fuzzGraph(data)
+		if g == nil {
+			return
+		}
+		memos := &Memos{}
+		res, err := Run(context.Background(), g, Options{K: k, Workers: workers, Memos: memos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, g, k, res, "fuzz")
+		if res.MemoHits+res.MemoMisses != res.Subgraphs {
+			t.Fatalf("memo lookups %d != subgraphs %d", res.MemoHits+res.MemoMisses, res.Subgraphs)
+		}
+		again, err := Run(context.Background(), g, Options{K: k, Workers: workers, Memos: memos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.MemoMisses != 0 || !maps.Equal(classMap(again), classMap(res)) {
+			t.Fatalf("rerun through the same memo: %d misses, classes equal %v",
+				again.MemoMisses, maps.Equal(classMap(again), classMap(res)))
+		}
+	})
+}
+
+// TestFuzzCensusSeedsTakeBothKeys: FuzzCensus's seed corpus exercises
+// the packed key and the wide one.
+func TestFuzzCensusSeedsTakeBothKeys(t *testing.T) {
+	var packed, wide int
+	for _, seed := range fuzzSeeds() {
+		g, k, _ := fuzzGraph(seed)
+		if newMemo(k, memoBudget).adjacency(g).packed {
+			packed++
+		} else {
+			wide++
+		}
+	}
+	if packed == 0 || wide == 0 {
+		t.Fatalf("seeds take the packed key %d times and the wide key %d times, want both", packed, wide)
 	}
 }
 

@@ -264,12 +264,19 @@ func TestHTTPCensus(t *testing.T) {
 		t.Fatalf("top=1: shown %d of %d, subgraphs %d", rec3.ClassesShown, rec3.ClassesTotal, rec3.Subgraphs)
 	}
 
-	// Bad K → 400.
+	// Bad K or timeout → 400.
 	resp = post(map[string]any{"k": 99})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("k=99: %s, want 400", resp.Status)
 	}
 	resp.Body.Close()
+	for _, ms := range []int64{-1, 1e13} {
+		resp = post(map[string]any{"k": 3, "timeout_ms": ms})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("timeout_ms=%d: %s, want 400", ms, resp.Status)
+		}
+		resp.Body.Close()
+	}
 
 	// Draining → 503.
 	handler.StartDrain()

@@ -49,20 +49,25 @@ func TestMaxTimeoutClampsClientTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, svc := soloRouter(t, tgt, RouterConfig{MaxTimeout: 100 * time.Millisecond})
-	start := time.Now()
-	reply, err := svc.Count(context.Background(), Query{
-		Pattern: star(7),
-		Options: parsge.Options{Semantics: parsge.Homomorphism, Timeout: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reply.Result.TimedOut {
-		t.Fatalf("hour-long query not truncated by MaxTimeout (matches=%d)", reply.Result.Matches)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("clamped query still took %v", d)
+	// A negative timeout counts as unset and is clamped the same way.
+	// Each input gets a fresh router: the first run's cost history
+	// would shed the second.
+	for _, timeout := range []time.Duration{time.Hour, -time.Millisecond} {
+		_, svc := soloRouter(t, tgt, RouterConfig{MaxTimeout: 100 * time.Millisecond})
+		start := time.Now()
+		reply, err := svc.Count(context.Background(), Query{
+			Pattern: star(7),
+			Options: parsge.Options{Semantics: parsge.Homomorphism, Timeout: timeout},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reply.Result.TimedOut {
+			t.Fatalf("timeout %v: query not truncated by MaxTimeout (matches=%d)", timeout, reply.Result.Matches)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Fatalf("timeout %v: clamped query still took %v", timeout, d)
+		}
 	}
 
 	// Census path: connected 6-subgraphs of K40 number C(40,6) ≈ 3.8M —
@@ -72,17 +77,19 @@ func TestMaxTimeoutClampsClientTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, csvc := soloRouter(t, ctgt, RouterConfig{MaxTimeout: 20 * time.Millisecond})
-	start = time.Now()
-	crep, err := csvc.Census(context.Background(), CensusRequest{K: 6, Timeout: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !crep.Result.TimedOut {
-		t.Fatalf("hour-long census not truncated by MaxTimeout (subgraphs=%d)", crep.Result.Subgraphs)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("clamped census still took %v", d)
+	for _, timeout := range []time.Duration{time.Hour, -time.Millisecond} {
+		_, csvc := soloRouter(t, ctgt, RouterConfig{MaxTimeout: 20 * time.Millisecond})
+		start := time.Now()
+		crep, err := csvc.Census(context.Background(), CensusRequest{K: 6, Timeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !crep.Result.TimedOut {
+			t.Fatalf("timeout %v: census not truncated by MaxTimeout (subgraphs=%d)", timeout, crep.Result.Subgraphs)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Fatalf("timeout %v: clamped census still took %v", timeout, d)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -189,6 +190,15 @@ func parseAlgorithm(s string) (parsge.Algorithm, error) {
 	}
 }
 
+// parseTimeout converts a request's timeout_ms, refusing a negative
+// value and one past what a time.Duration holds; 0 means unset.
+func parseTimeout(ms int64) (time.Duration, error) {
+	if ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return 0, fmt.Errorf("timeout_ms must be in [0, %d], got %d", math.MaxInt64/int64(time.Millisecond), ms)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 // parsePattern reads the first graph section from the request text,
 // interning labels into the shared table under the table lock.
 func (h *Server) parsePattern(text string) (*parsge.Graph, error) {
@@ -288,6 +298,11 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	timeout, err := parseTimeout(req.TimeoutMS)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	alg, err := parseAlgorithm(req.Algorithm)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -302,7 +317,7 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 		Semantics: sem,
 		Algorithm: alg,
 		Limit:     req.Limit,
-		Timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
+		Timeout:   timeout,
 	}}
 
 	if req.Stream {
@@ -437,10 +452,12 @@ func (h *Server) handleCensus(w http.ResponseWriter, r *http.Request, svc *targe
 			fmt.Errorf("k must be in [%d, %d], got %d", parsge.MinCensusK, parsge.MaxCensusK, req.K))
 		return
 	}
-	reply, err := svc.Census(r.Context(), CensusRequest{
-		K:       req.K,
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-	})
+	timeout, err := parseTimeout(req.TimeoutMS)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	reply, err := svc.Census(r.Context(), CensusRequest{K: req.K, Timeout: timeout})
 	if err != nil {
 		httpError(w, errorCode(err), err)
 		return

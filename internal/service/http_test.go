@@ -192,6 +192,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		"bad algorithm":               {"pattern": patternText(t, gp, table), "algorithm": "bogo"},
 		"bad semantics, unseen label": {"pattern": unseen, "semantics": "bogus"},
 		"bad algorithm, unseen label": {"pattern": unseen, "algorithm": "bogo"},
+		"negative timeout":            {"pattern": patternText(t, gp, table), "timeout_ms": -1},
+		"negative timeout, unseen":    {"pattern": unseen, "timeout_ms": -1},
+		"overflowing timeout":         {"pattern": patternText(t, gp, table), "timeout_ms": int64(1e13)},
 	} {
 		before := tableSize(handler)
 		resp, err := postQuery(t, base, body)

@@ -146,12 +146,13 @@ func (c RouterConfig) withDefaults() RouterConfig {
 }
 
 // timeout folds DefaultTimeout into a request's own timeout and clamps
-// the result to MaxTimeout: queries and censuses share the budget.
+// the result to MaxTimeout: queries and censuses share the budget. A
+// non-positive timeout counts as unset, so it cannot escape either.
 func (c RouterConfig) timeout(d time.Duration) time.Duration {
-	if d == 0 {
+	if d <= 0 {
 		d = c.DefaultTimeout
 	}
-	if c.MaxTimeout > 0 && (d == 0 || d > c.MaxTimeout) {
+	if c.MaxTimeout > 0 && (d <= 0 || d > c.MaxTimeout) {
 		d = c.MaxTimeout
 	}
 	return d
