@@ -266,6 +266,43 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
+// ForEachAnd calls fn for every bit set in both s and other, in
+// ascending order, without materializing the intersection; it stops
+// early if fn returns false. The sets must have equal capacity. This is
+// the RI-DS candidate loop: a domain ANDed with the parent image's
+// adjacency row, a word at a time.
+func (s *Set) ForEachAnd(other *Set, fn func(i int) bool) {
+	s.mustMatch(other)
+	ow := other.words[:len(s.words)]
+	for wi, w := range s.words {
+		w &= ow[wi]
+		for w != 0 {
+			if !fn(wi*wordBits + bits.TrailingZeros64(w)) {
+				return
+			}
+			w &= w - 1
+		}
+	}
+}
+
+// CountAfter returns the number of set bits above i (members j > i).
+// A negative i counts every member.
+func (s *Set) CountAfter(i int) int {
+	if i < 0 {
+		return s.Count()
+	}
+	if i >= s.n {
+		return 0
+	}
+	wi := i / wordBits
+	// A shift by 64 yields 0, so bit 63 of a word needs no special case.
+	c := bits.OnesCount64(s.words[wi] >> uint(i%wordBits+1))
+	for _, w := range s.words[wi+1:] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // Members appends the indices of all set bits to dst and returns it.
 func (s *Set) Members(dst []int) []int {
 	s.ForEach(func(i int) bool {

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -441,4 +442,121 @@ func TestPopIterate(t *testing.T) {
 	if !s.Empty() {
 		t.Fatal("set not empty after pop-iterate")
 	}
+}
+
+// TestForEachAnd pins the intersection walk on word-boundary bits (63,
+// 64, 127) and a capacity that is not a multiple of 64: members of
+// both sets in ascending order, nothing from one side only.
+func TestForEachAnd(t *testing.T) {
+	a, b := New(130), New(130)
+	for _, i := range []int{0, 5, 63, 64, 100, 127, 128, 129} {
+		a.Set(i)
+	}
+	for _, i := range []int{5, 6, 63, 64, 101, 127, 129} {
+		b.Set(i)
+	}
+	want := []int{5, 63, 64, 127, 129}
+	var got []int
+	a.ForEachAnd(b, func(i int) bool {
+		got = append(got, i)
+		return true
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ForEachAnd visited %v, want %v", got, want)
+	}
+	for _, empty := range []*Set{New(130), New(0)} {
+		full := New(empty.Len())
+		full.SetAll()
+		empty.ForEachAnd(full, func(i int) bool {
+			t.Fatalf("ForEachAnd over an empty set (len %d) visited %d", empty.Len(), i)
+			return true
+		})
+	}
+}
+
+func TestForEachAndEarlyStop(t *testing.T) {
+	a, b := New(200), New(200)
+	a.SetAll()
+	for _, i := range []int{1, 63, 64, 127, 199} {
+		b.Set(i)
+	}
+	var got []int
+	a.ForEachAnd(b, func(i int) bool {
+		got = append(got, i)
+		return i != 64
+	})
+	if fmt.Sprint(got) != fmt.Sprint([]int{1, 63, 64}) {
+		t.Fatalf("ForEachAnd stopped after %v, want [1 63 64]", got)
+	}
+}
+
+// TestCountAfter pins the strict-upper-bound count at word boundaries
+// and on a capacity that is not a multiple of 64.
+func TestCountAfter(t *testing.T) {
+	s := New(130)
+	for _, i := range []int{0, 63, 64, 127, 129} {
+		s.Set(i)
+	}
+	for i, want := range map[int]int{
+		-1: 5, 0: 4, 1: 4, 62: 4, 63: 3, 64: 2, 65: 2,
+		126: 2, 127: 1, 128: 1, 129: 0, 130: 0, 500: 0,
+	} {
+		if got := s.CountAfter(i); got != want {
+			t.Errorf("CountAfter(%d) = %d, want %d", i, got, want)
+		}
+	}
+	if got := New(0).CountAfter(0); got != 0 {
+		t.Errorf("CountAfter on a zero-capacity set = %d, want 0", got)
+	}
+	if got := New(130).CountAfter(-1); got != 0 {
+		t.Errorf("CountAfter on an empty set = %d, want 0", got)
+	}
+}
+
+// TestQuickForEachAndCountAfter holds both primitives to the bit-at-a-
+// time model on random sets: ForEachAnd visits exactly a ∩ b in
+// ascending order, and CountAfter(i) counts the members above i.
+func TestQuickForEachAndCountAfter(t *testing.T) {
+	f := func(seedA, seedB int64) bool {
+		n := 1 + int(uint64(seedA)%300)
+		a, b := randomSet(n, seedA), randomSet(n, seedB)
+		var got []int
+		a.ForEachAnd(b, func(i int) bool {
+			got = append(got, i)
+			return true
+		})
+		var want []int
+		for i := 0; i < n; i++ {
+			if a.Test(i) && b.Test(i) {
+				want = append(want, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			return false
+		}
+		for i := -1; i <= n; i++ {
+			c := 0
+			for j := i + 1; j < n; j++ {
+				if a.Test(j) {
+					c++
+				}
+			}
+			if a.CountAfter(i) != c {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestForEachAndMismatchedCapacityPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForEachAnd with mismatched capacity did not panic")
+		}
+	}()
+	New(64).ForEachAnd(New(65), func(int) bool { return true })
 }

@@ -104,7 +104,9 @@ type Result struct {
 	// Matches is the number of isomorphic subgraphs found.
 	Matches int64
 	// States is the total number of search states checked across all
-	// workers (the paper's search space size).
+	// workers (the paper's search space size), counted by the rule
+	// ri.Counter states: every distinct neighbor of the parent image is
+	// one state.
 	States int64
 	// PerWorkerStates breaks States down by worker — its standard
 	// deviation is the load-balance metric of Fig 3.
@@ -143,13 +145,12 @@ type taskGroup struct {
 // workerState is the per-worker search state: the incrementally
 // maintained partial mapping of §3.2(i).
 type workerState struct {
-	mapped      []int32 // ordering position → target node (valid below depth)
-	used        []bool  // target node → used by current mapping
-	depth       int     // number of valid mapping entries
-	states      int64
-	depthStates []int64
-	matches     int64
-	visitBuf    []int32 // pattern node id → target node, for Visit
+	mapped []int32 // ordering position → target node (valid below depth)
+	used   []bool  // target node → used by current mapping
+	depth  int     // number of valid mapping entries
+	ri.Counter
+	matches  int64
+	visitBuf []int32 // pattern node id → target node, for Visit
 }
 
 // engine implements steal.Runner[taskGroup].
@@ -164,8 +165,6 @@ type engine struct {
 	limitHit      atomic.Bool
 	visitStop     atomic.Bool
 }
-
-const cancelCheckMask = 0x3FF
 
 // Enumerate runs the parallel search over a prepared instance.
 func Enumerate(p *ri.Prepared, opts Options) (res Result) {
@@ -202,10 +201,10 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 			used = make([]bool, p.Target.NumNodes())
 		}
 		e.ws[i] = &workerState{
-			mapped:      make([]int32, p.NumPositions()),
-			used:        used,
-			visitBuf:    make([]int32, p.Pattern.NumNodes()),
-			depthStates: make([]int64, p.NumPositions()),
+			mapped:   make([]int32, p.NumPositions()),
+			used:     used,
+			visitBuf: make([]int32, p.Pattern.NumNodes()),
+			Counter:  ri.Counter{Depth: make([]int64, p.NumPositions())},
 		}
 	}
 	if arena != nil {
@@ -242,10 +241,10 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 
 	res.DepthStates = make([]int64, p.NumPositions())
 	for i, ws := range e.ws {
-		res.PerWorkerStates[i] = ws.states
-		res.States += ws.states
+		res.PerWorkerStates[i] = ws.States
+		res.States += ws.States
 		res.Matches += ws.matches
-		for d, c := range ws.depthStates {
+		for d, c := range ws.Depth {
 			res.DepthStates[d] += c
 		}
 	}
@@ -287,8 +286,7 @@ func (e *engine) seedInitialTasks() {
 		}
 	}
 	e.p.RootCandidates(func(vt int32) bool {
-		ws0.states++
-		ws0.depthStates[0]++
+		ws0.Add(0, 1)
 		if e.p.Feasible(0, vt, ws0.mapped, ws0.used) {
 			g.targets[g.n] = vt
 			g.n++
@@ -376,26 +374,36 @@ func (e *engine) expand(w *steal.Worker[taskGroup], ws *workerState, depth int, 
 		}
 	}
 
-	tryCandidate := func(cand int32) bool {
-		ws.states++
-		ws.depthStates[next]++
-		if ws.states&cancelCheckMask == 0 && e.shouldStop() {
-			return false
-		}
+	// check spawns cand if it is consistent; tryCandidate first counts
+	// it as one state, as the one-at-a-time loops do.
+	check := func(cand int32) bool {
 		if e.p.Feasible(next, cand, ws.mapped, ws.used) {
 			push(cand)
 		}
 		return true
 	}
+	tryCandidate := func(cand int32) bool {
+		if ws.Add(next, 1) && e.shouldStop() {
+			return false
+		}
+		return check(cand)
+	}
 
 	if parent := e.p.ParentPos(next); parent != order.NoParent {
-		adj := e.p.Candidates(next, ws.mapped[parent])
-		for i, cand := range adj {
-			if i > 0 && adj[i-1] == cand {
-				continue // parallel target edges: same candidate node
-			}
-			if !tryCandidate(cand) {
+		v := ws.mapped[parent]
+		adj := e.p.Candidates(next, v)
+		if row := e.p.ParentRow(next, v, len(adj)); row != nil {
+			if !e.p.ScanRow(&ws.Counter, next, row, e.shouldStop, check) {
 				return
+			}
+		} else {
+			for i, cand := range adj {
+				if i > 0 && adj[i-1] == cand {
+					continue // parallel target edges: same candidate node
+				}
+				if !tryCandidate(cand) {
+					return
+				}
 			}
 		}
 	} else if e.p.Doms != nil {

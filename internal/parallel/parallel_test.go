@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,6 +219,24 @@ func TestExternalCancel(t *testing.T) {
 	}
 }
 
+// starOverClique returns an undirected star with the given number of
+// leaves and the unlabeled clique K_n.
+func starOverClique(leaves, n int) (star, clique *graph.Graph) {
+	bs := &graph.Builder{}
+	bs.AddNodes(leaves + 1)
+	for i := 1; i <= leaves; i++ {
+		bs.AddEdgeBoth(0, int32(i), 0)
+	}
+	bc := &graph.Builder{}
+	bc.AddNodes(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			bc.AddEdgeBoth(int32(i), int32(j), 0)
+		}
+	}
+	return bs.MustBuild(), bc.MustBuild()
+}
+
 func TestCancelMidRun(t *testing.T) {
 	// A heavier instance so cancellation lands mid-search.
 	gp, gt := testutil.RandomInstance(7, testutil.InstanceOptions{
@@ -227,21 +246,48 @@ func TestCancelMidRun(t *testing.T) {
 		NodeLabels:   1,
 		Extract:      true,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan Result, 1)
-	go func() {
-		done <- Enumerate(prepared(t, gp, gt, ri.VariantRI), Options{Workers: 4, Ctx: ctx})
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case res := <-done:
-		if !res.Aborted && res.Matches == 0 {
-			t.Fatal("cancelled run neither aborted nor completed")
+	// The hom 7-leaf star over K12 (about 2.3e8 embeddings): every leaf
+	// has the center as its mapped parent, so RI-DS-SI-FC polls from the
+	// row loop, and must return within 500 ms of the cancel. The RI case
+	// keeps only the 30 s ceiling.
+	star, k12 := starOverClique(7, 12)
+	hom, err := ri.Prepare(star, k12, ri.Options{Variant: ri.VariantRIDSSIFC, Semantics: graph.Homomorphism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		p       *ri.Prepared
+		workers []int
+		prompt  bool
+	}{
+		{"RI", prepared(t, gp, gt, ri.VariantRI), []int{4}, false},
+		{"RI-DS-SI-FC", hom, []int{1, 4}, true},
+	} {
+		for _, workers := range c.workers {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				done := make(chan Result, 1)
+				go func() {
+					done <- Enumerate(c.p, Options{Workers: workers, Ctx: ctx})
+				}()
+				time.Sleep(20 * time.Millisecond)
+				cancelled := time.Now()
+				cancel()
+				select {
+				case res := <-done:
+					if !res.Aborted && res.Matches == 0 {
+						t.Fatal("cancelled run neither aborted nor completed")
+					}
+					if elapsed := time.Since(cancelled); c.prompt && elapsed > 500*time.Millisecond {
+						t.Fatalf("returned %v after cancel, want prompt", elapsed)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("cancel did not stop the run")
+				}
+			})
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancel did not stop the run")
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"parsge/internal/datasets"
 	"parsge/internal/domain"
 	"parsge/internal/graph"
 	"parsge/internal/order"
@@ -450,6 +452,63 @@ func BenchmarkSequentialRIDSSIFC(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSearchDenseCold prices the search of a dense-cold query,
+// the part internal/domain's BenchmarkComputeDenseCold leaves out. It
+// runs the same queries: the dense-cold serving workload's collection,
+// PPIS32 at scale 0.1, seed 20170525, 150 patterns, those of at most 64
+// nodes, under iso and induced. Each is prepared once as RI-DS-SI-FC on
+// its target's shared Index, warmed first, and kept when its warm-up run
+// completes within 2,000,000 states (the serving workload's cap). The
+// warm-up stops at cap+1 matches, since a run with more matches than
+// the cap has more states too, and a 2 s deadline guards it. One op is
+// one query's Prepared.Run; states/op reports the search work behind
+// it.
+func BenchmarkSearchDenseCold(b *testing.B) {
+	const stateCap = 2_000_000
+	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.1, Seed: 20170525, NumPatterns: 150})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ixs := make([]*domain.Index, len(coll.Targets))
+	arenas := make([]*Arena, len(coll.Targets))
+	for i, gt := range coll.Targets {
+		ixs[i] = domain.NewIndex(gt)
+		ixs[i].Rows(gt)
+		arenas[i] = NewArena(gt.NumNodes())
+	}
+	type query struct {
+		p     *Prepared
+		arena *Arena
+	}
+	var qs []query
+	for _, pat := range coll.Patterns {
+		if pat.Graph.NumNodes() > 64 {
+			continue
+		}
+		gt := coll.Targets[pat.TargetIndex]
+		for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso} {
+			p, err := Prepare(pat.Graph, gt, Options{Variant: VariantRIDSSIFC, Semantics: sem, TargetIndex: ixs[pat.TargetIndex]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			res := p.Run(RunOptions{Ctx: ctx, Limit: stateCap + 1})
+			cancel()
+			if !res.Aborted && res.States <= stateCap {
+				qs = append(qs, query{p, arenas[pat.TargetIndex]})
+			}
+		}
+	}
+	var states int64
+	ops := 0
+	b.ReportAllocs()
+	for ; b.Loop(); ops++ {
+		q := qs[ops%len(qs)]
+		states += q.p.Run(RunOptions{Arena: q.arena}).States
+	}
+	b.ReportMetric(float64(states)/float64(ops), "states/op")
 }
 
 // TestMatchTimeRecorded guards against the named-return/defer pitfall

@@ -21,12 +21,14 @@ import (
 // Timeout cannot leak partial results into the cache). The fingerprint
 // is Limit, which truncates the result set, and Algorithm, which is
 // sound (all engines agree on counts) but changes the reported
-// Plan/States — aliasing it would make /stats lie about what ran.
+// Plan/States — aliasing it would make /stats lie about what ran. Every
+// engine reads a negative Limit as 0 (enumerate all), so the key does
+// too: one result, one entry and one flight.
 func cacheKey(canon []byte, sem parsge.Semantics, opts parsge.Options) string {
 	var tail [1 + 3*binary.MaxVarintLen64]byte
 	t := append(tail[:0], 0xfe) // separator: canon is length-prefixed varints, this byte cannot extend it
 	t = binary.AppendVarint(t, int64(sem))
-	t = binary.AppendVarint(t, opts.Limit)
+	t = binary.AppendVarint(t, max(opts.Limit, 0))
 	t = binary.AppendVarint(t, int64(opts.Algorithm))
 	// One allocation: the Builder's buffer becomes the string.
 	var b strings.Builder

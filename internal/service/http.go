@@ -303,6 +303,10 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	if req.Limit < 0 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("limit must be ≥ 0 (0 = all matches), got %d", req.Limit))
+		return
+	}
 	alg, err := parseAlgorithm(req.Algorithm)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)

@@ -195,6 +195,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		"negative timeout":            {"pattern": patternText(t, gp, table), "timeout_ms": -1},
 		"negative timeout, unseen":    {"pattern": unseen, "timeout_ms": -1},
 		"overflowing timeout":         {"pattern": patternText(t, gp, table), "timeout_ms": int64(1e13)},
+		"negative limit":              {"pattern": patternText(t, gp, table), "limit": -1},
+		"negative limit, unseen":      {"pattern": unseen, "limit": -1},
 	} {
 		before := tableSize(handler)
 		resp, err := postQuery(t, base, body)

@@ -485,6 +485,29 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitSharesCacheEntry: every engine reads a negative Limit
+// as 0 (enumerate all), so a Count with Limit -1 and the same Count with
+// Limit 0 are one result, and the second is served from the first's
+// cache entry.
+func TestNegativeLimitSharesCacheEntry(t *testing.T) {
+	w := buildSoakWorld(t, 5)
+	r, _ := soloRouter(t, w.tgt, RouterConfig{})
+	ctx := context.Background()
+	want := w.oracle[0][parsge.SubgraphIso]
+	for i, limit := range []int64{-1, 0} {
+		reply, err := r.Count(ctx, soloTarget, Query{Pattern: w.patterns[0], Options: parsge.Options{Limit: limit}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Result.Matches != want {
+			t.Errorf("limit %d: %d matches, want %d", limit, reply.Result.Matches, want)
+		}
+		if hit := i == 1; reply.CacheHit != hit {
+			t.Errorf("limit %d: cache hit %v, want %v", limit, reply.CacheHit, hit)
+		}
+	}
+}
+
 // TestHostileSymmetricPatternUncacheable: a highly symmetric unlabeled
 // pattern whose canonicalization would be factorial must be answered
 // (correctly, via the oracle) without wedging the server — it bypasses

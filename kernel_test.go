@@ -2,6 +2,7 @@ package parsge
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"parsge/internal/domain"
@@ -24,6 +25,19 @@ var kernelEngines = []struct {
 	{"LAD", Options{Algorithm: LAD}},
 }
 
+// kernelKinds are the differential battery's four instance kinds (those
+// of the cross-engine differential): plain, extracted, nasty (parallel
+// arcs and self-loops) and dense-labeled.
+var kernelKinds = []struct {
+	name string
+	opts testutil.InstanceOptions
+}{
+	{"plain", testutil.InstanceOptions{TargetNodes: 9, TargetEdges: 24, PatternNodes: 4}},
+	{"extract", testutil.InstanceOptions{TargetNodes: 9, TargetEdges: 24, PatternNodes: 4, Extract: true}},
+	{"nasty", testutil.InstanceOptions{TargetNodes: 8, TargetEdges: 22, PatternNodes: 3, Nasty: true}},
+	{"dense", testutil.InstanceOptions{TargetNodes: 7, TargetEdges: 30, PatternNodes: 4, NodeLabels: 2, Extract: true}},
+}
+
 // TestKernelDifferential is the bitset-kernel acceptance battery: on 120
 // random instances (the same four instance kinds as the cross-engine
 // differential — plain, extracted, nasty, dense-labeled), every engine
@@ -32,18 +46,9 @@ var kernelEngines = []struct {
 // invents matches on some instance here; a divergence between the two
 // kernels on the same engine localizes the bug to the kernel layer.
 func TestKernelDifferential(t *testing.T) {
-	kinds := []struct {
-		name string
-		opts testutil.InstanceOptions
-	}{
-		{"plain", testutil.InstanceOptions{TargetNodes: 9, TargetEdges: 24, PatternNodes: 4}},
-		{"extract", testutil.InstanceOptions{TargetNodes: 9, TargetEdges: 24, PatternNodes: 4, Extract: true}},
-		{"nasty", testutil.InstanceOptions{TargetNodes: 8, TargetEdges: 22, PatternNodes: 3, Nasty: true}},
-		{"dense", testutil.InstanceOptions{TargetNodes: 7, TargetEdges: 30, PatternNodes: 4, NodeLabels: 2, Extract: true}},
-	}
 	kernels := []domain.Kernel{domain.KernelBitset, domain.KernelSlice}
 	const seedsPerKind = 30 // 4 kinds × 30 seeds = 120 instances per semantics
-	for _, k := range kinds {
+	for _, k := range kernelKinds {
 		for seed := int64(0); seed < seedsPerKind; seed++ {
 			gp, gt := testutil.RandomInstance(seed, k.opts)
 			for _, sem := range allSemantics {
@@ -60,6 +65,80 @@ func TestKernelDifferential(t *testing.T) {
 						if got != want {
 							t.Errorf("%s/seed=%d: %s/%v under %v = %d, want %d",
 								k.name, seed, eng.name, kern, sem, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// searchTrace is what a sequential run reports and shows through Visit:
+// the counts, the search profile and an order-sensitive hash of every
+// mapping Visit received.
+type searchTrace struct {
+	matches, states int64
+	depth           []int64
+	visitHash       uint64
+}
+
+func traceSearch(t *testing.T, gp, gt *Graph, opts Options) searchTrace {
+	t.Helper()
+	var tr searchTrace
+	tr.visitHash = 14695981039346656037 // FNV-1a offset basis
+	opts.Visit = func(m []int32) bool {
+		for _, v := range m {
+			tr.visitHash = (tr.visitHash ^ uint64(uint32(v))) * 1099511628211
+		}
+		return true
+	}
+	res, err := Enumerate(gp, gt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.matches, tr.states, tr.depth = res.Matches, res.States, res.DepthStates
+	return tr
+}
+
+// TestKernelDifferentialSearch pins the counting rule of the row loop.
+// Run sequentially, RI-DS, RI-DS-SI and RI-DS-SI-FC draw a position's
+// candidates from the parent image's bitset row ANDed with the domain
+// under the bitset kernel, and from the parent image's adjacency list
+// one neighbor at a time under the slice kernel. Both must report the
+// same Matches, States and DepthStates, and call Visit with the same
+// mappings in the same order, under all three semantics, also when a
+// Limit of 1, 3 or 7 stops the run inside a row. The instances are the
+// battery's four kinds and two 150-node, 1,500-arc kinds whose rows
+// span three words: an extracted 4-label kind, and an extracted nasty
+// kind. The row loop takes only parent images with at least 8 arcs in
+// the scanned direction, which the battery's 7- to 9-node targets never
+// have, so every row-loop comparison comes from the 150-node kinds; the
+// nasty one puts parallel arcs, which the adjacency loop skips, and
+// self-loops, which homomorphisms may map onto, in the rows.
+func TestKernelDifferentialSearch(t *testing.T) {
+	type kind = struct {
+		name string
+		opts testutil.InstanceOptions
+	}
+	kinds := append(kernelKinds[:len(kernelKinds):len(kernelKinds)],
+		kind{"extract150", testutil.InstanceOptions{TargetNodes: 150, TargetEdges: 1500, PatternNodes: 6, NodeLabels: 4, Extract: true}},
+		kind{"nasty150", testutil.InstanceOptions{TargetNodes: 150, TargetEdges: 1500, PatternNodes: 5, Nasty: true, Extract: true}})
+	const seedsPerKind = 30
+	for _, k := range kinds {
+		for seed := int64(0); seed < seedsPerKind; seed++ {
+			gp, gt := testutil.RandomInstance(seed, k.opts)
+			for _, sem := range allSemantics {
+				for _, alg := range []Algorithm{RIDS, RIDSSI, RIDSSIFC} {
+					for _, limit := range []int64{0, 1, 3, 7} {
+						opts := Options{Algorithm: alg, Semantics: sem, Limit: limit}
+						opts.filters.Kernel = domain.KernelBitset
+						bits := traceSearch(t, gp, gt, opts)
+						opts.filters.Kernel = domain.KernelSlice
+						slice := traceSearch(t, gp, gt, opts)
+						if bits.matches != slice.matches || bits.states != slice.states ||
+							!slices.Equal(bits.depth, slice.depth) || bits.visitHash != slice.visitHash {
+							t.Errorf("%s/seed=%d: %v under %v, limit %d: bitset %+v, slice %+v",
+								k.name, seed, alg, sem, limit, bits, slice)
 						}
 					}
 				}

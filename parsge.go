@@ -241,7 +241,10 @@ type Result struct {
 	// Semantics (non-induced subgraph isomorphisms by default).
 	Matches int64
 	// States is the number of search states explored — the paper's
-	// "search space size".
+	// "search space size". In the RI family each distinct neighbor of
+	// the parent image is one state, whether the engine tests it or the
+	// bitset kernel's row loop drops it outside the domain, so States
+	// does not depend on the kernel.
 	States int64
 	// PreprocTime covers domain computation and node ordering: the one
 	// preprocessing the query paid. A run that adopted a cost

@@ -79,38 +79,54 @@ func TestTargetConcurrentQueries(t *testing.T) {
 // with Matches as a lower bound.
 func TestTargetCancelPrompt(t *testing.T) {
 	gp, gt := hardInstance(t)
-	tgt, err := NewTarget(gt, TargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		type outcome struct {
-			res Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := tgt.Enumerate(ctx, gp, Options{Algorithm: RI, Workers: workers})
-			done <- outcome{res, err}
-		}()
-		time.Sleep(30 * time.Millisecond)
-		cancelled := time.Now()
-		cancel()
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatal(o.err)
+	for _, c := range []struct {
+		name   string
+		gp, gt *Graph
+		opts   Options
+	}{
+		{"RI", gp, gt, Options{Algorithm: RI}},
+		// The hom 7-leaf star over K12 (about 2.3e8 embeddings): every
+		// leaf has the center as its mapped parent, so RI-DS-SI-FC polls
+		// from the row loop.
+		{"RI-DS-SI-FC", starGraph(7), cliqueGraph(12), Options{Algorithm: RIDSSIFC, Semantics: Homomorphism}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tgt, err := NewTarget(c.gt, TargetOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if elapsed := time.Since(cancelled); elapsed > 500*time.Millisecond {
-				t.Fatalf("workers=%d: returned %v after cancel, want prompt (≲100ms)", workers, elapsed)
+			for _, workers := range []int{1, 4} {
+				ctx, cancel := context.WithCancel(context.Background())
+				type outcome struct {
+					res Result
+					err error
+				}
+				done := make(chan outcome, 1)
+				opts := c.opts
+				opts.Workers = workers
+				go func() {
+					res, err := tgt.Enumerate(ctx, c.gp, opts)
+					done <- outcome{res, err}
+				}()
+				time.Sleep(30 * time.Millisecond)
+				cancelled := time.Now()
+				cancel()
+				select {
+				case o := <-done:
+					if o.err != nil {
+						t.Fatal(o.err)
+					}
+					if elapsed := time.Since(cancelled); elapsed > 500*time.Millisecond {
+						t.Fatalf("workers=%d: returned %v after cancel, want prompt (≲100ms)", workers, elapsed)
+					}
+					if !o.res.TimedOut {
+						t.Skipf("workers=%d: search finished before cancellation; environment too fast", workers)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("workers=%d: cancelled search never returned", workers)
+				}
 			}
-			if !o.res.TimedOut {
-				t.Skipf("workers=%d: search finished before cancellation; environment too fast", workers)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: cancelled search never returned", workers)
-		}
+		})
 	}
 }
 
