@@ -30,6 +30,23 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewBatch returns k empty sets of capacity n carved from one allocation,
+// for callers that make many same-sized sets at once (an index's
+// threshold rows, a domain computation's blocked sets). The sets never
+// share words; callers take their addresses.
+func NewBatch(k, n int) []Set {
+	if n < 0 || k < 0 {
+		panic(fmt.Sprintf("bitset: negative batch %d×%d", k, n))
+	}
+	nw := (n + wordBits - 1) / wordBits
+	words := make([]uint64, k*nw)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{words: words[i*nw : (i+1)*nw : (i+1)*nw], n: n}
+	}
+	return sets
+}
+
 // Len returns the capacity of the set (number of addressable bits).
 func (s *Set) Len() int { return s.n }
 
@@ -157,6 +174,54 @@ func (s *Set) AndNot(other *Set) {
 	}
 }
 
+// AndNotCount removes from s every bit set in other, like AndNot, and
+// returns how many members it removed.
+func (s *Set) AndNotCount(other *Set) int {
+	s.mustMatch(other)
+	c := 0
+	for i, w := range s.words {
+		if r := w & other.words[i]; r != 0 {
+			c += bits.OnesCount64(r)
+			s.words[i] = w &^ r
+		}
+	}
+	return c
+}
+
+// AndUnion intersects s in place with a ∪ b ∪ {keep} and returns how
+// many members s keeps. One of a and b may be nil, contributing no
+// members; keep < 0 contributes none either, and keep must be below
+// Len(). Intersecting a set that starts full with this union for every
+// member w of a domain, with a and b w's adjacency rows, leaves the
+// targets that are w or adjacent to w for every w: the induced non-edge
+// pass's blocked set.
+func (s *Set) AndUnion(a, b *Set, keep int) int {
+	if a == nil {
+		a, b = b, nil
+	}
+	s.mustMatch(a)
+	had := keep >= 0 && s.Test(keep)
+	c := 0
+	if b == nil {
+		for i, aw := range a.words[:len(s.words)] {
+			s.words[i] &= aw
+			c += bits.OnesCount64(s.words[i])
+		}
+	} else {
+		s.mustMatch(b)
+		bw := b.words[:len(s.words)]
+		for i, aw := range a.words[:len(s.words)] {
+			s.words[i] &= aw | bw[i]
+			c += bits.OnesCount64(s.words[i])
+		}
+	}
+	if had && !s.Test(keep) {
+		s.Set(keep)
+		c++
+	}
+	return c
+}
+
 // Equal reports whether s and other contain exactly the same bits.
 func (s *Set) Equal(other *Set) bool {
 	if s.n != other.n {
@@ -187,9 +252,11 @@ func (s *Set) Intersects(other *Set) bool {
 // ExistsOutside reports whether s contains a member other than skip
 // that is set in neither a nor b. Either (or both) of a and b may be
 // nil, meaning "exclude nothing". Pass skip < 0 to exclude no member.
-// This is the word-parallel form of the induced non-edge support test:
-// "does the domain hold a candidate non-adjacent to v?" — one pass over
-// the words, no intersection materialized.
+// This is the word-parallel form of the per-candidate induced non-edge
+// support test: "does the domain hold a candidate non-adjacent to v?" —
+// one pass over the words, no intersection materialized. The domain
+// package's induced pass uses it to test a blocked set's last few
+// survivors one at a time (see AndUnion).
 func (s *Set) ExistsOutside(a, b *Set, skip int) bool {
 	if a != nil {
 		s.mustMatch(a)

@@ -560,3 +560,66 @@ func TestForEachAndMismatchedCapacityPanics(t *testing.T) {
 	}()
 	New(64).ForEachAnd(New(65), func(int) bool { return true })
 }
+
+func TestNewBatch(t *testing.T) {
+	sets := NewBatch(4, 130)
+	if len(sets) != 4 {
+		t.Fatalf("len = %d, want 4", len(sets))
+	}
+	for i := range sets {
+		if sets[i].Len() != 130 || !sets[i].Empty() {
+			t.Fatalf("set %d: len %d, empty %v", i, sets[i].Len(), sets[i].Empty())
+		}
+	}
+	// Sets in one batch never share words.
+	sets[1].SetAll()
+	if !sets[0].Empty() || !sets[2].Empty() || sets[1].Count() != 130 {
+		t.Fatalf("batch sets overlap: %v %d %v", sets[0].Empty(), sets[1].Count(), sets[2].Empty())
+	}
+	if got := NewBatch(0, 10); len(got) != 0 {
+		t.Fatalf("empty batch has %d sets", len(got))
+	}
+}
+
+func TestQuickAndNotCount(t *testing.T) {
+	f := func(seedA, seedB int64) bool {
+		const n = 203
+		a, b := randomSet(n, seedA), randomSet(n, seedB)
+		want := a.Clone()
+		want.AndNot(b)
+		got := a.Clone()
+		removed := got.AndNotCount(b)
+		return got.Equal(want) && removed == a.Count()-want.Count()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickAndUnion: AndUnion intersects with a ∪ b ∪ {keep}, with
+// either operand absent, and returns the members kept.
+func TestQuickAndUnion(t *testing.T) {
+	f := func(seedS, seedA, seedB int64, keepRaw uint8, mask uint8) bool {
+		const n = 131
+		s, a, b := randomSet(n, seedS), randomSet(n, seedA), randomSet(n, seedB)
+		keep := int(keepRaw)%(n+64) - 64 // sometimes negative: no keep member
+		switch mask % 3 {
+		case 1:
+			a = nil
+		case 2:
+			b = nil
+		}
+		got := s.Clone()
+		kept := got.AndUnion(a, b, keep)
+		for i := 0; i < n; i++ {
+			in := (a != nil && a.Test(i)) || (b != nil && b.Test(i)) || i == keep
+			if got.Test(i) != (s.Test(i) && in) {
+				return false
+			}
+		}
+		return kept == got.Count()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -91,41 +91,57 @@ type Index struct {
 	// row cache below so a seeded cache is only trusted for the
 	// generation it was built for.
 	gen uint64
-	// rowCache holds the lazily-built bitset adjacency rows (see Rows).
-	// The pointer itself is the only mutable state of an Index; racing
-	// builders store identical content, so last-store-wins is safe.
+	// rowCache holds the lazily-built bitset adjacency rows and NLF
+	// threshold rows (see Rows). The pointer itself is the only mutable
+	// state of an Index; racing builders store identical content, so
+	// last-store-wins is safe.
 	rowCache atomic.Pointer[bitRows]
 }
 
-// bitRows is the BitGraph row cache of an Index, tagged with the index
+// bitRows is the row cache of an Index, tagged with the index
 // generation it was built for so incremental seeding can never leak
 // stale rows across an update.
 //
 //sgelint:epochkey
 type bitRows struct {
-	rows  *graph.BitGraph // nil when the target exceeds graph.DenseRowLimit
-	epoch uint64          // Index generation the rows were built from
+	rows *graph.BitGraph // nil when the target exceeds graph.DenseRowLimit
+	// nlf holds the threshold rows of an exact index (see nlfrows.go);
+	// nil without rows, for a compact index, and past the key-table
+	// bound or the row budget.
+	nlf   *nlfRows
+	epoch uint64 // Index generation the rows were built from
+	// churn counts the vertices updates have touched since the rows
+	// were built, repeats included (see seedRows).
+	churn int
 }
 
 // Rows returns the target's dense bitset adjacency rows, building them
 // on first use and caching them on the Index (the BitGraph kernel
-// layer). g must be the graph the Index was built for. Returns nil when
-// the target exceeds graph.DenseRowLimit nodes — the sorted-slice
-// fallback rule; callers must treat nil as "use the CSR paths".
-func (ix *Index) Rows(g *graph.Graph) *graph.BitGraph {
-	if c := ix.rowCache.Load(); c != nil && c.epoch == ix.gen {
-		return c.rows
+// layer); the same call builds an exact index's NLF threshold rows.
+// g must be the graph the Index was built for. Returns nil when the
+// target exceeds graph.DenseRowLimit nodes — the sorted-slice fallback
+// rule; callers must treat nil as "use the CSR paths".
+func (ix *Index) Rows(g *graph.Graph) *graph.BitGraph { return ix.rowEntry(g).rows }
+
+// rowEntry returns the current generation's row cache, building it on
+// first use.
+func (ix *Index) rowEntry(g *graph.Graph) *bitRows {
+	if c := ix.cachedRows(); c != nil {
+		return c
 	}
-	bg := graph.NewBitGraph(g)
-	ix.rowCache.Store(&bitRows{rows: bg, epoch: ix.gen})
-	return bg
+	c := &bitRows{rows: graph.NewBitGraph(g), epoch: ix.gen}
+	if c.rows != nil && ix.out != nil {
+		c.nlf = newNLFRows(ix)
+	}
+	ix.rowCache.Store(c)
+	return c
 }
 
 // cachedRows returns the row cache if it was built for this generation,
 // without building anything.
-func (ix *Index) cachedRows() *graph.BitGraph {
+func (ix *Index) cachedRows() *bitRows {
 	if c := ix.rowCache.Load(); c != nil && c.epoch == ix.gen {
-		return c.rows
+		return c
 	}
 	return nil
 }
@@ -133,10 +149,7 @@ func (ix *Index) cachedRows() *graph.BitGraph {
 // HasRows reports whether the BitGraph row cache is built for the
 // current generation (tests and IndexEqual use it; laziness means an
 // unbuilt cache is not a difference).
-func (ix *Index) HasRows() bool {
-	c := ix.rowCache.Load()
-	return c != nil && c.epoch == ix.gen
-}
+func (ix *Index) HasRows() bool { return ix.cachedRows() != nil }
 
 // NewIndex buckets the target's nodes by label and precomputes the
 // per-node NLF signatures, choosing the representation automatically
@@ -270,23 +283,38 @@ func appendNLFKeys(dst []uint64, g *graph.Graph, adj []int32, labs []graph.Label
 
 // buildNLFSig sorts the key buffer and run-length encodes it into a
 // signature. The buffer may be reused afterwards; the signature owns
-// fresh storage.
+// fresh storage of exactly its size.
 func buildNLFSig(keys []uint64) nlfSig {
-	if len(keys) == 0 {
-		return nlfSig{}
-	}
 	slices.Sort(keys)
-	var sig nlfSig
+	runs := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			runs++
+		}
+	}
+	sig, _, _ := appendNLFSig(make([]uint64, 0, runs), make([]int32, 0, runs), keys)
+	return sig
+}
+
+// appendNLFSig run-length encodes sorted keys into the spare capacity
+// of kdst and cdst, so a pattern's signatures can share two slabs; it
+// returns the signature and the grown slabs.
+func appendNLFSig(kdst []uint64, cdst []int32, keys []uint64) (nlfSig, []uint64, []int32) {
+	if len(keys) == 0 {
+		return nlfSig{}, kdst, cdst
+	}
+	k0 := len(kdst)
 	for i := 0; i < len(keys); {
 		j := i
 		for j < len(keys) && keys[j] == keys[i] {
 			j++
 		}
-		sig.keys = append(sig.keys, keys[i])
-		sig.counts = append(sig.counts, int32(j-i))
+		kdst = append(kdst, keys[i])
+		cdst = append(cdst, int32(j-i))
 		i = j
 	}
-	return sig
+	k1 := len(kdst)
+	return nlfSig{keys: kdst[k0:k1:k1], counts: cdst[k0:k1:k1]}, kdst, cdst
 }
 
 // dominates reports whether target signature t covers pattern signature
@@ -437,6 +465,29 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 		ACAdaptive: !opts.SkipAC && opts.ACAdaptive && opts.ACPasses > 0,
 		InducedAC:  induced && !opts.SkipAC && !opts.SkipInducedAC,
 	}}
+	// Resolve the kernel and materialize the BitGraph rows the
+	// propagation passes (and, via stats.Rows, the engines) run on.
+	// With an Index the rows, and an exact index's threshold rows, are
+	// cached across queries; without one they are built here only when
+	// arc consistency will actually use them.
+	var rows *graph.BitGraph
+	var nlf *nlfRows
+	if ResolveKernel(opts.Kernel, nt) == KernelBitset {
+		if ix != nil {
+			c := ix.rowEntry(gt)
+			rows, nlf = c.rows, c.nlf
+		} else if !opts.SkipAC {
+			rows = graph.NewBitGraph(gt)
+		}
+	}
+	stats.Rows = rows
+	// With threshold rows the NLF filter runs a set at a time; without
+	// them (no rows, past the budget, SkipNLF) it merges signatures.
+	if opts.SkipNLF {
+		nlf = nil
+	}
+	rowsUnary := nlf != nil
+	stats.unaryRows = rowsUnary
 	unaryStart := time.Now()
 
 	// Pattern-side unary state, computed once per pattern node: NLF
@@ -456,13 +507,18 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 				pcIn[vp] = ix.buildPatternCompact(buf)
 			}
 		} else {
-			psigOut = make([]nlfSig, np)
-			psigIn = make([]nlfSig, np)
+			// Every arc gives at most one key at each end.
+			psigs := make([]nlfSig, 2*np)
+			psigOut, psigIn = psigs[:np:np], psigs[np:]
+			kslab := make([]uint64, 0, 2*gp.NumEdges())
+			cslab := make([]int32, 0, 2*gp.NumEdges())
 			for vp := int32(0); vp < int32(np); vp++ {
 				buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
-				psigOut[vp] = buildNLFSig(buf)
+				slices.Sort(buf)
+				psigOut[vp], kslab, cslab = appendNLFSig(kslab, cslab, buf)
 				buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
-				psigIn[vp] = buildNLFSig(buf)
+				slices.Sort(buf)
+				psigIn[vp], kslab, cslab = appendNLFSig(kslab, cslab, buf)
 			}
 		}
 	}
@@ -501,7 +557,8 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	}
 	// With an exact Index, the candidates' key masks prefilter the
 	// signature merge (see keyMask).
-	masked := ix != nil && !compact && !opts.SkipNLF
+	merge := !opts.SkipNLF && !rowsUnary
+	masked := merge && ix != nil && !compact
 
 	// Initial unary filter per pattern node: equivalent labels,
 	// sufficient in/out degrees ("all nodes with in- and outdegree at
@@ -509,9 +566,13 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	// under the injective semantics), label-compatible self-loops (under
 	// induced semantics also the absence of extra target self-loops),
 	// and NLF domination. With a label Index only the matching bucket is
-	// scanned; the label test is then implicit.
+	// scanned; the label test is then implicit. With threshold rows the
+	// bucket is first ANDed with the rows of the pattern node's keys, and
+	// only the survivors are tested one at a time.
+	sets := bitset.NewBatch(np, nt)
 	for vp := int32(0); vp < int32(np); vp++ {
-		s := bitset.New(nt)
+		s := &sets[vp]
+		d.sets[vp] = s
 		lab := gp.NodeLabel(vp)
 		din, dout := gp.InDegree(vp), gp.OutDegree(vp)
 		if !sem.DegreePruning() {
@@ -521,83 +582,79 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 		if masked {
 			maskOut, maskIn = keyMask(psigOut[vp].keys), keyMask(psigIn[vp].keys)
 		}
-		admit := func(vt int32) {
+		admit := func(vt int32) bool {
 			if gt.InDegree(vt) < din || gt.OutDegree(vt) < dout {
-				return
+				return false
 			}
 			if masked && (maskOut&^ix.outMask[vt] != 0 || maskIn&^ix.inMask[vt] != 0) {
-				return
+				return false
 			}
 			if len(selfLoops[vp]) > 0 {
 				// The set rejects loop-free candidates before the
 				// per-label row search.
 				if !hasLoop(vt) {
-					return
+					return false
 				}
 				for _, l := range selfLoops[vp] {
 					if !gt.HasEdgeLabeled(vt, vt, l) {
-						return
+						return false
 					}
 				}
 			} else if induced && hasLoop(vt) {
-				return
+				return false
 			}
-			if !opts.SkipNLF {
+			if merge {
 				if compact {
 					if !compactDominates(ix.cout[vt], pcOut[vp].sig, hom) ||
 						!compactDominates(ix.cin[vt], pcIn[vp].sig, hom) {
-						return
+						return false
 					}
 				} else if ix != nil {
 					if !ix.out[vt].dominates(psigOut[vp], hom) || !ix.in[vt].dominates(psigIn[vp], hom) {
-						return
+						return false
 					}
 				} else if len(psigOut[vp].keys) > 0 || len(psigIn[vp].keys) > 0 {
 					tout, tin := builtSigs(vt)
 					if !tout.dominates(psigOut[vp], hom) || !tin.dominates(psigIn[vp], hom) {
-						return
+						return false
 					}
 				}
 			}
-			s.Set(int(vt))
+			return true
 		}
-		if compact && !opts.SkipNLF && (pcOut[vp].impossible || pcIn[vp].impossible) {
+		switch {
+		case compact && !opts.SkipNLF && (pcOut[vp].impossible || pcIn[vp].impossible):
 			// A pattern key outside the target's key alphabet (perfect
 			// bucket assignment): no candidate anywhere can supply it.
-			d.sets[vp] = s
-			continue
-		}
-		if ix != nil {
+		case rowsUnary:
 			for _, vt := range ix.Nodes(lab) {
-				admit(vt)
+				s.Set(int(vt))
 			}
-		} else {
+			nlf.out.filter(nlf, s, psigOut[vp], hom)
+			nlf.in.filter(nlf, s, psigIn[vp], hom)
+			s.ForEach(func(vti int) bool {
+				if !admit(int32(vti)) {
+					s.Clear(vti)
+				}
+				return true
+			})
+		case ix != nil:
+			for _, vt := range ix.Nodes(lab) {
+				if admit(vt) {
+					s.Set(int(vt))
+				}
+			}
+		default:
 			for vt := int32(0); vt < int32(nt); vt++ {
-				if gt.NodeLabel(vt) == lab {
-					admit(vt)
+				if gt.NodeLabel(vt) == lab && admit(vt) {
+					s.Set(int(vt))
 				}
 			}
 		}
-		d.sets[vp] = s
 	}
 
 	stats.UnaryTime = time.Since(unaryStart)
 	stats.AfterUnary = d.TotalSize()
-
-	// Resolve the kernel and materialize the BitGraph rows the
-	// propagation passes (and, via stats.Rows, the engines) run on.
-	// With an Index the rows are cached across queries; without one
-	// they are built here only when arc consistency will actually use
-	// them.
-	var rows *graph.BitGraph
-	if ResolveKernel(opts.Kernel, nt) == KernelBitset {
-		if ix != nil {
-			rows = ix.Rows(gt)
-		} else if !opts.SkipAC {
-			rows = graph.NewBitGraph(gt)
-		}
-	}
-	stats.Rows = rows
 
 	if !opts.SkipAC {
 		d.arcConsistency(gp, gt, rows, opts.ACPasses, stats.Plan.ACAdaptive, induced && !opts.SkipInducedAC, &stats)
@@ -715,7 +772,7 @@ func (d *Domains) arcConsistency(gp, gt *graph.Graph, rows *graph.BitGraph, maxP
 		}
 		if induced {
 			ipStart := time.Now()
-			ipChanged := d.inducedPass(gp, gt, rows, sw)
+			ipChanged := d.inducedPass(gp, gt, rows, sw, st)
 			st.InducedACTime += time.Since(ipStart)
 			if ipChanged {
 				changed = true
@@ -789,6 +846,9 @@ type sweepState struct {
 	// drop collects the candidates a revision removes; one buffer
 	// serves every revision.
 	drop []int
+	// blk caches the induced pass's blocked sets under the bitset
+	// kernel.
+	blk blockedSets
 }
 
 // newSweepState starts the bookkeeping for domains fresh from the unary
@@ -838,15 +898,19 @@ func (sw *sweepState) remove(d *Domains, v int32) bool {
 // distinct from v_t (induced matching is injective) whose corresponding
 // target edges are missing too. A candidate v_t with no such support in
 // D(w_p) is removed. Pairs whose D(w_p) has not shrunk since v_p's last
-// induced revision are skipped (see sweepState).
+// induced revision are skipped (see sweepState). The pattern non-edges
+// come from one merge walk over v_p's sorted adjacency rows per
+// revision. It returns whether any domain changed.
 //
-// The pattern non-edges come from one merge walk over v_p's sorted
-// adjacency rows per revision. The support test is O(1) in the common
+// Under the bitset kernel a pair costs one AND-NOT: the candidates
+// without support are exactly w_p's blocked set (see blockedSets),
+// computed once per D(w_p) and direction mode and shared by every v_p.
+// The slice kernel tests one candidate at a time, in O(1) in the common
 // case by pigeonhole: at most OutDegree(v_t) target nodes have an edge
 // from v_t, at most InDegree(v_t) an edge to v_t, plus v_t itself — a
 // domain larger than that necessarily contains a support, so only small
-// domains are scanned. It returns whether any domain changed.
-func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph, sw *sweepState) bool {
+// domains are scanned.
+func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph, sw *sweepState, st *ComputeStats) bool {
 	np := int32(gp.NumNodes())
 	changed := false
 	for vp := int32(0); vp < np; vp++ {
@@ -871,6 +935,17 @@ func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph, sw *swe
 			if wp == vp || (!needOut && !needIn) || sw.shrunk[wp] <= since {
 				continue
 			}
+			if rows != nil {
+				if blk := sw.blocked(d, rows, wp, needOut, needIn); blk != nil {
+					if n := dom.AndNotCount(blk); n > 0 {
+						sw.sizes[vp] -= n
+						sw.shrunk[vp] = sw.clock
+						st.blockedPrunes++
+						changed = true
+					}
+				}
+				continue
+			}
 			domW, sizeW := d.sets[wp], sw.sizes[wp]
 			dom.ForEach(func(vti int) bool {
 				vt := int32(vti)
@@ -883,21 +958,6 @@ func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph, sw *swe
 				}
 				if sizeW > bound {
 					return true // pigeonhole: a non-adjacent support exists
-				}
-				if rows != nil {
-					// Bitset kernel: "some w_t ∈ D(w_p) \ {v_t} avoids
-					// v_t's out/in rows" is one word-parallel pass.
-					var a, b *bitset.Set
-					if needOut {
-						a = rows.Out[vt]
-					}
-					if needIn {
-						b = rows.In[vt]
-					}
-					if !domW.ExistsOutside(a, b, vti) {
-						sw.drop = append(sw.drop, vti)
-					}
-					return true
 				}
 				supported := false
 				domW.ForEach(func(wti int) bool {
@@ -925,6 +985,107 @@ func (d *Domains) inducedPass(gp, gt *graph.Graph, rows *graph.BitGraph, sw *swe
 		}
 	}
 	return changed
+}
+
+// blockedSets caches, per pattern node w and direction mode, the
+// induced pass's blocked set of D(w): the targets v_t for which every
+// member of D(w) is v_t itself or adjacent to v_t in the directions the
+// non-edge needs free,
+//
+//	⋂_{w_t ∈ D(w)} ({w_t} ∪ In(w_t) ∪ Out(w_t)),
+//
+// with In(w_t) when the non-edge runs v→w (an arc v_t→w_t puts v_t in
+// In(w_t)) and Out(w_t) when it runs w→v. They are exactly the v_t with
+// no support in D(w), so one AND-NOT revises a pair. An entry is
+// recomputed only when D(w) has shrunk since it was computed (its
+// stamp in sweepState.shrunk). Buffers come in batches of the Compute
+// call's own: a set is computed into a free buffer, which an entry
+// keeps only when the set is non-empty, and reuses from then on.
+type blockedSets struct {
+	byMode [3][]blockedEntry // [mode−1][w], made on the mode's first use
+	spare  []bitset.Set
+	free   *bitset.Set
+}
+
+// blockedEntry is one cached blocked set, as of D(w)'s shrink stamp at
+// (0: never computed); buf holds it when live.
+type blockedEntry struct {
+	buf  *bitset.Set
+	at   int
+	live bool
+}
+
+// blocked returns w's blocked set for the non-edge directions, or nil
+// when it is empty.
+func (sw *sweepState) blocked(d *Domains, rows *graph.BitGraph, w int32, needOut, needIn bool) *bitset.Set {
+	b := &sw.blk
+	mode := 0
+	if needOut {
+		mode |= 1
+	}
+	if needIn {
+		mode |= 2
+	}
+	if b.byMode[mode-1] == nil {
+		b.byMode[mode-1] = make([]blockedEntry, len(d.sets))
+	}
+	e := &b.byMode[mode-1][w]
+	if e.at != sw.shrunk[w] {
+		s := e.buf
+		if s == nil {
+			if b.free == nil {
+				if len(b.spare) == 0 {
+					b.spare = bitset.NewBatch(max(len(d.sets)/4, 4), d.nt)
+				}
+				b.free, b.spare = &b.spare[0], b.spare[1:]
+			}
+			s = b.free
+		}
+		// Intersect member by member while that keeps shrinking the
+		// set; once a member removes nothing (a hub adjacent to most of
+		// D(w) keeps the set from emptying), test the few survivors
+		// against all of D(w) instead of ANDing every member left.
+		s.SetAll()
+		kept, left := d.nt, sw.sizes[w]
+		d.sets[w].ForEach(func(wt int) bool {
+			var in, out *bitset.Set
+			if needOut {
+				in = rows.In[wt]
+			}
+			if needIn {
+				out = rows.Out[wt]
+			}
+			was := kept
+			kept = s.AndUnion(in, out, wt)
+			left--
+			return kept > 0 && kept < was
+		})
+		if kept > 0 && left > 0 {
+			s.ForEach(func(x int) bool {
+				var out, in *bitset.Set
+				if needOut {
+					out = rows.Out[x]
+				}
+				if needIn {
+					in = rows.In[x]
+				}
+				if d.sets[w].ExistsOutside(out, in, x) {
+					s.Clear(x)
+					kept--
+				}
+				return true
+			})
+		}
+		live := kept > 0
+		if live && e.buf == nil {
+			e.buf, b.free = s, nil
+		}
+		e.at, e.live = sw.shrunk[w], live
+	}
+	if !e.live {
+		return nil
+	}
+	return e.buf
 }
 
 // hasSupport reports whether some neighbor w_t (with matching edge label)

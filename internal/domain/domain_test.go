@@ -2,6 +2,7 @@ package domain
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -316,6 +317,22 @@ func BenchmarkComputeDenseCold(b *testing.B) {
 	for i := 0; b.Loop(); i++ {
 		q := qs[i%len(qs)]
 		Filters{}.Compute(q.gp, q.gt, q.ix, q.sem)
+	}
+}
+
+// BenchmarkIndexRowsDenseCold prices a served target's warm-up on the
+// dense-cold workload's collection (PPIS32 at scale 0.1, seed
+// 20170525): one op builds one target's Index, its BitGraph rows and its
+// NLF threshold rows, cycling over the ten targets.
+func BenchmarkIndexRowsDenseCold(b *testing.B) {
+	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.1, Seed: 20170525, NumPatterns: 150})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		gt := coll.Targets[i%len(coll.Targets)]
+		NewIndex(gt).Rows(gt)
 	}
 }
 
@@ -670,6 +687,117 @@ func TestIndexSharedConcurrently(t *testing.T) {
 		for g := 0; g < 12; g++ {
 			if err := <-done; err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestIndexFirstUseConcurrently: concurrent Compute calls across
+// semantics on a fresh exact Index race its lazy build of the BitGraph
+// rows and NLF threshold rows (run under -race); every call must still
+// return the domains a separate, sequentially used index gives.
+func TestIndexFirstUseConcurrently(t *testing.T) {
+	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.012, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sems := []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism}
+	for ti, gt := range coll.Targets[:2] {
+		ref := NewIndexMode(gt, NLFExact)
+		type query struct {
+			gp   *graph.Graph
+			sem  graph.Semantics
+			want *Domains
+		}
+		var qs []query
+		for _, p := range coll.Patterns {
+			if p.TargetIndex != ti || len(qs) >= 4*len(sems) {
+				continue
+			}
+			for _, sem := range sems {
+				qs = append(qs, query{p.Graph, sem, Compute(p.Graph, gt, Options{Semantics: sem, Index: ref})})
+			}
+		}
+		if len(qs) < 2*len(sems) {
+			t.Fatalf("target %d: only %d queries", ti, len(qs))
+		}
+		ix := NewIndexMode(gt, NLFExact)
+		done := make(chan error, len(qs))
+		for _, q := range qs {
+			go func() {
+				got, st := Filters{Schedule: ScheduleFixed}.Compute(q.gp, gt, ix, q.sem)
+				if !st.unaryRows {
+					done <- fmt.Errorf("%v: unary filter did not take the threshold rows", q.sem)
+					return
+				}
+				for vp := int32(0); vp < int32(q.gp.NumNodes()); vp++ {
+					if !got.Of(vp).Equal(q.want.Of(vp)) {
+						done <- fmt.Errorf("%v node %d: domain %v, sequential %v", q.sem, vp, got.Of(vp), q.want.Of(vp))
+						return
+					}
+				}
+				done <- nil
+			}()
+		}
+		for range qs {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestThresholdRowsKeyTableBound: a target whose label numbering would
+// need more key slots than maxKeySlots gets no threshold rows, and its
+// unary filter keeps the signature merge with the same domains.
+func TestThresholdRowsKeyTableBound(t *testing.T) {
+	// A wide node-label range, and both ranges at the int32 extremes,
+	// whose slot count would overflow a product of the spans.
+	for _, c := range []struct{ lo, hi, el graph.Label }{{0, 1 << 20, 0}, {math.MinInt32, math.MaxInt32, math.MaxInt32}} {
+		gt := buildGraph([]graph.Label{c.lo, c.hi, c.lo, c.hi}, [][3]int32{{0, 1, 0}, {1, 2, int32(c.el)}, {2, 3, 0}, {3, 0, int32(c.el)}})
+		gp := buildGraph([]graph.Label{c.lo, c.hi}, [][3]int32{{0, 1, 0}})
+		checkMergeFallback(t, fmt.Sprintf("labels %d..%d", c.lo, c.hi), gp, gt, 2)
+	}
+}
+
+// TestThresholdRowsBudget: a target whose threshold rows would number
+// more than twice its nodes gets none, in either direction, and its
+// unary filter keeps the signature merge with the same domains. Every
+// ordered pair of its four nodes has arcs labeled 0 and 1, so each
+// direction would need three rows for each of its two keys.
+func TestThresholdRowsBudget(t *testing.T) {
+	var edges [][3]int32
+	for u := int32(0); u < 4; u++ {
+		for v := int32(0); v < 4; v++ {
+			if u != v {
+				edges = append(edges, [3]int32{u, v, 0}, [3]int32{u, v, 1})
+			}
+		}
+	}
+	gt := buildGraph([]graph.Label{0, 0, 0, 0}, edges)
+	gp := buildGraph([]graph.Label{0, 0}, [][3]int32{{0, 1, 0}, {0, 1, 1}, {1, 0, 0}, {1, 0, 1}})
+	checkMergeFallback(t, "complete two-label digraph", gp, gt, 4)
+}
+
+// checkMergeFallback checks that gt's exact index builds no threshold
+// rows, and that gp's bitset-kernel domains, whose unary filter then
+// merges signatures, equal the slice kernel's and hold want candidates
+// per node under every semantics.
+func checkMergeFallback(t *testing.T, name string, gp, gt *graph.Graph, want int) {
+	t.Helper()
+	ix := NewIndexMode(gt, NLFExact)
+	if ix.rowEntry(gt).nlf != nil {
+		t.Fatalf("%s: threshold rows were built", name)
+	}
+	for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism} {
+		got, st := Filters{Schedule: ScheduleFixed, Kernel: KernelBitset}.Compute(gp, gt, ix, sem)
+		ref, _ := Filters{Schedule: ScheduleFixed, Kernel: KernelSlice}.Compute(gp, gt, ix, sem)
+		if st.unaryRows {
+			t.Fatalf("%s %v: unary filter took threshold rows that do not exist", name, sem)
+		}
+		for vp := int32(0); vp < int32(gp.NumNodes()); vp++ {
+			if !got.Of(vp).Equal(ref.Of(vp)) || got.Of(vp).Count() != want {
+				t.Fatalf("%s %v node %d: domain %v, slice kernel %v", name, sem, vp, got.Of(vp), ref.Of(vp))
 			}
 		}
 	}

@@ -59,6 +59,9 @@ func TestPropagationDifferential(t *testing.T) {
 	// Coverage: the battery must reach the paths the sweeps' change
 	// stamps skip work on, or agreement proves little.
 	var multiPass, escalated, inducedPruned, runs int
+	// The set-at-a-time paths: runs whose unary filter took threshold
+	// rows, and induced revisions a cached blocked set pruned.
+	var rowUnary, blockedPrunes int
 	for _, in := range instances {
 		indexes := []struct {
 			name string
@@ -99,6 +102,10 @@ func TestPropagationDifferential(t *testing.T) {
 						if gst.Plan.InducedAC && gst.Final < gst.AfterUnary {
 							inducedPruned++
 						}
+						if gst.unaryRows {
+							rowUnary++
+						}
+						blockedPrunes += gst.blockedPrunes
 					}
 				}
 			}
@@ -107,6 +114,10 @@ func TestPropagationDifferential(t *testing.T) {
 	t.Logf("%d configurations: %d pruned after pass 1, %d escalated, %d induced runs that pruned", runs, multiPass, escalated, inducedPruned)
 	if multiPass == 0 || escalated == 0 || inducedPruned == 0 {
 		t.Fatalf("battery too weak: %d multi-pass, %d escalated, %d induced runs that pruned", multiPass, escalated, inducedPruned)
+	}
+	t.Logf("%d runs took threshold rows, %d induced revisions pruned on a blocked set", rowUnary, blockedPrunes)
+	if rowUnary == 0 || blockedPrunes == 0 {
+		t.Fatalf("battery misses the set-at-a-time paths: %d threshold-row runs, %d blocked-set prunes", rowUnary, blockedPrunes)
 	}
 }
 

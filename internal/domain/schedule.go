@@ -134,6 +134,11 @@ type ComputeStats struct {
 	// used (nil under the slice kernel, or when the target exceeds
 	// graph.DenseRowLimit), so engines reuse them instead of rebuilding.
 	Rows *graph.BitGraph
+	// unaryRows records that the unary filter took the threshold rows,
+	// and blockedPrunes counts the induced revisions a blocked set
+	// removed candidates in: coverage for the differential battery.
+	unaryRows     bool
+	blockedPrunes int
 }
 
 // TargetStats are the target-side statistics the adaptive schedule

@@ -40,13 +40,6 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 		nt:      ix.nt,
 		gen:     ix.gen + 1,
 	}
-	if c := ix.rowCache.Load(); c != nil && c.epoch == ix.gen {
-		// The old index had BitGraph rows for its generation: seed the new
-		// index with an incremental rebuild (touched rows only, untouched
-		// rows shared), tagged with the new generation. A stale or absent
-		// cache is simply not carried — Rows rebuilds lazily on demand.
-		nix.rowCache.Store(&bitRows{rows: c.rows.Rebuild(newG, touched), epoch: nix.gen})
-	}
 	sumDeg, sumSqDeg := ix.sumDeg, ix.sumSqDeg
 	for _, v := range touched {
 		od, nd := int64(oldG.Degree(v)), int64(newG.Degree(v))
@@ -75,6 +68,7 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 
 	if ix.cout != nil {
 		ix.applyCompactUpdates(nix, newG, touched)
+		ix.seedRows(nix, newG, touched)
 		return nix
 	}
 
@@ -86,7 +80,39 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 	for _, vt := range touched {
 		buf = nix.fillExactNLF(newG, vt, buf)
 	}
+	ix.seedRows(nix, newG, touched)
 	return nix
+}
+
+// rebatchMinNodes is the smallest target whose rows seedRows builds
+// afresh after enough updates; below it a batch of rows weighs at most
+// 128 KiB, and carrying the rows is always cheaper.
+const rebatchMinNodes = 1024
+
+// seedRows carries ix's row cache forward to nix when ix has one for
+// its generation: the BitGraph and the threshold rows change only at
+// the touched vertices (untouched rows shared), tagged with the new
+// generation. A stale or absent cache is simply not carried — Rows
+// builds lazily on demand. A clean build allocates rows in batches, so
+// one untouched row keeps its whole batch alive: on a target of at
+// least rebatchMinNodes, once the updates since the build have touched
+// half the vertices, nix's rows are built afresh rather than carried,
+// which keeps the dead rows below half a batch.
+func (ix *Index) seedRows(nix *Index, newG *graph.Graph, touched []int32) {
+	c := ix.cachedRows()
+	if c == nil {
+		return
+	}
+	churn := c.churn + len(touched)
+	if ix.nt >= rebatchMinNodes && 2*churn > ix.nt {
+		nix.rowEntry(newG)
+		return
+	}
+	nc := &bitRows{rows: c.rows.Rebuild(newG, touched), epoch: nix.gen, churn: churn}
+	if nc.rows != nil && nix.out != nil {
+		nc.nlf = c.nlf.applyUpdates(ix, nix, touched)
+	}
+	nix.rowCache.Store(nc)
 }
 
 // applyCompactUpdates maintains the bucketed signature tables. Under a
@@ -161,8 +187,12 @@ func IndexEqual(a, b *Index) (bool, string) {
 		// Rows are built lazily, so a one-sided cache is not a difference;
 		// when both sides have current-generation rows they must encode
 		// identical adjacency (the incremental-vs-rebuild row hook).
-		if ok, why := graph.BitGraphEqual(a.cachedRows(), b.cachedRows()); !ok {
+		ca, cb := a.cachedRows(), b.cachedRows()
+		if ok, why := graph.BitGraphEqual(ca.rows, cb.rows); !ok {
 			return false, "bitset rows: " + why
+		}
+		if ok, why := nlfRowsEqual(ca.nlf, cb.nlf); !ok {
+			return false, "NLF threshold rows: " + why
 		}
 	}
 	if a.stats != b.stats {

@@ -107,6 +107,95 @@ func TestIndexApplyUpdatesDifferential(t *testing.T) {
 	}
 }
 
+// TestIndexApplyUpdatesKeepsOldRows: carrying the row cache forward
+// copies every row it changes. After each update both the new index's
+// rows and the old index's — which may still be serving queries — must
+// equal a clean build of their own graph, BitGraph and threshold rows
+// alike.
+func TestIndexApplyUpdatesKeepsOldRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(12)
+		g := randomGraph(rng, n, rng.Intn(4*n), 2)
+		ix := NewIndexMode(g, NLFExact)
+		ix.Rows(g)
+		for batch := 0; batch < 6; batch++ {
+			g2, touched, _, _, err := g.ApplyUpdates(randomBatch(rng, n, 1+rng.Intn(8), 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g2 == g {
+				continue
+			}
+			ix2 := ix.ApplyUpdates(g, g2, touched)
+			for _, c := range []struct {
+				name string
+				g    *graph.Graph
+				ix   *Index
+			}{{"old", g, ix}, {"new", g2, ix2}} {
+				if !c.ix.HasRows() {
+					t.Fatalf("trial %d batch %d: %s index lost its rows", trial, batch, c.name)
+				}
+				clean := NewIndexMode(c.g, NLFExact)
+				clean.Rows(c.g)
+				if ok, diff := IndexEqual(c.ix, clean); !ok {
+					t.Fatalf("trial %d batch %d: %s index differs from a clean build: %s", trial, batch, c.name, diff)
+				}
+			}
+			g, ix = g2, ix2
+		}
+	}
+}
+
+// TestIndexApplyUpdatesRebatch: on a target of rebatchMinNodes nodes,
+// updates carry the rows until they have touched half the vertices; the
+// batch that passes that builds them afresh, sharing no row. Every
+// index equals a clean build, rows included.
+func TestIndexApplyUpdatesRebatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	n := rebatchMinNodes
+	g := randomGraph(rng, n, 4*n, 2)
+	ix := NewIndexMode(g, NLFExact)
+	ix.Rows(g)
+	for batch, rebuilt := 0, false; !rebuilt; batch++ {
+		g2, touched, _, _, err := g.ApplyUpdates(randomBatch(rng, n, 64, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g2 == g {
+			continue
+		}
+		old := ix.cachedRows()
+		ix2 := ix.ApplyUpdates(g, g2, touched)
+		c := ix2.cachedRows()
+		if c == nil || c.nlf == nil {
+			t.Fatalf("batch %d: rows or threshold rows lost", batch)
+		}
+		churn := old.churn + len(touched)
+		rebuilt = 2*churn > n
+		shared := 0
+		for v := range c.rows.Out {
+			if c.rows.Out[v] == old.rows.Out[v] {
+				shared++
+			}
+		}
+		switch {
+		case rebuilt && c.churn != 0:
+			t.Fatalf("batch %d: churn %d past half of %d nodes, rows carried with churn %d", batch, churn, n, c.churn)
+		case rebuilt && shared > 0:
+			t.Fatalf("batch %d: rows built afresh share %d rows with the old ones", batch, shared)
+		case !rebuilt && c.churn != churn:
+			t.Fatalf("batch %d: churn %d, want %d", batch, c.churn, churn)
+		}
+		clean := NewIndexMode(g2, NLFExact)
+		clean.Rows(g2)
+		if ok, diff := IndexEqual(ix2, clean); !ok {
+			t.Fatalf("batch %d: index differs from a clean build: %s", batch, diff)
+		}
+		g, ix = g2, ix2
+	}
+}
+
 // TestIndexApplyUpdatesCompact checks the compact-mode maintenance: the
 // incrementally-maintained bucketed index must accept exactly the same
 // candidates as a fresh index over the updated graph (same computed

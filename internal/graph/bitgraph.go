@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"parsge/internal/bitset"
 )
@@ -27,7 +28,9 @@ type BitGraph struct {
 	// edge labeled l, built only when the edge-label alphabet has at
 	// most MaxLabelRows members and n ≤ LabelRowLimit. When present the
 	// maps cover the alphabet exactly: a label missing from the map has
-	// no edge in the graph.
+	// no edge in the graph. With a one-label alphabet the label rows
+	// equal the direction rows bit for bit, so OutLab[l] and InLab[l]
+	// are the Out and In slices themselves, stored once.
 	OutLab, InLab map[Label][]*bitset.Set
 }
 
@@ -53,20 +56,32 @@ func NewBitGraph(g *Graph) *BitGraph {
 	if n > DenseRowLimit {
 		return nil
 	}
-	bg := &BitGraph{n: n, Out: make([]*bitset.Set, n), In: make([]*bitset.Set, n)}
+	bg := &BitGraph{n: n, Out: batchRows(n), In: batchRows(n)}
 	labels, ok := edgeLabelAlphabet(g)
 	if ok && n <= LabelRowLimit {
 		bg.OutLab = make(map[Label][]*bitset.Set, len(labels))
 		bg.InLab = make(map[Label][]*bitset.Set, len(labels))
 		for _, l := range labels {
-			bg.OutLab[l] = make([]*bitset.Set, n)
-			bg.InLab[l] = make([]*bitset.Set, n)
+			bg.OutLab[l], bg.InLab[l] = bg.Out, bg.In // one label: shared
+			if len(labels) > 1 {
+				bg.OutLab[l], bg.InLab[l] = batchRows(n), batchRows(n)
+			}
 		}
 	}
 	for v := int32(0); v < int32(n); v++ {
-		bg.buildRows(g, v)
+		bg.fillRows(g, v)
 	}
 	return bg
+}
+
+// batchRows returns n empty rows of n bits from one batch.
+func batchRows(n int) []*bitset.Set {
+	batch := bitset.NewBatch(n, n)
+	rows := make([]*bitset.Set, n)
+	for v := range rows {
+		rows[v] = &batch[v]
+	}
+	return rows
 }
 
 // NumNodes returns the number of vertices the rows cover.
@@ -76,24 +91,18 @@ func (bg *BitGraph) NumNodes() int { return bg.n }
 // built; when true, a label absent from OutLab/InLab has no edge.
 func (bg *BitGraph) HasLabelRows() bool { return bg.OutLab != nil }
 
-// buildRows (re)builds every row of vertex v from g: the out/in
-// direction rows and, when label rows are enabled, v's row under every
-// label of the alphabet.
-func (bg *BitGraph) buildRows(g *Graph, v int32) {
-	out, in := bitset.New(bg.n), bitset.New(bg.n)
+// fillRows sets the bits of every row of vertex v from g, whose rows
+// must be empty: the out/in direction rows and, when label rows are
+// enabled, v's row under every label of the alphabet.
+func (bg *BitGraph) fillRows(g *Graph, v int32) {
 	for _, u := range g.OutNeighbors(v) {
-		out.Set(int(u))
+		bg.Out[v].Set(int(u))
 	}
 	for _, u := range g.InNeighbors(v) {
-		in.Set(int(u))
+		bg.In[v].Set(int(u))
 	}
-	bg.Out[v], bg.In[v] = out, in
-	if bg.OutLab == nil {
-		return
-	}
-	for l := range bg.OutLab {
-		bg.OutLab[l][v] = bitset.New(bg.n)
-		bg.InLab[l][v] = bitset.New(bg.n)
+	if len(bg.OutLab) < 2 {
+		return // no label rows, or shared with Out/In
 	}
 	outN, outL := g.OutNeighbors(v), g.OutEdgeLabels(v)
 	for i, u := range outN {
@@ -144,19 +153,22 @@ func (bg *BitGraph) Rebuild(g2 *Graph, touched []int32) *BitGraph {
 	if bg.OutLab != nil {
 		n2.OutLab = make(map[Label][]*bitset.Set, len(bg.OutLab))
 		n2.InLab = make(map[Label][]*bitset.Set, len(bg.InLab))
-		for l, rows := range bg.OutLab {
-			nr := make([]*bitset.Set, bg.n)
-			copy(nr, rows)
-			n2.OutLab[l] = nr
-		}
-		for l, rows := range bg.InLab {
-			nr := make([]*bitset.Set, bg.n)
-			copy(nr, rows)
-			n2.InLab[l] = nr
+		for l := range bg.OutLab {
+			n2.OutLab[l], n2.InLab[l] = n2.Out, n2.In // one label: shared
+			if len(bg.OutLab) > 1 {
+				n2.OutLab[l] = slices.Clone(bg.OutLab[l])
+				n2.InLab[l] = slices.Clone(bg.InLab[l])
+			}
 		}
 	}
 	for _, v := range touched {
-		n2.buildRows(g2, v)
+		n2.Out[v], n2.In[v] = bitset.New(bg.n), bitset.New(bg.n)
+		if len(n2.OutLab) > 1 {
+			for l := range n2.OutLab {
+				n2.OutLab[l][v], n2.InLab[l][v] = bitset.New(bg.n), bitset.New(bg.n)
+			}
+		}
+		n2.fillRows(g2, v)
 	}
 	return n2
 }

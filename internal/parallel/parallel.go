@@ -396,6 +396,22 @@ func (e *engine) expand(w *steal.Worker[taskGroup], ws *workerState, depth int, 
 			if !e.p.ScanRow(&ws.Counter, next, row, e.shouldStop, check) {
 				return
 			}
+		} else if e.p.Doms != nil {
+			// A neighbor outside D(u) is a state that fails at once.
+			for i, cand := range adj {
+				if i > 0 && adj[i-1] == cand {
+					continue
+				}
+				if !e.p.InDomain(next, cand) {
+					if ws.Add(next, 1) && e.shouldStop() {
+						return
+					}
+					continue
+				}
+				if !tryCandidate(cand) {
+					return
+				}
+			}
 		} else {
 			for i, cand := range adj {
 				if i > 0 && adj[i-1] == cand {

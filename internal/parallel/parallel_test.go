@@ -401,6 +401,24 @@ func BenchmarkParallel4Workers(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelRI prices the engine's plain-RI adjacency loop on
+// BenchmarkSequentialRI's instance, with one worker so that no
+// scheduling enters the time.
+func BenchmarkParallelRI(b *testing.B) {
+	gp, gt := testutil.RandomInstance(11, testutil.InstanceOptions{
+		TargetNodes:  60,
+		TargetEdges:  400,
+		PatternNodes: 6,
+		Extract:      true,
+	})
+	p := prepared(b, gp, gt, ri.VariantRI)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Enumerate(p, Options{Workers: 1})
+	}
+}
+
 // TestMatchTimeRecorded guards against the named-return/defer pitfall.
 func TestMatchTimeRecorded(t *testing.T) {
 	gp, gt := mediumInstance(t)

@@ -471,6 +471,13 @@ func (p *Prepared) ScanRow(c *Counter, pos int, row *bitset.Set, poll func() boo
 	return done
 }
 
+// InDomain reports whether vt is a candidate of position pos's domain
+// under a DS variant. The DS adjacency loops ask it before Feasible,
+// which assumes the answer.
+func (p *Prepared) InDomain(pos int, vt int32) bool {
+	return p.Doms.Of(p.Ord.Seq[pos]).Test(int(vt))
+}
+
 // ParentPos returns the ordering position of pos's parent, or
 // order.NoParent.
 func (p *Prepared) ParentPos(pos int) int32 { return p.Ord.Parent[pos] }
@@ -479,22 +486,20 @@ func (p *Prepared) ParentPos(pos int) int32 { return p.Ord.Parent[pos] }
 // ordering position pos onto target node vt, given the current partial
 // mapping (indexed by position) and the used-set of target nodes. The
 // rules run cheapest-first (§3.1): injectivity (skipped for
-// homomorphisms), then label equality and degree bounds (subsumed by the
-// domain test for DS variants; degree bounds are dropped under
+// homomorphisms), then label equality and degree bounds (dropped under
 // homomorphism where they are unsound), then edge existence and
 // edge-label compatibility towards every already-mapped pattern
 // neighbor, and finally the induced non-edge checks when Sem requires
-// them.
+// them. For the DS variants the domain subsumes label and degree, and vt
+// must already be a member of it (InDomain): the row loop offers
+// D(u) ∩ row, the root and parentless loops iterate D(u) itself, and
+// the adjacency loop tests membership before it calls Feasible.
 func (p *Prepared) Feasible(pos int, vt int32, mapped []int32, used []bool) bool {
 	if p.injective && used[vt] {
 		return false
 	}
 	u := p.Ord.Seq[pos]
-	if p.Doms != nil {
-		if !p.Doms.Of(u).Test(int(vt)) {
-			return false
-		}
-	} else {
+	if p.Doms == nil {
 		if p.Target.NodeLabel(vt) != p.Pattern.NodeLabel(u) {
 			return false
 		}
@@ -785,6 +790,25 @@ func (s *searcher) descend(pos int) {
 				s.tryExtend(pos, vt, true)
 				return !s.stopped
 			})
+			return
+		}
+		if s.p.Doms != nil {
+			// A neighbor outside D(u) is a state that fails at once.
+			for i, vt := range adj {
+				if i > 0 && adj[i-1] == vt {
+					continue
+				}
+				if !s.p.InDomain(pos, vt) {
+					if s.Add(pos, 1) && s.poll() {
+						return
+					}
+					continue
+				}
+				s.tryExtend(pos, vt, false)
+				if s.stopped {
+					return
+				}
+			}
 			return
 		}
 		for i, vt := range adj {
