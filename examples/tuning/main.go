@@ -1,6 +1,7 @@
-// Tuning: explore the parallel runtime's knobs — worker count, task
-// group size (coalescing), and work stealing — on one hard instance,
-// reproducing in miniature the paper's Fig 3 and Fig 4 methodology.
+// Tuning: explore the parallel runtime's knobs — worker count and task
+// group size (coalescing) — on one hard instance, reproducing in
+// miniature the paper's Fig 4 methodology. The paper's Fig 3 comparison
+// with work stealing turned off is `sgebench -exp fig3`.
 //
 //	go run ./examples/tuning
 package main
@@ -35,7 +36,7 @@ func main() {
 		base.Matches, base.States, base.MatchTime)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "workers\tgroup\tstealing\tmatch time\tsteals\tbalance speedup")
+	fmt.Fprintln(w, "workers\tgroup\tmatch time\tsteals\tbalance speedup")
 	for _, workers := range []int{2, 4, 8, 16} {
 		for _, group := range []int{1, 4, 16} {
 			report(w, tgt, query, base.Matches, parsge.Options{
@@ -45,13 +46,6 @@ func main() {
 			})
 		}
 	}
-	// The Fig 3 ablation: stealing off ruins the load balance.
-	report(w, tgt, query, base.Matches, parsge.Options{
-		Algorithm:       parsge.RIDS,
-		Workers:         16,
-		TaskGroupSize:   4,
-		DisableStealing: true,
-	})
 	w.Flush()
 	fmt.Println("\nbalance speedup = total states / max per-worker states: the")
 	fmt.Println("hardware-independent upper bound on parallel speedup (perfect = workers).")
@@ -76,8 +70,8 @@ func report(w *tabwriter.Writer, tgt *parsge.Target, query *parsge.Graph, want i
 	if max > 0 {
 		balance = float64(sum) / float64(max)
 	}
-	fmt.Fprintf(w, "%d\t%d\t%v\t%v\t%d\t%.2f\n",
-		opts.Workers, opts.TaskGroupSize, !opts.DisableStealing, res.MatchTime, res.Steals, balance)
+	fmt.Fprintf(w, "%d\t%d\t%v\t%d\t%.2f\n",
+		opts.Workers, opts.TaskGroupSize, res.MatchTime, res.Steals, balance)
 }
 
 // makeInstance builds a dense unlabeled-ish instance hard enough that

@@ -14,17 +14,16 @@ import (
 // dropped ScheduleAuto on the floor (PR 4).
 var watchedEnums = map[[2]string]bool{
 	{"parsge/internal/graph", "Semantics"}: true,
-	{"parsge/internal/domain", "NLFMode"}:  true,
 	{"parsge/internal/domain", "Schedule"}: true,
 }
 
 // SemExhaustive enforces exhaustive switches over the designated enum
-// types (graph.Semantics, domain.NLFMode, domain.Schedule — plus any
-// same-package type marked //sgelint:exhaustive): every constant of
-// the tag's type declared in the type's package must appear among the
-// case expressions, or the switch must carry a non-empty default
-// clause (one that returns an error, panics — anything but silently
-// falling through). An empty default is not an escape hatch: it is
+// types (graph.Semantics, domain.Schedule — plus any same-package type
+// marked //sgelint:exhaustive): every constant of the tag's type
+// declared in the type's package must appear among the case
+// expressions, or the switch must carry a non-empty default clause (one
+// that returns an error, panics — anything but silently falling
+// through). An empty default is not an escape hatch: it is
 // exactly the "new enum value handled as zero work" failure this
 // analyzer exists to prevent.
 var SemExhaustive = &Analyzer{

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"parsge/internal/datasets"
-	"parsge/internal/domain"
 	"parsge/internal/graph"
 )
 
@@ -415,34 +413,6 @@ func TestCSVExport(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	if got := sanitize("steal end (§3.2(ii): back = near root)"); got != "steal_end_32ii_back_near_root" {
 		t.Fatalf("sanitize = %q", got)
-	}
-}
-
-// TestCompactNLFMemoryOnLargestTarget: on the largest target the suite
-// generates (across all three collections), the compact NLF signature
-// representation must use less index memory than the exact one — the
-// bound it exists to provide — while the metamorphic battery at the
-// repository root proves counts are unchanged.
-func TestCompactNLFMemoryOnLargestTarget(t *testing.T) {
-	s := tinySuite(nil)
-	var largest *graph.Graph
-	for _, name := range datasets.Names() {
-		for _, gt := range s.collection(name).Targets {
-			if largest == nil || gt.NumEdges() > largest.NumEdges() {
-				largest = gt
-			}
-		}
-	}
-	if largest == nil {
-		t.Fatal("no targets generated")
-	}
-	exact := domain.NewIndexMode(largest, domain.NLFExact)
-	compact := domain.NewIndexMode(largest, domain.NLFCompact)
-	em, cm := exact.NLFMemoryBytes(), compact.NLFMemoryBytes()
-	t.Logf("largest target: %d nodes, %d edges; exact NLF = %d bytes, compact = %d bytes",
-		largest.NumNodes(), largest.NumEdges(), em, cm)
-	if cm >= em {
-		t.Errorf("compact NLF did not reduce index memory: exact %d bytes, compact %d bytes", em, cm)
 	}
 }
 

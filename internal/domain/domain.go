@@ -29,8 +29,7 @@
 // Which filters run — and how deep arc consistency iterates — is chosen
 // per query by the adaptive schedule (see Schedule, AutoTune in
 // schedule.go): preprocessing cost is only paid where target statistics
-// say it amortizes. NLF signatures have two representations: exact
-// per-key (nlfSig) and memory-bounded bucketed (compact.go).
+// say it amortizes.
 package domain
 
 import (
@@ -64,23 +63,17 @@ type Index struct {
 	nt      int
 	// stats are cached for AutoTune (density, label entropy, skew).
 	stats TargetStats
-	// out[v] / in[v] are node v's exact NLF signatures per direction
-	// (nil in compact mode).
+	// out[v] / in[v] are node v's NLF signatures per direction.
 	out, in []nlfSig
 	// outMask[v] / inMask[v] fold the keys of out[v] / in[v] into one
 	// word each (see keyMask): the unary filter rejects a candidate
 	// lacking a pattern key bit before loading its signature. Kept in
 	// dense arrays beside the signatures, not inside them, so a mask
-	// test touches 8 bytes. Nil in compact mode.
+	// test touches 8 bytes.
 	outMask, inMask []uint64
 	// loops holds the nodes that carry a self-loop, so the unary
 	// self-loop filters test a bit instead of searching the CSR row.
 	loops *bitset.Set
-	// cout / cin are the bucketed signatures of compact mode (nil in
-	// exact mode); keyBucket is the perfect key→bucket assignment of the
-	// exactness fallback (nil = hashed buckets). See compact.go.
-	cout, cin []compactSig
-	keyBucket map[uint64]int8
 	// sumDeg / sumSqDeg are the exact integer degree moments behind
 	// stats.MeanDegree/DegreeSkew, kept so incremental update
 	// maintenance (update.go) can adjust them for touched vertices only
@@ -105,9 +98,8 @@ type Index struct {
 //sgelint:epochkey
 type bitRows struct {
 	rows *graph.BitGraph // nil when the target exceeds graph.DenseRowLimit
-	// nlf holds the threshold rows of an exact index (see nlfrows.go);
-	// nil without rows, for a compact index, and past the key-table
-	// bound or the row budget.
+	// nlf holds the index's threshold rows (see nlfrows.go); nil
+	// without rows and past the key-table bound or the row budget.
 	nlf   *nlfRows
 	epoch uint64 // Index generation the rows were built from
 	// churn counts the vertices updates have touched since the rows
@@ -117,7 +109,7 @@ type bitRows struct {
 
 // Rows returns the target's dense bitset adjacency rows, building them
 // on first use and caching them on the Index (the BitGraph kernel
-// layer); the same call builds an exact index's NLF threshold rows.
+// layer); the same call builds the index's NLF threshold rows.
 // g must be the graph the Index was built for. Returns nil when the
 // target exceeds graph.DenseRowLimit nodes — the sorted-slice fallback
 // rule; callers must treat nil as "use the CSR paths".
@@ -130,7 +122,7 @@ func (ix *Index) rowEntry(g *graph.Graph) *bitRows {
 		return c
 	}
 	c := &bitRows{rows: graph.NewBitGraph(g), epoch: ix.gen}
-	if c.rows != nil && ix.out != nil {
+	if c.rows != nil {
 		c.nlf = newNLFRows(ix)
 	}
 	ix.rowCache.Store(c)
@@ -152,15 +144,8 @@ func (ix *Index) cachedRows() *bitRows {
 func (ix *Index) HasRows() bool { return ix.cachedRows() != nil }
 
 // NewIndex buckets the target's nodes by label and precomputes the
-// per-node NLF signatures, choosing the representation automatically
-// (exact below compactAutoEdges edges, compact above).
-func NewIndex(gt *graph.Graph) *Index { return NewIndexMode(gt, NLFAuto) }
-
-// NewIndexMode is NewIndex with an explicit NLF signature representation
-// (see NLFMode). Compact signatures bound per-node memory at a constant
-// on huge targets at the cost of a (sound) coarser NLF test; with a
-// small label alphabet the compact test is exact (NLFExactFallback).
-func NewIndexMode(gt *graph.Graph, mode NLFMode) *Index {
+// per-node NLF signatures and key masks.
+func NewIndex(gt *graph.Graph) *Index {
 	nt := gt.NumNodes()
 	st, sumDeg, sumSqDeg := statsWithSums(gt)
 	ix := &Index{
@@ -178,27 +163,20 @@ func NewIndexMode(gt *graph.Graph, mode NLFMode) *Index {
 			ix.loops.Set(int(vt))
 		}
 	}
-	if mode == NLFAuto && gt.NumEdges() >= compactAutoEdges {
-		mode = NLFCompact
-	}
-	if mode == NLFCompact {
-		ix.buildCompactNLF(gt)
-		return ix
-	}
 	ix.out = make([]nlfSig, nt)
 	ix.in = make([]nlfSig, nt)
 	ix.outMask = make([]uint64, nt)
 	ix.inMask = make([]uint64, nt)
 	var buf []uint64
 	for vt := int32(0); vt < int32(nt); vt++ {
-		buf = ix.fillExactNLF(gt, vt, buf)
+		buf = ix.fillNLF(gt, vt, buf)
 	}
 	return ix
 }
 
-// fillExactNLF (re)computes node vt's exact signatures and key masks
+// fillNLF (re)computes node vt's NLF signatures and key masks
 // from g, returning the grown key buffer for reuse.
-func (ix *Index) fillExactNLF(g *graph.Graph, vt int32, buf []uint64) []uint64 {
+func (ix *Index) fillNLF(g *graph.Graph, vt int32, buf []uint64) []uint64 {
 	buf = appendNLFKeys(buf[:0], g, g.OutNeighbors(vt), g.OutEdgeLabels(vt))
 	ix.out[vt] = buildNLFSig(buf)
 	ix.outMask[vt] = keyMask(ix.out[vt].keys)
@@ -456,10 +434,8 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	}
 	hom := !sem.Injective()
 	induced := sem.Induced()
-	compact := ix != nil && ix.CompactNLF()
 	stats := ComputeStats{Plan: Plan{
 		NLF:        !opts.SkipNLF,
-		CompactNLF: !opts.SkipNLF && compact,
 		AC:         !opts.SkipAC,
 		ACPasses:   opts.ACPasses,
 		ACAdaptive: !opts.SkipAC && opts.ACAdaptive && opts.ACPasses > 0,
@@ -467,9 +443,9 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	}}
 	// Resolve the kernel and materialize the BitGraph rows the
 	// propagation passes (and, via stats.Rows, the engines) run on.
-	// With an Index the rows, and an exact index's threshold rows, are
-	// cached across queries; without one they are built here only when
-	// arc consistency will actually use them.
+	// With an Index the rows, and its threshold rows, are cached across
+	// queries; without one they are built here only when arc consistency
+	// will actually use them.
 	var rows *graph.BitGraph
 	var nlf *nlfRows
 	if ResolveKernel(opts.Kernel, nt) == KernelBitset {
@@ -491,35 +467,22 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	unaryStart := time.Now()
 
 	// Pattern-side unary state, computed once per pattern node: NLF
-	// signatures (exact, or bucketed to match a compact index) and
-	// self-loop label sets.
+	// signatures and self-loop label sets.
 	var psigOut, psigIn []nlfSig
-	var pcOut, pcIn []patternCompact
 	if !opts.SkipNLF {
 		var buf []uint64
-		if compact {
-			pcOut = make([]patternCompact, np)
-			pcIn = make([]patternCompact, np)
-			for vp := int32(0); vp < int32(np); vp++ {
-				buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
-				pcOut[vp] = ix.buildPatternCompact(buf)
-				buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
-				pcIn[vp] = ix.buildPatternCompact(buf)
-			}
-		} else {
-			// Every arc gives at most one key at each end.
-			psigs := make([]nlfSig, 2*np)
-			psigOut, psigIn = psigs[:np:np], psigs[np:]
-			kslab := make([]uint64, 0, 2*gp.NumEdges())
-			cslab := make([]int32, 0, 2*gp.NumEdges())
-			for vp := int32(0); vp < int32(np); vp++ {
-				buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
-				slices.Sort(buf)
-				psigOut[vp], kslab, cslab = appendNLFSig(kslab, cslab, buf)
-				buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
-				slices.Sort(buf)
-				psigIn[vp], kslab, cslab = appendNLFSig(kslab, cslab, buf)
-			}
+		// Every arc gives at most one key at each end.
+		psigs := make([]nlfSig, 2*np)
+		psigOut, psigIn = psigs[:np:np], psigs[np:]
+		kslab := make([]uint64, 0, 2*gp.NumEdges())
+		cslab := make([]int32, 0, 2*gp.NumEdges())
+		for vp := int32(0); vp < int32(np); vp++ {
+			buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
+			slices.Sort(buf)
+			psigOut[vp], kslab, cslab = appendNLFSig(kslab, cslab, buf)
+			buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
+			slices.Sort(buf)
+			psigIn[vp], kslab, cslab = appendNLFSig(kslab, cslab, buf)
 		}
 	}
 	selfLoops := patternSelfLoops(gp)
@@ -555,10 +518,10 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 		}
 		return gt.HasEdge(vt, vt)
 	}
-	// With an exact Index, the candidates' key masks prefilter the
-	// signature merge (see keyMask).
+	// With an Index, the candidates' key masks prefilter the signature
+	// merge (see keyMask).
 	merge := !opts.SkipNLF && !rowsUnary
-	masked := merge && ix != nil && !compact
+	masked := merge && ix != nil
 
 	// Initial unary filter per pattern node: equivalent labels,
 	// sufficient in/out degrees ("all nodes with in- and outdegree at
@@ -604,12 +567,7 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 				return false
 			}
 			if merge {
-				if compact {
-					if !compactDominates(ix.cout[vt], pcOut[vp].sig, hom) ||
-						!compactDominates(ix.cin[vt], pcIn[vp].sig, hom) {
-						return false
-					}
-				} else if ix != nil {
+				if ix != nil {
 					if !ix.out[vt].dominates(psigOut[vp], hom) || !ix.in[vt].dominates(psigIn[vp], hom) {
 						return false
 					}
@@ -623,9 +581,6 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 			return true
 		}
 		switch {
-		case compact && !opts.SkipNLF && (pcOut[vp].impossible || pcIn[vp].impossible):
-			// A pattern key outside the target's key alphabet (perfect
-			// bucket assignment): no candidate anywhere can supply it.
 		case rowsUnary:
 			for _, vt := range ix.Nodes(lab) {
 				s.Set(int(vt))

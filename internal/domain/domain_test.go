@@ -480,7 +480,7 @@ func TestIndexSignaturesMatchOnTheFly(t *testing.T) {
 }
 
 // ------------------------------------------------------------------
-// Adaptive schedule and compact NLF tests.
+// Adaptive schedule tests.
 
 // TestGoldenSchedulePlans pins the adaptive scheduler's decisions — and
 // the staged domain-size trace of the resulting pipeline — on the first
@@ -529,9 +529,8 @@ func TestGoldenSchedulePlans(t *testing.T) {
 	}
 }
 
-// richInstance builds a random instance over a 5×3 label alphabet —
-// more than compactBuckets distinct NLF keys, so compact signatures
-// exercise the hashed (inexact-but-sound) bucket assignment.
+// richInstance builds a random instance over a 5×3 label alphabet, with
+// the pattern drawn from the target (embed is its known embedding).
 func richInstance(seed int64) (gp, gt *graph.Graph, embed []int32) {
 	rng := rand.New(rand.NewSource(seed))
 	nt := 10 + rng.Intn(8)
@@ -568,68 +567,6 @@ func richInstance(seed int64) (gp, gt *graph.Graph, embed []int32) {
 	return bp.MustBuild(), gt, embed
 }
 
-// TestCompactNLFSoundSuperset: compact-NLF domains must contain the
-// exact-NLF domains (bucketing only coarsens the test) and must keep
-// every known embedding — the soundness contract of the compact
-// representation, under every semantics, on alphabets both below
-// (perfect assignment) and above (hashed) the bucket count.
-func TestCompactNLFSoundSuperset(t *testing.T) {
-	sems := []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism}
-	for seed := int64(0); seed < 40; seed++ {
-		var gp, gt *graph.Graph
-		var embed []int32
-		if seed%2 == 0 {
-			gp, gt, embed = randomInstance(seed) // 3×2 alphabet: perfect assignment
-		} else {
-			gp, gt, embed = richInstance(seed) // 5×3 alphabet: hashed buckets
-		}
-		exact := NewIndexMode(gt, NLFExact)
-		compact := NewIndexMode(gt, NLFCompact)
-		if exact.CompactNLF() || !compact.CompactNLF() {
-			t.Fatal("index mode not honored")
-		}
-		for _, sem := range sems {
-			de := Compute(gp, gt, Options{Semantics: sem, Index: exact})
-			dc := Compute(gp, gt, Options{Semantics: sem, Index: compact})
-			for vp := int32(0); vp < int32(gp.NumNodes()); vp++ {
-				if !de.Of(vp).Subset(dc.Of(vp)) {
-					t.Fatalf("seed %d %v node %d: compact domain lost exact candidates", seed, sem, vp)
-				}
-			}
-			if compact.NLFExactFallback() {
-				for vp := int32(0); vp < int32(gp.NumNodes()); vp++ {
-					if !de.Of(vp).Equal(dc.Of(vp)) {
-						t.Fatalf("seed %d %v node %d: perfect bucket assignment not exact", seed, sem, vp)
-					}
-				}
-			}
-			// The extracted mapping is a valid embedding under non-induced
-			// subgraph isomorphism only (dropped pattern edges leave target
-			// edges between images, which induced matching forbids).
-			if sem == graph.SubgraphIso {
-				for vp, vt := range embed {
-					if !dc.Of(int32(vp)).Test(int(vt)) {
-						t.Fatalf("seed %d %v: compact domains exclude the known embedding", seed, sem)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCompactNLFMemory: the compact representation must use less
-// signature memory than the exact one on a dense-enough target, and the
-// gap must grow with the edge count (constant per node vs O(edges)).
-func TestCompactNLFMemory(t *testing.T) {
-	_, gt, _ := richInstance(1)
-	exact := NewIndexMode(gt, NLFExact)
-	compact := NewIndexMode(gt, NLFCompact)
-	if compact.NLFMemoryBytes() >= exact.NLFMemoryBytes() {
-		t.Errorf("compact NLF uses %d bytes, exact %d — no reduction",
-			compact.NLFMemoryBytes(), exact.NLFMemoryBytes())
-	}
-}
-
 // TestAutoTuneRespectsExplicitKnobs: ablation knobs the caller set
 // survive Auto resolution (a skipped filter stays skipped, a positive
 // AC cap is kept), and on a label-rich target Auto caps AC at one pass.
@@ -657,37 +594,35 @@ func TestAutoTuneRespectsExplicitKnobs(t *testing.T) {
 	}
 }
 
-// TestIndexSharedConcurrently: one Index (exact and compact) serving
-// many concurrent Compute calls across semantics — the sharing pattern
-// of concurrent Target sessions — must be data-race free (run under
-// -race) and deterministic.
+// TestIndexSharedConcurrently: one Index serving many concurrent
+// Compute calls across semantics — the sharing pattern of concurrent
+// Target sessions — must be data-race free (run under -race) and
+// deterministic.
 func TestIndexSharedConcurrently(t *testing.T) {
 	gp, gt, _ := richInstance(5)
-	for _, mode := range []NLFMode{NLFExact, NLFCompact} {
-		ix := NewIndexMode(gt, mode)
-		sems := []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism}
-		want := make([]int, len(sems))
-		for i, sem := range sems {
-			want[i] = Compute(gp, gt, Options{Semantics: sem, Index: ix}).TotalSize()
-		}
-		done := make(chan error, 12)
-		for g := 0; g < 12; g++ {
-			go func(g int) {
-				sem := sems[g%len(sems)]
-				opts := AutoTune(Options{Semantics: sem, Index: ix}, gp, gt)
-				Compute(gp, gt, opts) // Auto plan: races on ix.stats would trip -race
-				got := Compute(gp, gt, Options{Semantics: sem, Index: ix}).TotalSize()
-				if got != want[g%len(sems)] {
-					done <- fmt.Errorf("goroutine %d: size %d, want %d", g, got, want[g%len(sems)])
-					return
-				}
-				done <- nil
-			}(g)
-		}
-		for g := 0; g < 12; g++ {
-			if err := <-done; err != nil {
-				t.Fatal(err)
+	ix := NewIndex(gt)
+	sems := []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism}
+	want := make([]int, len(sems))
+	for i, sem := range sems {
+		want[i] = Compute(gp, gt, Options{Semantics: sem, Index: ix}).TotalSize()
+	}
+	done := make(chan error, 12)
+	for g := 0; g < 12; g++ {
+		go func(g int) {
+			sem := sems[g%len(sems)]
+			opts := AutoTune(Options{Semantics: sem, Index: ix}, gp, gt)
+			Compute(gp, gt, opts) // Auto plan: races on ix.stats would trip -race
+			got := Compute(gp, gt, Options{Semantics: sem, Index: ix}).TotalSize()
+			if got != want[g%len(sems)] {
+				done <- fmt.Errorf("goroutine %d: size %d, want %d", g, got, want[g%len(sems)])
+				return
 			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < 12; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -703,7 +638,7 @@ func TestIndexFirstUseConcurrently(t *testing.T) {
 	}
 	sems := []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism}
 	for ti, gt := range coll.Targets[:2] {
-		ref := NewIndexMode(gt, NLFExact)
+		ref := NewIndex(gt)
 		type query struct {
 			gp   *graph.Graph
 			sem  graph.Semantics
@@ -721,7 +656,7 @@ func TestIndexFirstUseConcurrently(t *testing.T) {
 		if len(qs) < 2*len(sems) {
 			t.Fatalf("target %d: only %d queries", ti, len(qs))
 		}
-		ix := NewIndexMode(gt, NLFExact)
+		ix := NewIndex(gt)
 		done := make(chan error, len(qs))
 		for _, q := range qs {
 			go func() {
@@ -785,7 +720,7 @@ func TestThresholdRowsBudget(t *testing.T) {
 // per node under every semantics.
 func checkMergeFallback(t *testing.T, name string, gp, gt *graph.Graph, want int) {
 	t.Helper()
-	ix := NewIndexMode(gt, NLFExact)
+	ix := NewIndex(gt)
 	if ix.rowEntry(gt).nlf != nil {
 		t.Fatalf("%s: threshold rows were built", name)
 	}

@@ -19,16 +19,16 @@ import (
 // (k, c+1) ⊆ (k, c), and a key has rows up to the largest count any
 // target node has for it.
 //
-// They are built beside the BitGraph rows of an exact Index (see
-// Index.Rows), for both directions or for neither: only while both
-// directions' rows together number at most twice the target's node
-// count, so they never outweigh the adjacency rows. Past that the unary
-// filter keeps the per-candidate merge.
+// They are built beside the BitGraph rows of an Index (see Index.Rows),
+// for both directions or for neither: only while both directions' rows
+// together number at most twice the target's node count, so they never
+// outweigh the adjacency rows. Past that the unary filter keeps the
+// per-candidate merge.
 
-// nlfRows is an exact Index's threshold rows. A key (neighbor label nl,
-// edge label el) owns slot (nl−labMin)·elSpan + (el−elMin) when both
-// labels lie in the index's ranges; a key outside them occurs at no
-// target node. Dense slots keep the build free of maps.
+// nlfRows is an Index's threshold rows. A key (neighbor label nl, edge
+// label el) owns slot (nl−labMin)·elSpan + (el−elMin) when both labels
+// lie in the index's ranges; a key outside them occurs at no target
+// node. Dense slots keep the build free of maps.
 type nlfRows struct {
 	labMin, elMin   int64
 	labSpan, elSpan int
@@ -47,7 +47,7 @@ type thresholdRows struct {
 // label numbering cannot make the table outweigh the rows.
 func maxKeySlots(n int) int { return max(n, 256) }
 
-// newNLFRows builds the threshold rows of exact index ix, or returns nil
+// newNLFRows builds the threshold rows of index ix, or returns nil
 // when its key table would exceed maxKeySlots or its rows the budget.
 func newNLFRows(ix *Index) *nlfRows {
 	labLo, labHi := int64(math.MaxInt64), int64(math.MinInt64)

@@ -16,8 +16,8 @@ import (
 // induced sweeps that revise every pattern node on every pass. Both must
 // leave identical domains and report the identical Plan, AfterUnary,
 // AfterPass1, Final and LogDomainProduct — under every semantics, every
-// filter configuration, with an exact, a compact or no Index, and under
-// both kernels.
+// filter configuration, with or without an Index, and under both
+// kernels.
 func TestPropagationDifferential(t *testing.T) {
 	type instance struct {
 		name   string
@@ -66,7 +66,7 @@ func TestPropagationDifferential(t *testing.T) {
 		indexes := []struct {
 			name string
 			ix   *Index
-		}{{"exact", NewIndexMode(in.gt, NLFExact)}, {"compact", NewIndexMode(in.gt, NLFCompact)}, {"none", nil}}
+		}{{"exact", NewIndex(in.gt)}, {"none", nil}}
 		for _, sem := range sems {
 			for _, c := range configs {
 				for _, ixc := range indexes {
@@ -182,10 +182,8 @@ func refComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeSt
 	}
 	hom := !sem.Injective()
 	induced := sem.Induced()
-	compact := ix != nil && ix.CompactNLF()
 	stats := ComputeStats{Plan: Plan{
 		NLF:        !opts.SkipNLF,
-		CompactNLF: !opts.SkipNLF && compact,
 		AC:         !opts.SkipAC,
 		ACPasses:   opts.ACPasses,
 		ACAdaptive: !opts.SkipAC && opts.ACAdaptive && opts.ACPasses > 0,
@@ -193,30 +191,17 @@ func refComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeSt
 	}}
 
 	// Pattern-side unary state, computed once per pattern node: NLF
-	// signatures (exact, or bucketed to match a compact index) and
-	// self-loop label sets.
+	// signatures and self-loop label sets.
 	var psigOut, psigIn []nlfSig
-	var pcOut, pcIn []patternCompact
 	if !opts.SkipNLF {
 		var buf []uint64
-		if compact {
-			pcOut = make([]patternCompact, np)
-			pcIn = make([]patternCompact, np)
-			for vp := int32(0); vp < int32(np); vp++ {
-				buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
-				pcOut[vp] = ix.buildPatternCompact(buf)
-				buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
-				pcIn[vp] = ix.buildPatternCompact(buf)
-			}
-		} else {
-			psigOut = make([]nlfSig, np)
-			psigIn = make([]nlfSig, np)
-			for vp := int32(0); vp < int32(np); vp++ {
-				buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
-				psigOut[vp] = buildNLFSig(buf)
-				buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
-				psigIn[vp] = buildNLFSig(buf)
-			}
+		psigOut = make([]nlfSig, np)
+		psigIn = make([]nlfSig, np)
+		for vp := int32(0); vp < int32(np); vp++ {
+			buf = appendNLFKeys(buf[:0], gp, gp.OutNeighbors(vp), gp.OutEdgeLabels(vp))
+			psigOut[vp] = buildNLFSig(buf)
+			buf = appendNLFKeys(buf[:0], gp, gp.InNeighbors(vp), gp.InEdgeLabels(vp))
+			psigIn[vp] = buildNLFSig(buf)
 		}
 	}
 	selfLoops := patternSelfLoops(gp)
@@ -273,26 +258,13 @@ func refComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeSt
 			if induced && len(selfLoops[vp]) == 0 && gt.HasEdge(vt, vt) {
 				return
 			}
-			if !opts.SkipNLF {
-				if compact {
-					if !compactDominates(ix.cout[vt], pcOut[vp].sig, hom) ||
-						!compactDominates(ix.cin[vt], pcIn[vp].sig, hom) {
-						return
-					}
-				} else if len(psigOut[vp].keys) > 0 || len(psigIn[vp].keys) > 0 {
-					tout, tin := targetSigs(vt)
-					if !tout.dominates(psigOut[vp], hom) || !tin.dominates(psigIn[vp], hom) {
-						return
-					}
+			if !opts.SkipNLF && (len(psigOut[vp].keys) > 0 || len(psigIn[vp].keys) > 0) {
+				tout, tin := targetSigs(vt)
+				if !tout.dominates(psigOut[vp], hom) || !tin.dominates(psigIn[vp], hom) {
+					return
 				}
 			}
 			s.Set(int(vt))
-		}
-		if compact && !opts.SkipNLF && (pcOut[vp].impossible || pcIn[vp].impossible) {
-			// A pattern key outside the target's key alphabet (perfect
-			// bucket assignment): no candidate anywhere can supply it.
-			d.sets[vp] = s
-			continue
 		}
 		if ix != nil {
 			for _, vt := range ix.Nodes(lab) {

@@ -54,9 +54,6 @@ func (s Schedule) String() string {
 type Plan struct {
 	// NLF reports the neighborhood-label-frequency filter ran.
 	NLF bool
-	// CompactNLF reports NLF consulted the bucketed signatures of a
-	// compact Index rather than exact ones.
-	CompactNLF bool
 	// AC reports classic arc consistency ran; ACPasses is its sweep cap
 	// (0 = fixpoint).
 	AC       bool
@@ -73,7 +70,7 @@ type Plan struct {
 }
 
 // String renders the plan compactly, e.g. "nlf+ac:1" or
-// "nlf(compact)+ac:fixpoint+inducedAC".
+// "nlf+ac:fixpoint+inducedAC".
 func (p Plan) String() string {
 	s := ""
 	add := func(part string) {
@@ -83,11 +80,7 @@ func (p Plan) String() string {
 		s += part
 	}
 	if p.NLF {
-		if p.CompactNLF {
-			add("nlf(compact)")
-		} else {
-			add("nlf")
-		}
+		add("nlf")
 	}
 	if p.AC {
 		switch {

@@ -26,14 +26,8 @@ import (
 // endpoint set. ix must be the index of oldG. The receiver is not
 // modified; untouched per-node state is shared between the two indexes.
 //
-// In exact NLF mode the result is bit-identical to NewIndexMode(newG,
-// mode) — the property the differential update battery pins with
-// IndexEqual. In compact mode the bucketed signatures are refolded for
-// the touched vertices; if the target's key alphabet outgrows a perfect
-// bucket assignment the whole compact table is rebuilt with hashed
-// buckets (still O(n), never a full stats/bucket rebuild). A compact
-// index maintained incrementally prunes identically, but may number its
-// alphabet differently from a fresh rebuild.
+// The result is bit-identical to NewIndex(newG) — the property the
+// differential update battery pins with IndexEqual.
 func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 	nix := &Index{
 		byLabel: ix.byLabel, // node labels are immutable under edge updates
@@ -66,19 +60,13 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 		}
 	}
 
-	if ix.cout != nil {
-		ix.applyCompactUpdates(nix, newG, touched)
-		ix.seedRows(nix, newG, touched)
-		return nix
-	}
-
 	nix.out = slices.Clone(ix.out)
 	nix.in = slices.Clone(ix.in)
 	nix.outMask = slices.Clone(ix.outMask)
 	nix.inMask = slices.Clone(ix.inMask)
 	var buf []uint64
 	for _, vt := range touched {
-		buf = nix.fillExactNLF(newG, vt, buf)
+		buf = nix.fillNLF(newG, vt, buf)
 	}
 	ix.seedRows(nix, newG, touched)
 	return nix
@@ -109,70 +97,18 @@ func (ix *Index) seedRows(nix *Index, newG *graph.Graph, touched []int32) {
 		return
 	}
 	nc := &bitRows{rows: c.rows.Rebuild(newG, touched), epoch: nix.gen, churn: churn}
-	if nc.rows != nil && nix.out != nil {
+	if nc.rows != nil {
 		nc.nlf = c.nlf.applyUpdates(ix, nix, touched)
 	}
 	nix.rowCache.Store(nc)
 }
 
-// applyCompactUpdates maintains the bucketed signature tables. Under a
-// perfect key→bucket assignment, added edges can introduce keys the
-// alphabet has never seen: while the array has room the assignment is
-// extended (on a cloned map — the old index may be serving queries),
-// past that the tables are rebuilt with hashed buckets. Keys that
-// removals made extinct are deliberately kept: a superset alphabet is
-// sound (a pattern key absent from the current graph folds to a bucket
-// every live candidate has at zero, emptying the domain exactly as the
-// "impossible" fast path would).
-func (ix *Index) applyCompactUpdates(nix *Index, newG *graph.Graph, touched []int32) {
-	var buf []uint64
-	if ix.keyBucket != nil {
-		fresh := make(map[uint64]struct{})
-		for _, vt := range touched {
-			buf = appendNLFKeys(buf[:0], newG, newG.OutNeighbors(vt), newG.OutEdgeLabels(vt))
-			buf = appendNLFKeys(buf, newG, newG.InNeighbors(vt), newG.InEdgeLabels(vt))
-			for _, k := range buf {
-				if _, ok := ix.keyBucket[k]; !ok {
-					fresh[k] = struct{}{}
-				}
-			}
-		}
-		if len(ix.keyBucket)+len(fresh) > compactBuckets {
-			// The alphabet outgrew the perfect assignment for good:
-			// rebuild the compact tables with hashed buckets.
-			nix.buildCompactNLF(newG)
-			return
-		}
-		kb := ix.keyBucket
-		if len(fresh) > 0 {
-			kb = make(map[uint64]int8, len(ix.keyBucket)+len(fresh))
-			for k, b := range ix.keyBucket {
-				kb[k] = b
-			}
-			for k := range fresh {
-				kb[k] = int8(len(kb))
-			}
-		}
-		nix.keyBucket = kb
-	}
-	nix.cout = make([]compactSig, ix.nt)
-	copy(nix.cout, ix.cout)
-	nix.cin = make([]compactSig, ix.nt)
-	copy(nix.cin, ix.cin)
-	for _, vt := range touched {
-		buf = appendNLFKeys(buf[:0], newG, newG.OutNeighbors(vt), newG.OutEdgeLabels(vt))
-		nix.cout[vt] = nix.foldCompact(buf)
-		buf = appendNLFKeys(buf[:0], newG, newG.InNeighbors(vt), newG.InEdgeLabels(vt))
-		nix.cin[vt] = nix.foldCompact(buf)
-	}
-}
-
 // IndexEqual compares two indexes for exact equality — label buckets,
-// cached statistics (including every float bit), the self-loop set, NLF
-// representation, per-node signature contents and key masks. It returns
-// a description of the first difference for test diagnostics, or ""
-// when equal. It is the oracle relation of the incremental-vs-rebuild
-// differential battery.
+// cached statistics (including every float bit), the self-loop set,
+// per-node signature contents and key masks. It returns a description
+// of the first difference for test diagnostics, or "" when equal. It is
+// the oracle relation of the incremental-vs-rebuild differential
+// battery.
 func IndexEqual(a, b *Index) (bool, string) {
 	if a == nil || b == nil {
 		if a == b {
@@ -218,50 +154,31 @@ func IndexEqual(a, b *Index) (bool, string) {
 	if !a.loops.Equal(b.loops) {
 		return false, fmt.Sprintf("self-loop set %v vs %v", a.loops, b.loops)
 	}
-	if (a.cout != nil) != (b.cout != nil) {
-		return false, "NLF representation differs (exact vs compact)"
+	if len(a.outMask) != len(b.outMask) || len(a.inMask) != len(b.inMask) {
+		return false, fmt.Sprintf("key mask table length %d/%d vs %d/%d", len(a.outMask), len(a.inMask), len(b.outMask), len(b.inMask))
 	}
-	if a.cout == nil {
-		if len(a.outMask) != len(b.outMask) || len(a.inMask) != len(b.inMask) {
-			return false, fmt.Sprintf("key mask table length %d/%d vs %d/%d", len(a.outMask), len(a.inMask), len(b.outMask), len(b.inMask))
+	for v := range a.outMask {
+		if a.outMask[v] != b.outMask[v] || a.inMask[v] != b.inMask[v] {
+			return false, fmt.Sprintf("node %d key mask differs", v)
 		}
-		for v := range a.outMask {
-			if a.outMask[v] != b.outMask[v] || a.inMask[v] != b.inMask[v] {
-				return false, fmt.Sprintf("node %d key mask differs", v)
-			}
+	}
+	for _, dir := range []struct {
+		name string
+		a, b []nlfSig
+	}{{"out", a.out, b.out}, {"in", a.in, b.in}} {
+		if len(dir.a) != len(dir.b) {
+			return false, fmt.Sprintf("%s signature table length %d vs %d", dir.name, len(dir.a), len(dir.b))
 		}
-		for _, dir := range []struct {
-			name string
-			a, b []nlfSig
-		}{{"out", a.out, b.out}, {"in", a.in, b.in}} {
-			if len(dir.a) != len(dir.b) {
-				return false, fmt.Sprintf("%s signature table length %d vs %d", dir.name, len(dir.a), len(dir.b))
+		for v := range dir.a {
+			sa, sb := dir.a[v], dir.b[v]
+			if len(sa.keys) != len(sb.keys) {
+				return false, fmt.Sprintf("node %d %s signature: %d keys vs %d", v, dir.name, len(sa.keys), len(sb.keys))
 			}
-			for v := range dir.a {
-				sa, sb := dir.a[v], dir.b[v]
-				if len(sa.keys) != len(sb.keys) {
-					return false, fmt.Sprintf("node %d %s signature: %d keys vs %d", v, dir.name, len(sa.keys), len(sb.keys))
-				}
-				for i := range sa.keys {
-					if sa.keys[i] != sb.keys[i] || sa.counts[i] != sb.counts[i] {
-						return false, fmt.Sprintf("node %d %s signature entry %d differs", v, dir.name, i)
-					}
+			for i := range sa.keys {
+				if sa.keys[i] != sb.keys[i] || sa.counts[i] != sb.counts[i] {
+					return false, fmt.Sprintf("node %d %s signature entry %d differs", v, dir.name, i)
 				}
 			}
-		}
-		return true, ""
-	}
-	if len(a.keyBucket) != len(b.keyBucket) {
-		return false, fmt.Sprintf("alphabet size %d vs %d", len(a.keyBucket), len(b.keyBucket))
-	}
-	for k, ab := range a.keyBucket {
-		if bb, ok := b.keyBucket[k]; !ok || ab != bb {
-			return false, fmt.Sprintf("key %#x bucket differs", k)
-		}
-	}
-	for v := range a.cout {
-		if a.cout[v] != b.cout[v] || a.cin[v] != b.cin[v] {
-			return false, fmt.Sprintf("node %d compact signature differs", v)
 		}
 	}
 	return true, ""

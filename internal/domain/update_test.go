@@ -35,18 +35,18 @@ func randomBatch(rng *rand.Rand, n, k, labels int) []graph.EdgeUpdate {
 
 // TestIndexApplyUpdatesDifferential is the domain-level half of the
 // incremental-vs-rebuild battery: across random update sequences, the
-// incrementally-maintained exact-mode index must be IndexEqual —
-// signatures, key masks, the self-loop set, label buckets, stats down
-// to the float bits — to a from-scratch NewIndexMode of the updated
-// graph. A last pair of batches adds a target self-loop and removes it
-// again, in exact and compact mode, and the induced domains — whose
-// unary filter reads the self-loop set — must equal a rebuild's.
+// incrementally-maintained index must be IndexEqual — signatures, key
+// masks, the self-loop set, label buckets, stats down to the float
+// bits — to a from-scratch NewIndex of the updated graph. A last pair
+// of batches adds a target self-loop and removes it again, and the
+// induced domains — whose unary filter reads the self-loop set — must
+// equal a rebuild's.
 func TestIndexApplyUpdatesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(8)
 		g := randomGraph(rng, n, rng.Intn(3*n), 3)
-		ix := NewIndexMode(g, NLFExact)
+		ix := NewIndex(g)
 		for batch := 0; batch < 5; batch++ {
 			g2, touched, _, _, err := g.ApplyUpdates(randomBatch(rng, n, 1+rng.Intn(6), 3))
 			if err != nil {
@@ -56,7 +56,7 @@ func TestIndexApplyUpdatesDifferential(t *testing.T) {
 			if g2 != g {
 				ix2 = ix.ApplyUpdates(g, g2, touched)
 			}
-			rebuilt := NewIndexMode(g2, NLFExact)
+			rebuilt := NewIndex(g2)
 			if ok, diff := IndexEqual(ix2, rebuilt); !ok {
 				t.Fatalf("trial %d batch %d: incremental index differs from rebuild: %s", trial, batch, diff)
 			}
@@ -75,35 +75,33 @@ func TestIndexApplyUpdatesDifferential(t *testing.T) {
 	loop := graph.EdgeUpdate{From: 0, To: 0, Label: 0}
 	unloop := loop
 	unloop.Remove = true
-	for _, mode := range []NLFMode{NLFExact, NLFCompact} {
-		g, ix := base, NewIndexMode(base, mode)
-		for _, batch := range [][]graph.EdgeUpdate{{loop}, {unloop}} {
-			g2, touched, _, _, err := g.ApplyUpdates(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix2 := ix.ApplyUpdates(g, g2, touched)
-			rebuilt := NewIndexMode(g2, mode)
-			if ok, diff := IndexEqual(ix2, rebuilt); mode == NLFExact && !ok {
-				t.Fatalf("%v %+v: incremental index differs from rebuild: %s", mode, batch[0], diff)
-			}
-			if looped := g2.HasEdge(0, 0); ix2.loops.Test(0) != looped || !ix2.loops.Equal(rebuilt.loops) {
-				t.Fatalf("%v %+v: self-loop set %v, rebuild %v", mode, batch[0], ix2.loops, rebuilt.loops)
-			}
-			for pi, pat := range patterns {
-				di := Compute(pat, g2, Options{Index: ix2, Semantics: graph.InducedIso})
-				dr := Compute(pat, g2, Options{Index: rebuilt, Semantics: graph.InducedIso})
-				for vp := int32(0); vp < int32(pat.NumNodes()); vp++ {
-					if !di.Of(vp).Equal(dr.Of(vp)) {
-						t.Fatalf("%v %+v pattern %d node %d: induced domain %v, rebuild %v", mode, batch[0], pi, vp, di.Of(vp), dr.Of(vp))
-					}
-				}
-				if kept := di.Of(0).Test(0); kept != (g2.HasEdge(0, 0) == (pi == 1)) {
-					t.Fatalf("%v %+v pattern %d: target 0 kept=%v with the self-loop set at %v", mode, batch[0], pi, kept, ix2.loops)
-				}
-			}
-			g, ix = g2, ix2
+	g, ix := base, NewIndex(base)
+	for _, batch := range [][]graph.EdgeUpdate{{loop}, {unloop}} {
+		g2, touched, _, _, err := g.ApplyUpdates(batch)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ix2 := ix.ApplyUpdates(g, g2, touched)
+		rebuilt := NewIndex(g2)
+		if ok, diff := IndexEqual(ix2, rebuilt); !ok {
+			t.Fatalf("%+v: incremental index differs from rebuild: %s", batch[0], diff)
+		}
+		if looped := g2.HasEdge(0, 0); ix2.loops.Test(0) != looped || !ix2.loops.Equal(rebuilt.loops) {
+			t.Fatalf("%+v: self-loop set %v, rebuild %v", batch[0], ix2.loops, rebuilt.loops)
+		}
+		for pi, pat := range patterns {
+			di := Compute(pat, g2, Options{Index: ix2, Semantics: graph.InducedIso})
+			dr := Compute(pat, g2, Options{Index: rebuilt, Semantics: graph.InducedIso})
+			for vp := int32(0); vp < int32(pat.NumNodes()); vp++ {
+				if !di.Of(vp).Equal(dr.Of(vp)) {
+					t.Fatalf("%+v pattern %d node %d: induced domain %v, rebuild %v", batch[0], pi, vp, di.Of(vp), dr.Of(vp))
+				}
+			}
+			if kept := di.Of(0).Test(0); kept != (g2.HasEdge(0, 0) == (pi == 1)) {
+				t.Fatalf("%+v pattern %d: target 0 kept=%v with the self-loop set at %v", batch[0], pi, kept, ix2.loops)
+			}
+		}
+		g, ix = g2, ix2
 	}
 }
 
@@ -117,7 +115,7 @@ func TestIndexApplyUpdatesKeepsOldRows(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(12)
 		g := randomGraph(rng, n, rng.Intn(4*n), 2)
-		ix := NewIndexMode(g, NLFExact)
+		ix := NewIndex(g)
 		ix.Rows(g)
 		for batch := 0; batch < 6; batch++ {
 			g2, touched, _, _, err := g.ApplyUpdates(randomBatch(rng, n, 1+rng.Intn(8), 2))
@@ -136,7 +134,7 @@ func TestIndexApplyUpdatesKeepsOldRows(t *testing.T) {
 				if !c.ix.HasRows() {
 					t.Fatalf("trial %d batch %d: %s index lost its rows", trial, batch, c.name)
 				}
-				clean := NewIndexMode(c.g, NLFExact)
+				clean := NewIndex(c.g)
 				clean.Rows(c.g)
 				if ok, diff := IndexEqual(c.ix, clean); !ok {
 					t.Fatalf("trial %d batch %d: %s index differs from a clean build: %s", trial, batch, c.name, diff)
@@ -155,7 +153,7 @@ func TestIndexApplyUpdatesRebatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	n := rebatchMinNodes
 	g := randomGraph(rng, n, 4*n, 2)
-	ix := NewIndexMode(g, NLFExact)
+	ix := NewIndex(g)
 	ix.Rows(g)
 	for batch, rebuilt := 0, false; !rebuilt; batch++ {
 		g2, touched, _, _, err := g.ApplyUpdates(randomBatch(rng, n, 64, 2))
@@ -187,100 +185,12 @@ func TestIndexApplyUpdatesRebatch(t *testing.T) {
 		case !rebuilt && c.churn != churn:
 			t.Fatalf("batch %d: churn %d, want %d", batch, c.churn, churn)
 		}
-		clean := NewIndexMode(g2, NLFExact)
+		clean := NewIndex(g2)
 		clean.Rows(g2)
 		if ok, diff := IndexEqual(ix2, clean); !ok {
 			t.Fatalf("batch %d: index differs from a clean build: %s", batch, diff)
 		}
 		g, ix = g2, ix2
-	}
-}
-
-// TestIndexApplyUpdatesCompact checks the compact-mode maintenance: the
-// incrementally-maintained bucketed index must accept exactly the same
-// candidates as a fresh index over the updated graph (same computed
-// domains for random patterns), even though its alphabet numbering may
-// differ from a rebuild's.
-func TestIndexApplyUpdatesCompact(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + rng.Intn(7)
-		g := randomGraph(rng, n, rng.Intn(3*n), 2)
-		ix := NewIndexMode(g, NLFCompact)
-		for batch := 0; batch < 4; batch++ {
-			g2, touched, _, _, err := g.ApplyUpdates(randomBatch(rng, n, 1+rng.Intn(5), 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix2 := ix
-			if g2 != g {
-				ix2 = ix.ApplyUpdates(g, g2, touched)
-			}
-			rebuilt := NewIndexMode(g2, NLFCompact)
-			// Stats must still be bit-identical (they don't depend on
-			// the alphabet numbering).
-			if ix2.stats != rebuilt.stats {
-				t.Fatalf("trial %d batch %d: compact stats %+v vs rebuild %+v", trial, batch, ix2.stats, rebuilt.stats)
-			}
-			pat := randomGraph(rng, 2+rng.Intn(3), 3, 2)
-			for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism} {
-				di := Compute(pat, g2, Options{Index: ix2, Semantics: sem})
-				dr := Compute(pat, g2, Options{Index: rebuilt, Semantics: sem})
-				for vp := int32(0); vp < int32(pat.NumNodes()); vp++ {
-					si, sr := di.Of(vp).Count(), dr.Of(vp).Count()
-					if si != sr {
-						t.Fatalf("trial %d batch %d sem %v: node %d domain %d vs rebuild %d", trial, batch, sem, vp, si, sr)
-					}
-				}
-			}
-			g, ix = g2, ix2
-		}
-	}
-}
-
-// TestIndexCompactAlphabetGrowth drives a perfect-assignment compact
-// index past compactBuckets distinct keys via updates and checks it
-// falls back to hashed buckets while still pruning soundly.
-func TestIndexCompactAlphabetGrowth(t *testing.T) {
-	// Start tiny: two nodes, one key.
-	b := graph.NewBuilder(4, 2)
-	for i := 0; i < 4; i++ {
-		b.AddNode(0)
-	}
-	b.AddEdge(0, 1, 0)
-	g := b.MustBuild()
-	ix := NewIndexMode(g, NLFCompact)
-	if !ix.NLFExactFallback() {
-		t.Fatal("tiny alphabet should get a perfect assignment")
-	}
-	// Each new edge label is a new (node label, edge label) key; push
-	// well past the bucket array.
-	var ups []graph.EdgeUpdate
-	for l := 1; l <= compactBuckets+2; l++ {
-		ups = append(ups, graph.EdgeUpdate{From: 2, To: 3, Label: graph.Label(l)})
-	}
-	g2, touched, _, _, err := g.ApplyUpdates(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2 := ix.ApplyUpdates(g, g2, touched)
-	if ix2.NLFExactFallback() {
-		t.Fatal("alphabet overflow should fall back to hashed buckets")
-	}
-	// Sound: a pattern needing one of the new keys keeps its valid
-	// candidate.
-	pb := graph.NewBuilder(2, 1)
-	pb.AddNode(0)
-	pb.AddNode(0)
-	pb.AddEdge(0, 1, graph.Label(compactBuckets+2))
-	pat := pb.MustBuild()
-	d := Compute(pat, g2, Options{Index: ix2})
-	if !d.Of(0).Test(2) {
-		t.Fatal("hashed-bucket fallback pruned the valid candidate")
-	}
-	// The old index must be untouched (it may be serving queries).
-	if !ix.NLFExactFallback() {
-		t.Fatal("ApplyUpdates mutated the receiver's alphabet")
 	}
 }
 
@@ -290,7 +200,7 @@ func TestIndexCompactAlphabetGrowth(t *testing.T) {
 func TestIndexApplyUpdatesSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	g := randomGraph(rng, 8, 16, 3)
-	ix := NewIndexMode(g, NLFExact)
+	ix := NewIndex(g)
 	g2, touched, _, _, err := g.ApplyUpdates([]graph.EdgeUpdate{{From: 0, To: 1, Label: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -416,8 +416,9 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Simplify returns a graph with duplicate edges — equal (From, To,
-// Label) triples — removed; nodes and labels are unchanged. If g has no
-// duplicates it is returned as-is.
+// Label) triples — removed, keeping the first copy of each; nodes and
+// labels are unchanged. If g has no duplicates it is returned as-is,
+// without allocating.
 //
 // The search engines call this on pattern graphs: under the non-induced
 // edge-set semantics of subgraph enumeration (§2.1 of the paper), a
@@ -425,31 +426,46 @@ func (g *Graph) Edges() []Edge {
 // target, but counting it in deg⁻/deg⁺ would make degree-based pruning
 // unsound (a valid image could be rejected for having "too few" edges).
 func (g *Graph) Simplify() *Graph {
-	seen := make(map[Edge]bool, g.numEdges)
+	n := int32(g.NumNodes())
 	dup := false
-	for _, e := range g.Edges() {
-		if seen[e] {
-			dup = true
-			break
+	for v := int32(0); v < n && !dup; v++ {
+		adj, labs := g.OutNeighbors(v), g.OutEdgeLabels(v)
+		for i := range adj {
+			if repeatsArc(adj, labs, i) {
+				dup = true
+				break
+			}
 		}
-		seen[e] = true
 	}
 	if !dup {
 		return g
 	}
-	b := NewBuilder(g.NumNodes(), g.numEdges)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
+	b := NewBuilder(int(n), g.numEdges)
+	for v := int32(0); v < n; v++ {
 		b.AddNode(g.NodeLabel(v))
 	}
-	clear(seen)
-	for _, e := range g.Edges() {
-		if !seen[e] {
-			seen[e] = true
-			b.AddEdge(e.From, e.To, e.Label)
+	for v := int32(0); v < n; v++ {
+		adj, labs := g.OutNeighbors(v), g.OutEdgeLabels(v)
+		for i, w := range adj {
+			if !repeatsArc(adj, labs, i) {
+				b.AddEdge(v, w, labs[i])
+			}
 		}
 	}
 	// The node set and endpoints are unchanged, so Build cannot fail.
 	return b.MustBuild()
+}
+
+// repeatsArc reports whether arc i of a CSR row repeats an earlier arc
+// of the row: the row is sorted by neighbor, so an equal arc lies in
+// the run of arcs to the same neighbor just before it.
+func repeatsArc(adj []int32, labs []Label, i int) bool {
+	for j := i - 1; j >= 0 && adj[j] == adj[i]; j-- {
+		if labs[j] == labs[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Symmetric reports whether every arc (u, v, l) has a matching reverse

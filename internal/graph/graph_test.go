@@ -331,6 +331,9 @@ func TestSimplify(t *testing.T) {
 	if s2 := s.Simplify(); s2 != s {
 		t.Fatal("duplicate-free graph should be returned as-is")
 	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Simplify() }); allocs != 0 {
+		t.Fatalf("Simplify of a duplicate-free graph allocates %v times", allocs)
+	}
 }
 
 func TestQuickSimplifyIdempotent(t *testing.T) {

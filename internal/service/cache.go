@@ -15,15 +15,15 @@ import (
 // different clients share an entry) × the resolved matching semantics ×
 // a fingerprint of every option that can change the result *content*.
 //
-// Execution knobs — Workers, TaskGroupSize, DisableStealing, Timeout,
-// Visit — are deliberately excluded: they change how a result is
-// computed, never what it is (a timed-out run is not cached at all, so
-// Timeout cannot leak partial results into the cache). The fingerprint
-// is Limit, which truncates the result set, and Algorithm, which is
-// sound (all engines agree on counts) but changes the reported
-// Plan/States — aliasing it would make /stats lie about what ran. Every
-// engine reads a negative Limit as 0 (enumerate all), so the key does
-// too: one result, one entry and one flight.
+// Execution knobs — Workers, TaskGroupSize, Timeout, Visit — are
+// deliberately excluded: they change how a result is computed, never
+// what it is (a timed-out run is not cached at all, so Timeout cannot
+// leak partial results into the cache). The fingerprint is Limit, which
+// truncates the result set, and Algorithm, which is sound (all engines
+// agree on counts) but changes the reported Plan/States — aliasing it
+// would make /stats lie about what ran. Every engine reads a negative
+// Limit as 0 (enumerate all), so the key does too: one result, one
+// entry and one flight.
 func cacheKey(canon []byte, sem parsge.Semantics, opts parsge.Options) string {
 	var tail [1 + 3*binary.MaxVarintLen64]byte
 	t := append(tail[:0], 0xfe) // separator: canon is length-prefixed varints, this byte cannot extend it

@@ -14,10 +14,10 @@ import (
 // The metamorphic battery of the adaptive pruning scheduler: enumeration
 // counts are an invariant of the *problem*, not of the preprocessing
 // plan, so every point of the schedule space — each filter toggled on
-// and off, compact versus exact NLF signatures, capped versus fixpoint
-// arc consistency, Auto versus Fixed — must produce the count of the
-// brute-force oracle. A schedule-dependent count is by definition an
-// unsound filter or a broken wiring of the plan into an engine.
+// and off, capped versus fixpoint arc consistency, Auto versus Fixed —
+// must produce the count of the brute-force oracle. A schedule-dependent
+// count is by definition an unsound filter or a broken wiring of the
+// plan into an engine.
 
 // schedulePoint is one point of the schedule space.
 type schedulePoint struct {
@@ -49,9 +49,6 @@ func (p schedulePoint) String() string {
 }
 
 // metamorphicInstances are the random instance shapes of the battery.
-// The 4-node-label × 3-edge-label alphabet exceeds the compact NLF
-// bucket array on some targets, exercising the hashed (inexact) bucket
-// assignment alongside the small-alphabet exactness fallback.
 var metamorphicInstances = []struct {
 	name string
 	opts testutil.InstanceOptions
@@ -63,7 +60,7 @@ var metamorphicInstances = []struct {
 }
 
 // TestMetamorphicScheduleSpace sweeps the whole public schedule space —
-// schedule × AC depth × filter toggles × compact-vs-exact NLF × engine —
+// schedule × AC depth × filter toggles × engine —
 // over random instances under all three semantics and holds every
 // combination to testutil.BruteCountSem. Since every point is compared
 // to the same oracle, this also proves Auto and Fixed agree everywhere.
@@ -81,32 +78,30 @@ func TestMetamorphicScheduleSpace(t *testing.T) {
 	for _, k := range metamorphicInstances {
 		for seed := int64(0); seed < seedsPerKind; seed++ {
 			gp, gt := testutil.RandomInstance(seed+100, k.opts)
-			for _, compact := range []bool{false, true} {
-				tgt, err := newTargetNLF(gt, compact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, sem := range allSemantics {
-					want := testutil.BruteCountSem(gp, gt, sem)
-					for _, pt := range pts {
-						for _, eng := range engines {
-							opts := eng.opts
-							opts.Semantics = sem
-							opts.filters = domain.Filters{
-								Schedule:      pt.sched,
-								ACPasses:      pt.acPasses,
-								SkipNLF:       pt.disableNLF,
-								SkipInducedAC: pt.disableIAC,
-							}
-							got, err := tgt.Count(context.Background(), gp, opts)
-							if err != nil {
-								t.Fatalf("%s/seed=%d compact=%v %s %s under %v: %v",
-									k.name, seed, compact, eng.name, pt, sem, err)
-							}
-							if got != want {
-								t.Errorf("%s/seed=%d compact=%v %s %s under %v = %d, oracle = %d",
-									k.name, seed, compact, eng.name, pt, sem, got, want)
-							}
+			tgt, err := NewTarget(gt, TargetOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sem := range allSemantics {
+				want := testutil.BruteCountSem(gp, gt, sem)
+				for _, pt := range pts {
+					for _, eng := range engines {
+						opts := eng.opts
+						opts.Semantics = sem
+						opts.filters = domain.Filters{
+							Schedule:      pt.sched,
+							ACPasses:      pt.acPasses,
+							SkipNLF:       pt.disableNLF,
+							SkipInducedAC: pt.disableIAC,
+						}
+						got, err := tgt.Count(context.Background(), gp, opts)
+						if err != nil {
+							t.Fatalf("%s/seed=%d %s %s under %v: %v",
+								k.name, seed, eng.name, pt, sem, err)
+						}
+						if got != want {
+							t.Errorf("%s/seed=%d %s %s under %v = %d, oracle = %d",
+								k.name, seed, eng.name, pt, sem, got, want)
 						}
 					}
 				}
@@ -117,7 +112,7 @@ func TestMetamorphicScheduleSpace(t *testing.T) {
 
 // TestMetamorphicParallelSchedule covers the parallel engine (which
 // inherits the plan through the shared ri.Prepare) on the Auto and
-// Fixed endpoints of the schedule space, with compact and exact NLF.
+// Fixed endpoints of the schedule space.
 func TestMetamorphicParallelSchedule(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		gp, gt := testutil.RandomInstance(seed, testutil.InstanceOptions{
@@ -125,23 +120,21 @@ func TestMetamorphicParallelSchedule(t *testing.T) {
 		})
 		for _, sem := range allSemantics {
 			want := testutil.BruteCountSem(gp, gt, sem)
-			for _, compact := range []bool{false, true} {
-				tgt, err := newTargetNLF(gt, compact)
+			tgt, err := NewTarget(gt, TargetOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sched := range []domain.Schedule{domain.ScheduleAuto, domain.ScheduleFixed} {
+				got, err := tgt.Count(context.Background(), gp, Options{
+					Algorithm: RIDSSIFC, Workers: 4, TaskGroupSize: 2,
+					Semantics: sem, filters: domain.Filters{Schedule: sched},
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, sched := range []domain.Schedule{domain.ScheduleAuto, domain.ScheduleFixed} {
-					got, err := tgt.Count(context.Background(), gp, Options{
-						Algorithm: RIDSSIFC, Workers: 4, TaskGroupSize: 2,
-						Semantics: sem, filters: domain.Filters{Schedule: sched},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("seed=%d compact=%v sched=%v under %v: parallel = %d, oracle = %d",
-							seed, compact, sched, sem, got, want)
-					}
+				if got != want {
+					t.Errorf("seed=%d sched=%v under %v: parallel = %d, oracle = %d",
+						seed, sched, sem, got, want)
 				}
 			}
 		}
@@ -255,47 +248,4 @@ func TestConcurrentAutoScheduleCancellation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// newTargetNLF builds a Target whose snapshot carries a compact NLF
-// index when compact is set and an exact one otherwise: the battery's
-// compact axis. NewTarget alone builds a compact index only for
-// targets of 2^20 edges or more, far beyond the battery's instances.
-func newTargetNLF(g *Graph, compact bool) (*Target, error) {
-	tgt, err := NewTarget(g, TargetOptions{})
-	if err != nil {
-		return nil, err
-	}
-	mode := domain.NLFExact
-	if compact {
-		mode = domain.NLFCompact
-	}
-	st := *tgt.state.Load()
-	st.index = domain.NewIndexMode(g, mode)
-	tgt.state.Store(&st)
-	return tgt, nil
-}
-
-// TestNewTargetNLFCompactAxis: the compact axis is real — a Fixed run
-// (which always runs NLF) on a helper-built compact Target reports
-// compact signatures, and one on an exact Target does not.
-func TestNewTargetNLFCompactAxis(t *testing.T) {
-	gp, gt := testutil.RandomInstance(5, testutil.InstanceOptions{
-		TargetNodes: 10, TargetEdges: 30, PatternNodes: 4, NodeLabels: 4, EdgeLabels: 3,
-	})
-	for _, compact := range []bool{false, true} {
-		tgt, err := newTargetNLF(gt, compact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tgt.Enumerate(context.Background(), gp, Options{
-			Algorithm: RIDSSIFC, filters: domain.Filters{Schedule: domain.ScheduleFixed},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Plan == nil || !res.Plan.NLF || res.Plan.CompactNLF != compact {
-			t.Errorf("compact=%v: Fixed plan = %v, want NLF with CompactNLF=%v", compact, res.Plan, compact)
-		}
-	}
 }

@@ -201,8 +201,6 @@ type Options struct {
 	// TaskGroupSize is the work-stealing coalescing granularity
 	// (1–16, default 4 — the paper's setting).
 	TaskGroupSize int
-	// DisableStealing turns off load balancing between workers.
-	DisableStealing bool
 	// Limit stops after at least this many matches (0 = enumerate all).
 	Limit int64
 	// Timeout aborts the run after the given wall time (0 = none); the
@@ -283,10 +281,8 @@ type Result struct {
 // target's statistics), where preprocessing time went, and how far each
 // stage shrank the candidate domains.
 type PlanInfo struct {
-	// NLF reports the neighborhood-label-frequency filter ran;
-	// CompactNLF that it consulted the bucketed signatures of a compact
-	// index, which a Target builds for targets of 2^20 edges or more.
-	NLF, CompactNLF bool
+	// NLF reports the neighborhood-label-frequency filter ran.
+	NLF bool
 	// AC reports classic arc consistency ran, capped at ACPasses sweeps
 	// (0 = fixpoint); InducedAC that the induced non-edge propagation
 	// ran (InducedIso only). ACAdaptive reports the scheduler's one-pass
@@ -314,8 +310,7 @@ func (p *PlanInfo) String() string {
 		return "none"
 	}
 	pl := domain.Plan{
-		NLF: p.NLF, CompactNLF: p.CompactNLF,
-		AC: p.AC, ACPasses: p.ACPasses, ACAdaptive: p.ACAdaptive, InducedAC: p.InducedAC,
+		NLF: p.NLF, AC: p.AC, ACPasses: p.ACPasses, ACAdaptive: p.ACAdaptive, InducedAC: p.InducedAC,
 	}
 	return pl.String()
 }
@@ -326,8 +321,7 @@ func planInfo(st *domain.ComputeStats) *PlanInfo {
 		return nil
 	}
 	return &PlanInfo{
-		NLF: st.Plan.NLF, CompactNLF: st.Plan.CompactNLF,
-		AC: st.Plan.AC, ACPasses: st.Plan.ACPasses, ACAdaptive: st.Plan.ACAdaptive, InducedAC: st.Plan.InducedAC,
+		NLF: st.Plan.NLF, AC: st.Plan.AC, ACPasses: st.Plan.ACPasses, ACAdaptive: st.Plan.ACAdaptive, InducedAC: st.Plan.InducedAC,
 		UnaryTime: st.UnaryTime, ACTime: st.ACTime, InducedACTime: st.InducedACTime,
 		DomainAfterUnary: st.AfterUnary, DomainFinal: st.Final,
 	}

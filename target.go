@@ -315,13 +315,12 @@ func (t *Target) search(ctx context.Context, prep *ri.Prepared, opts Options) Re
 		}
 	}
 	res := parallel.Enumerate(prep, parallel.Options{
-		Workers:         opts.Workers,
-		TaskGroupSize:   opts.TaskGroupSize,
-		DisableStealing: opts.DisableStealing,
-		Limit:           opts.Limit,
-		Visit:           opts.Visit,
-		Ctx:             ctx,
-		Arena:           t.arena,
+		Workers:       opts.Workers,
+		TaskGroupSize: opts.TaskGroupSize,
+		Limit:         opts.Limit,
+		Visit:         opts.Visit,
+		Ctx:           ctx,
+		Arena:         t.arena,
 	})
 	return Result{
 		Matches:         res.Matches,
