@@ -51,18 +51,24 @@ type Domains struct {
 
 // Index is precomputed target-side state reusable across queries against
 // the same target graph: nodes bucketed by label (in ascending node-id
-// order), per-node neighborhood-label-frequency signatures for the NLF
+// order), the target's neighborhood-label-frequency data for the NLF
 // filter, and the target statistics the adaptive schedule consults.
 // Building it once per target and sharing it between Compute calls turns
 // the initial domain filter from a scan over all target nodes into a
-// scan over the label's bucket, with each candidate's NLF signature
-// ready instead of recomputed per query. An Index is immutable after
-// NewIndex and safe for concurrent use.
+// scan over the label's bucket, with the NLF data ready instead of
+// recomputed per query. The NLF data takes one of two forms: threshold
+// rows where they fit (see nlfrows.go), else per-node signatures and
+// key masks. An Index is immutable after NewIndex and safe for
+// concurrent use.
 type Index struct {
 	byLabel map[graph.Label][]int32
 	nt      int
 	// stats are cached for AutoTune (density, label entropy, skew).
 	stats TargetStats
+	// nlf holds the NLF threshold rows, every kernel's unary filter;
+	// nil past graph.DenseRowLimit, the key-table bound or the row
+	// budget. An index with rows has nil out, in, outMask and inMask.
+	nlf *nlfRows
 	// out[v] / in[v] are node v's NLF signatures per direction.
 	out, in []nlfSig
 	// outMask[v] / inMask[v] fold the keys of out[v] / in[v] into one
@@ -84,10 +90,9 @@ type Index struct {
 	// row cache below so a seeded cache is only trusted for the
 	// generation it was built for.
 	gen uint64
-	// rowCache holds the lazily-built bitset adjacency rows and NLF
-	// threshold rows (see Rows). The pointer itself is the only mutable
-	// state of an Index; racing builders store identical content, so
-	// last-store-wins is safe.
+	// rowCache holds the lazily-built bitset adjacency rows (see Rows).
+	// The pointer itself is the only mutable state of an Index; racing
+	// builders store identical content, so last-store-wins is safe.
 	rowCache atomic.Pointer[bitRows]
 }
 
@@ -97,11 +102,8 @@ type Index struct {
 //
 //sgelint:epochkey
 type bitRows struct {
-	rows *graph.BitGraph // nil when the target exceeds graph.DenseRowLimit
-	// nlf holds the index's threshold rows (see nlfrows.go); nil
-	// without rows and past the key-table bound or the row budget.
-	nlf   *nlfRows
-	epoch uint64 // Index generation the rows were built from
+	rows  *graph.BitGraph // nil when the target exceeds graph.DenseRowLimit
+	epoch uint64          // Index generation the rows were built from
 	// churn counts the vertices updates have touched since the rows
 	// were built, repeats included (see seedRows).
 	churn int
@@ -109,10 +111,9 @@ type bitRows struct {
 
 // Rows returns the target's dense bitset adjacency rows, building them
 // on first use and caching them on the Index (the BitGraph kernel
-// layer); the same call builds the index's NLF threshold rows.
-// g must be the graph the Index was built for. Returns nil when the
-// target exceeds graph.DenseRowLimit nodes — the sorted-slice fallback
-// rule; callers must treat nil as "use the CSR paths".
+// layer). g must be the graph the Index was built for. Returns nil when
+// the target exceeds graph.DenseRowLimit nodes — the sorted-slice
+// fallback rule; callers must treat nil as "use the CSR paths".
 func (ix *Index) Rows(g *graph.Graph) *graph.BitGraph { return ix.rowEntry(g).rows }
 
 // rowEntry returns the current generation's row cache, building it on
@@ -122,9 +123,6 @@ func (ix *Index) rowEntry(g *graph.Graph) *bitRows {
 		return c
 	}
 	c := &bitRows{rows: graph.NewBitGraph(g), epoch: ix.gen}
-	if c.rows != nil {
-		c.nlf = newNLFRows(ix)
-	}
 	ix.rowCache.Store(c)
 	return c
 }
@@ -143,8 +141,9 @@ func (ix *Index) cachedRows() *bitRows {
 // unbuilt cache is not a difference).
 func (ix *Index) HasRows() bool { return ix.cachedRows() != nil }
 
-// NewIndex buckets the target's nodes by label and precomputes the
-// per-node NLF signatures and key masks.
+// NewIndex buckets the target's nodes by label and precomputes its NLF
+// data: the threshold rows when they fit, else the per-node signatures
+// and key masks.
 func NewIndex(gt *graph.Graph) *Index {
 	nt := gt.NumNodes()
 	st, sumDeg, sumSqDeg := statsWithSums(gt)
@@ -163,15 +162,34 @@ func NewIndex(gt *graph.Graph) *Index {
 			ix.loops.Set(int(vt))
 		}
 	}
-	ix.out = make([]nlfSig, nt)
-	ix.in = make([]nlfSig, nt)
-	ix.outMask = make([]uint64, nt)
-	ix.inMask = make([]uint64, nt)
-	var buf []uint64
-	for vt := int32(0); vt < int32(nt); vt++ {
-		buf = ix.fillNLF(gt, vt, buf)
+	if ix.nlf = newNLFRows(gt, ix.byLabel); ix.nlf == nil {
+		ix.fillSigs(gt, nil, nil)
 	}
 	return ix
+}
+
+// fillSigs gives ix, which has no threshold rows, the signatures and
+// key masks of g: those of from's tables, copied, with the nodes in
+// touched recomputed, when from has them; else every node's, computed.
+func (ix *Index) fillSigs(g *graph.Graph, from *Index, touched []int32) {
+	var buf []uint64
+	if from != nil && from.out != nil {
+		ix.out = slices.Clone(from.out)
+		ix.in = slices.Clone(from.in)
+		ix.outMask = slices.Clone(from.outMask)
+		ix.inMask = slices.Clone(from.inMask)
+		for _, vt := range touched {
+			buf = ix.fillNLF(g, vt, buf)
+		}
+		return
+	}
+	ix.out = make([]nlfSig, ix.nt)
+	ix.in = make([]nlfSig, ix.nt)
+	ix.outMask = make([]uint64, ix.nt)
+	ix.inMask = make([]uint64, ix.nt)
+	for vt := int32(0); vt < int32(ix.nt); vt++ {
+		buf = ix.fillNLF(g, vt, buf)
+	}
 }
 
 // fillNLF (re)computes node vt's NLF signatures and key masks
@@ -346,8 +364,9 @@ type Options struct {
 	SkipInducedAC bool
 	// Index, when non-nil and built for the same target, restricts the
 	// initial label/degree filter to each label's bucket instead of
-	// scanning every target node, and supplies precomputed target NLF
-	// signatures. Results are identical either way.
+	// scanning every target node, and supplies the target's precomputed
+	// NLF data: threshold rows, or signatures where they do not fit.
+	// Results are identical either way.
 	Index *Index
 	// Kernel selects the candidate-intersection implementation of the
 	// propagation hot paths (classic AC support scans and the induced
@@ -443,24 +462,23 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	}}
 	// Resolve the kernel and materialize the BitGraph rows the
 	// propagation passes (and, via stats.Rows, the engines) run on.
-	// With an Index the rows, and its threshold rows, are cached across
-	// queries; without one they are built here only when arc consistency
-	// will actually use them.
+	// With an Index the rows are cached across queries; without one they
+	// are built here only when arc consistency will actually use them.
 	var rows *graph.BitGraph
-	var nlf *nlfRows
 	if ResolveKernel(opts.Kernel, nt) == KernelBitset {
 		if ix != nil {
-			c := ix.rowEntry(gt)
-			rows, nlf = c.rows, c.nlf
+			rows = ix.Rows(gt)
 		} else if !opts.SkipAC {
 			rows = graph.NewBitGraph(gt)
 		}
 	}
 	stats.Rows = rows
-	// With threshold rows the NLF filter runs a set at a time; without
-	// them (no rows, past the budget, SkipNLF) it merges signatures.
-	if opts.SkipNLF {
-		nlf = nil
+	// With the index's threshold rows the NLF filter runs a set at a
+	// time, under every kernel; without them (no index, an index past
+	// the row bounds, SkipNLF) it merges signatures.
+	var nlf *nlfRows
+	if ix != nil && !opts.SkipNLF {
+		nlf = ix.nlf
 	}
 	rowsUnary := nlf != nil
 	stats.unaryRows = rowsUnary

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"parsge/internal/datasets"
 	"parsge/internal/graph"
@@ -322,8 +324,8 @@ func BenchmarkComputeDenseCold(b *testing.B) {
 
 // BenchmarkIndexRowsDenseCold prices a served target's warm-up on the
 // dense-cold workload's collection (PPIS32 at scale 0.1, seed
-// 20170525): one op builds one target's Index, its BitGraph rows and its
-// NLF threshold rows, cycling over the ten targets.
+// 20170525): one op builds one target's Index, with its NLF threshold
+// rows, and its BitGraph rows, cycling over the ten targets.
 func BenchmarkIndexRowsDenseCold(b *testing.B) {
 	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.1, Seed: 20170525, NumPatterns: 150})
 	if err != nil {
@@ -334,6 +336,65 @@ func BenchmarkIndexRowsDenseCold(b *testing.B) {
 		gt := coll.Targets[i%len(coll.Targets)]
 		NewIndex(gt).Rows(gt)
 	}
+}
+
+// BenchmarkIndexRowsSparse is BenchmarkIndexRowsDenseCold over the
+// sparse workloads' collection, PDBSv1 at scale 0.1, seed 20170525: one
+// op builds one target's Index, with its NLF threshold rows, and its
+// BitGraph rows, cycling over the thirty targets.
+func BenchmarkIndexRowsSparse(b *testing.B) {
+	coll, err := datasets.ByName("PDBSv1", datasets.Config{Scale: 0.1, Seed: 20170525})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		gt := coll.Targets[i%len(coll.Targets)]
+		NewIndex(gt).Rows(gt)
+	}
+}
+
+// BenchmarkIndexApplyUpdatesSparse prices index upkeep on the
+// sparse-mutate writer's first target, the largest PDBSv1 target at
+// scale 0.1, seed 20170525 (3,312 nodes), with its rows warm. One op is
+// the writer's one-arc add and its undo, drawn as the serving benchmark
+// draws them: each is graph.ApplyUpdates and then Index.ApplyUpdates.
+// B/op and allocs/op cover both; index-ns/update times the index alone.
+func BenchmarkIndexApplyUpdatesSparse(b *testing.B) {
+	coll, err := datasets.ByName("PDBSv1", datasets.Config{Scale: 0.1, Seed: 20170525})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := coll.Targets[0]
+	for _, gt := range coll.Targets {
+		if gt.NumNodes() > g.NumNodes() {
+			g = gt
+		}
+	}
+	rng := rand.New(rand.NewSource(20170525 ^ 0x77726974))
+	n := int32(g.NumNodes())
+	u, v := rng.Int31n(n), rng.Int31n(n)
+	for u == v {
+		v = rng.Int31n(n)
+	}
+	batches := [2][]graph.EdgeUpdate{{{From: u, To: v}}, {{From: u, To: v, Remove: true}}}
+	ix := NewIndex(g)
+	ix.Rows(g)
+	var indexTime time.Duration
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, batch := range batches {
+			g2, touched, _, _, err := g.ApplyUpdates(batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			start := time.Now()
+			ix = ix.ApplyUpdates(g, g2, touched)
+			indexTime += time.Since(start)
+			g = g2
+		}
+	}
+	b.ReportMetric(float64(indexTime.Nanoseconds())/float64(2*b.N), "index-ns/update")
 }
 
 // undirected adds both arcs of an undirected NoLabel edge to an edge
@@ -629,8 +690,9 @@ func TestIndexSharedConcurrently(t *testing.T) {
 
 // TestIndexFirstUseConcurrently: concurrent Compute calls across
 // semantics on a fresh exact Index race its lazy build of the BitGraph
-// rows and NLF threshold rows (run under -race); every call must still
-// return the domains a separate, sequentially used index gives.
+// rows (run under -race); every call must still take the index's
+// threshold rows and return the domains a separate, sequentially used
+// index gives.
 func TestIndexFirstUseConcurrently(t *testing.T) {
 	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.012, Seed: 7})
 	if err != nil {
@@ -721,8 +783,11 @@ func TestThresholdRowsBudget(t *testing.T) {
 func checkMergeFallback(t *testing.T, name string, gp, gt *graph.Graph, want int) {
 	t.Helper()
 	ix := NewIndex(gt)
-	if ix.rowEntry(gt).nlf != nil {
+	if ix.nlf != nil {
 		t.Fatalf("%s: threshold rows were built", name)
+	}
+	if ix.out == nil || ix.in == nil || ix.outMask == nil || ix.inMask == nil {
+		t.Fatalf("%s: a row-less index lacks a signature or mask table", name)
 	}
 	for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism} {
 		got, st := Filters{Schedule: ScheduleFixed, Kernel: KernelBitset}.Compute(gp, gt, ix, sem)
@@ -733,6 +798,41 @@ func checkMergeFallback(t *testing.T, name string, gp, gt *graph.Graph, want int
 		for vp := int32(0); vp < int32(gp.NumNodes()); vp++ {
 			if !got.Of(vp).Equal(ref.Of(vp)) || got.Of(vp).Count() != want {
 				t.Fatalf("%s %v node %d: domain %v, slice kernel %v", name, sem, vp, got.Of(vp), ref.Of(vp))
+			}
+		}
+	}
+}
+
+// TestServedTargetsStoreEachFactOnce: every target of the serving
+// benchmark's collections (PPIS32 and PDBSv1 at scale 0.1, seed
+// 20170525) is symmetric, so its index holds threshold rows and no
+// signature or mask tables, its BitGraph's In rows are its Out rows,
+// and its in threshold family is its out family, row for row.
+func TestServedTargetsStoreEachFactOnce(t *testing.T) {
+	for _, name := range []string{"PPIS32", "PDBSv1"} {
+		coll, err := datasets.ByName(name, datasets.Config{Scale: 0.1, Seed: 20170525})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, gt := range coll.Targets {
+			ix := NewIndex(gt)
+			if ix.nlf == nil || ix.out != nil || ix.in != nil || ix.outMask != nil || ix.inMask != nil {
+				t.Fatalf("%s target %d: threshold rows %v, signature or mask tables kept", name, i, ix.nlf != nil)
+			}
+			rows := ix.Rows(gt)
+			for v := range rows.Out {
+				if rows.In[v] != rows.Out[v] {
+					t.Fatalf("%s target %d: vertex %d has an In row of its own", name, i, v)
+				}
+			}
+			out, in := ix.nlf.out, ix.nlf.in
+			if !slices.Equal(out.depth, in.depth) || len(out.rows) != len(in.rows) {
+				t.Fatalf("%s target %d: in family laid out unlike the out family", name, i)
+			}
+			for r := range out.rows {
+				if in.rows[r] != out.rows[r] {
+					t.Fatalf("%s target %d: in threshold row %d is not its out row", name, i, r)
+				}
 			}
 		}
 	}

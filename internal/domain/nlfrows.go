@@ -19,20 +19,27 @@ import (
 // (k, c+1) ⊆ (k, c), and a key has rows up to the largest count any
 // target node has for it.
 //
-// They are built beside the BitGraph rows of an Index (see Index.Rows),
-// for both directions or for neither: only while both directions' rows
-// together number at most twice the target's node count, so they never
-// outweigh the adjacency rows. Past that the unary filter keeps the
-// per-candidate merge.
+// NewIndex counts them straight from the CSR, for both directions or
+// for neither: only for targets of at most graph.DenseRowLimit nodes,
+// and only while both directions' rows together number at most twice
+// the target's node count, so they never outweigh the adjacency rows.
+// An index with rows keeps no per-node signatures; past the bounds it
+// keeps them, and the unary filter merges them per candidate. The in
+// family stores a row only where it differs from the out family: a
+// vertex that is graph.SymmetricAt counts the same keys in both
+// directions, so on a symmetric target every in row is its out row.
 
 // nlfRows is an Index's threshold rows. A key (neighbor label nl, edge
 // label el) owns slot (nl−labMin)·elSpan + (el−elMin) when both labels
 // lie in the index's ranges; a key outside them occurs at no target
-// node. Dense slots keep the build free of maps.
+// node. Dense slots keep the counts free of maps and sorts.
 type nlfRows struct {
 	labMin, elMin   int64
 	labSpan, elSpan int
 	out, in         *thresholdRows
+	// churn counts the vertices updates have touched since the rows
+	// were counted, repeats included (see applyUpdates).
+	churn int
 }
 
 // thresholdRows is one direction's rows: rows[first[s]+c−1] holds the
@@ -47,18 +54,71 @@ type thresholdRows struct {
 // label numbering cannot make the table outweigh the rows.
 func maxKeySlots(n int) int { return max(n, 256) }
 
-// newNLFRows builds the threshold rows of index ix, or returns nil
-// when its key table would exceed maxKeySlots or its rows the budget.
-func newNLFRows(ix *Index) *nlfRows {
+// newNLFRows counts the threshold rows of g, whose label buckets are
+// byLabel, or returns nil when g exceeds graph.DenseRowLimit nodes, its
+// key table maxKeySlots, or its rows the budget. A first pass counts
+// every vertex's keys into the depth of each slot; a second sets the
+// out family's bits. The in family is the out family laid out for the
+// in depths, and only the vertices that are not SymmetricAt move their
+// bits in it, copying each row they change.
+func newNLFRows(g *graph.Graph, byLabel map[graph.Label][]int32) *nlfRows {
+	n := g.NumNodes()
+	if n > graph.DenseRowLimit {
+		return nil
+	}
+	nr := newKeyTable(g, byLabel)
+	if nr == nil {
+		return nil
+	}
+	out, in := nr.newCounts(), nr.newCounts()
+	dOut, dIn := make([]int32, len(out.count)), make([]int32, len(out.count))
+	var asym []int32
+	for v := int32(0); v < int32(n); v++ {
+		out.load(nr, g, v, true)
+		out.raise(dOut)
+		if g.SymmetricAt(v) {
+			out.raise(dIn)
+			continue
+		}
+		asym = append(asym, v)
+		in.load(nr, g, v, false)
+		in.raise(dIn)
+	}
+	if !rowsFit(dOut, dIn, n) {
+		return nil
+	}
+	empty := &thresholdRows{first: make([]int32, len(dOut)), depth: make([]int32, len(dOut))}
+	nr.out, _ = empty.relayout(dOut, n)
+	for v := int32(0); v < int32(n); v++ {
+		out.load(nr, g, v, true)
+		for _, s := range out.slots {
+			for _, r := range nr.out.rows[nr.out.first[s]:][:out.count[s]] {
+				r.Set(int(v))
+			}
+		}
+	}
+	var owned []bool
+	nr.in, owned = nr.out.relayout(dIn, n)
+	for _, v := range asym {
+		out.load(nr, g, v, true)
+		in.load(nr, g, v, false)
+		diffCounts(out, in, func(s int, oc, ic int32) { nr.in.move(s, v, oc, ic, owned) })
+	}
+	return nr
+}
+
+// newKeyTable returns nlfRows without rows whose key table spans g's
+// node labels (byLabel's) and edge labels, or nil when that table would
+// exceed maxKeySlots.
+func newKeyTable(g *graph.Graph, byLabel map[graph.Label][]int32) *nlfRows {
 	labLo, labHi := int64(math.MaxInt64), int64(math.MinInt64)
-	for l := range ix.byLabel {
+	for l := range byLabel {
 		labLo, labHi = min(labLo, int64(l)), max(labHi, int64(l))
 	}
 	elLo, elHi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, sig := range ix.out {
-		for _, k := range sig.keys {
-			el := int64(int32(uint32(k)))
-			elLo, elHi = min(elLo, el), max(elHi, el)
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		for _, l := range g.OutEdgeLabels(v) {
+			elLo, elHi = min(elLo, int64(l)), max(elHi, int64(l))
 		}
 	}
 	nr := &nlfRows{}
@@ -67,28 +127,82 @@ func newNLFRows(ix *Index) *nlfRows {
 		nr.elMin, nr.elSpan = elLo, int(elHi-elLo)+1
 	}
 	// Each span is bounded first, so the product cannot overflow.
-	if limit := maxKeySlots(ix.nt); max(nr.labSpan, nr.elSpan) > limit || nr.labSpan*nr.elSpan > limit {
+	if limit := maxKeySlots(g.NumNodes()); max(nr.labSpan, nr.elSpan) > limit || nr.labSpan*nr.elSpan > limit {
 		return nil
 	}
-	dOut, dIn := make([]int32, nr.labSpan*nr.elSpan), make([]int32, nr.labSpan*nr.elSpan)
-	for v := range ix.out {
-		nr.raise(dOut, ix.out[v])
-		nr.raise(dIn, ix.in[v])
-	}
-	if !rowsFit(dOut, dIn, ix.nt) {
-		return nil
-	}
-	nr.out = nr.build(ix.out, dOut, ix.nt)
-	nr.in = nr.build(ix.in, dIn, ix.nt)
 	return nr
 }
 
-// raise lifts depth, one direction's rows per slot, to sig's count of
-// each slot's key.
-func (nr *nlfRows) raise(depth []int32, sig nlfSig) {
-	for i, k := range sig.keys {
-		s := nr.slot(k)
-		depth[s] = max(depth[s], sig.counts[i])
+// keyCounts is one vertex's NLF signature in one direction, counted
+// into the slots of a key table: count[s] distinct neighbors of slot
+// s's key, and slots lists the slots with a count, through which the
+// next load resets them. Counting neither sorts nor allocates per
+// vertex.
+type keyCounts struct {
+	count []int32
+	slots []int32
+}
+
+// newCounts returns empty counts over nr's key table.
+func (nr *nlfRows) newCounts() *keyCounts {
+	return &keyCounts{count: make([]int32, nr.labSpan*nr.elSpan)}
+}
+
+// load counts v's distinct (neighbor, edge label) incidences in g, out
+// or in, by key: equal-label parallel arcs count once, as in
+// appendNLFKeys. It reports false when a key lies outside nr's table.
+func (kc *keyCounts) load(nr *nlfRows, g *graph.Graph, v int32, out bool) bool {
+	for _, s := range kc.slots {
+		kc.count[s] = 0
+	}
+	kc.slots = kc.slots[:0]
+	adj, labs := g.InNeighbors(v), g.InEdgeLabels(v)
+	if out {
+		adj, labs = g.OutNeighbors(v), g.OutEdgeLabels(v)
+	}
+	for i := 0; i < len(adj); {
+		j := i + 1
+		for j < len(adj) && adj[j] == adj[i] {
+			j++
+		}
+		nl := g.NodeLabel(adj[i])
+		for k := i; k < j; k++ {
+			if slices.Contains(labs[i:k], labs[k]) {
+				continue
+			}
+			s := nr.slotOf(nl, labs[k])
+			if s < 0 {
+				return false
+			}
+			if kc.count[s] == 0 {
+				kc.slots = append(kc.slots, int32(s))
+			}
+			kc.count[s]++
+		}
+		i = j
+	}
+	return true
+}
+
+// raise lifts depth, one direction's rows per slot, to the counts.
+func (kc *keyCounts) raise(depth []int32) {
+	for _, s := range kc.slots {
+		depth[s] = max(depth[s], kc.count[s])
+	}
+}
+
+// diffCounts calls fn for every slot whose count differs between a and
+// b, with a's count and b's.
+func diffCounts(a, b *keyCounts, fn func(s int, ac, bc int32)) {
+	for _, s := range a.slots {
+		if a.count[s] != b.count[s] {
+			fn(int(s), a.count[s], b.count[s])
+		}
+	}
+	for _, s := range b.slots {
+		if a.count[s] == 0 {
+			fn(int(s), 0, b.count[s])
+		}
 	}
 }
 
@@ -103,34 +217,25 @@ func rowsFit(dOut, dIn []int32, n int) bool {
 	return total <= 2*n
 }
 
-// slot returns key's slot, or -1 when no target node can have the key.
-func (nr *nlfRows) slot(key uint64) int {
-	i := int64(int32(uint32(key>>32))) - nr.labMin
-	j := int64(int32(uint32(key))) - nr.elMin
+// slotOf returns the slot of key (nl, el), or -1 when no target node can
+// have the key.
+func (nr *nlfRows) slotOf(nl, el graph.Label) int {
+	i := int64(nl) - nr.labMin
+	j := int64(el) - nr.elMin
 	if i < 0 || i >= int64(nr.labSpan) || j < 0 || j >= int64(nr.elSpan) {
 		return -1
 	}
 	return int(i)*nr.elSpan + int(j)
 }
 
+// slot returns the slot of a packed NLF key (see nlfKey).
+func (nr *nlfRows) slot(key uint64) int {
+	return nr.slotOf(graph.Label(int32(uint32(key>>32))), graph.Label(int32(uint32(key))))
+}
+
 // key is slot's NLF key.
 func (nr *nlfRows) key(slot int) uint64 {
 	return nlfKey(graph.Label(nr.labMin+int64(slot/nr.elSpan)), graph.Label(nr.elMin+int64(slot%nr.elSpan)))
-}
-
-// build lays out one direction's rows for depth and sets each node's
-// bits from its signature.
-func (nr *nlfRows) build(sigs []nlfSig, depth []int32, n int) *thresholdRows {
-	empty := &thresholdRows{first: make([]int32, len(depth)), depth: make([]int32, len(depth))}
-	t, _ := empty.relayout(depth, n)
-	for v, sig := range sigs {
-		for i, k := range sig.keys {
-			for _, r := range t.rows[t.first[nr.slot(k)]:][:sig.counts[i]] {
-				r.Set(v)
-			}
-		}
-	}
-	return t
 }
 
 // relayout returns t's rows laid out for new depths, sharing every row
@@ -160,6 +265,24 @@ func (t *thresholdRows) relayout(depth []int32, n int) (nt *thresholdRows, fresh
 	return nt, fresh
 }
 
+// move shifts node v's bits in slot s from count oc to count nc: it
+// sets v in the rows between them when nc is larger and clears it
+// otherwise, within t's depth. A row that owned does not mark is copied
+// before its first change, and marked.
+func (t *thresholdRows) move(s int, v int32, oc, nc int32, owned []bool) {
+	for c := min(oc, nc); c < min(max(oc, nc), t.depth[s]); c++ {
+		i := t.first[s] + c
+		if !owned[i] {
+			t.rows[i], owned[i] = t.rows[i].Clone(), true
+		}
+		if nc > oc {
+			t.rows[i].Set(int(v))
+		} else {
+			t.rows[i].Clear(int(v))
+		}
+	}
+}
+
 // row returns the nodes with at least c distinct neighbors of slot's
 // key, or nil when none has that many.
 func (t *thresholdRows) row(slot int, c int32) *bitset.Set {
@@ -186,98 +309,91 @@ func (t *thresholdRows) filter(nr *nlfRows, s *bitset.Set, p nlfSig, hom bool) {
 	}
 }
 
-// applyUpdates carries the rows of ix forward to nix, the index of the
-// updated graph, the way graph.BitGraph.Rebuild carries the adjacency
-// rows: only the touched nodes' bits change, and a changed row is
-// copied first, because ix may still be serving queries. Without rows,
-// with a touched key outside the key table, or with rows grown past the
-// budget, nix's are built afresh.
-func (nr *nlfRows) applyUpdates(ix, nix *Index, touched []int32) *nlfRows {
-	if nr == nil {
-		return newNLFRows(nix)
+// applyUpdates carries nr forward from oldG to newG, the way
+// graph.BitGraph.Rebuild carries the adjacency rows: only the touched
+// vertices are counted again, in both graphs, and their bits move, each
+// changed row copied first, because the old index may still be serving
+// queries. An in row and an out row the update leaves equal are one row
+// again. It returns nil when the rows must be counted afresh: a touched
+// key lies outside the key table, the rows outgrow the budget, or, on a
+// target of at least rebatchMinNodes, the updates since the count have
+// touched half the vertices (see rebatch).
+func (nr *nlfRows) applyUpdates(oldG, newG *graph.Graph, touched []int32) *nlfRows {
+	n := newG.NumNodes()
+	nn := *nr
+	nn.churn += len(touched)
+	if rebatch(n, nn.churn) {
+		return nil
 	}
+	a, b := nr.newCounts(), nr.newCounts()
+	dOut, dIn := slices.Clone(nr.out.depth), slices.Clone(nr.in.depth)
 	for _, v := range touched {
-		for _, sig := range [2]nlfSig{nix.out[v], nix.in[v]} {
-			for _, k := range sig.keys {
-				if nr.slot(k) < 0 {
-					return newNLFRows(nix)
+		if !b.load(nr, newG, v, true) {
+			return nil
+		}
+		b.raise(dOut)
+		if !b.load(nr, newG, v, false) {
+			return nil
+		}
+		b.raise(dIn)
+	}
+	if !rowsFit(dOut, dIn, n) {
+		// Past the budget before the drops are known: count afresh.
+		return nil
+	}
+	// shift moves the touched vertices' bits in one direction's rows,
+	// laid out for the raised depths, and returns the slots whose top
+	// row may have emptied; changed collects the slots it touched.
+	var changed []int
+	shift := func(t *thresholdRows, owned []bool, out bool) (shrunk []int) {
+		for _, v := range touched {
+			a.load(nr, oldG, v, out)
+			b.load(nr, newG, v, out)
+			diffCounts(a, b, func(s int, oc, nc int32) {
+				t.move(s, v, oc, nc, owned)
+				changed = append(changed, s)
+				if oc == t.depth[s] && nc < oc {
+					shrunk = append(shrunk, s)
 				}
+			})
+		}
+		return shrunk
+	}
+	out, outOwned := nr.out.relayout(dOut, n)
+	in, inOwned := nr.in.relayout(dIn, n)
+	shrunkOut, shrunkIn := shift(out, outOwned, true), shift(in, inOwned, false)
+	// Share each changed pair of rows that came out equal, keeping the
+	// one this update did not copy.
+	for _, s := range changed {
+		for c := int32(0); c < min(out.depth[s], in.depth[s]); c++ {
+			i, j := out.first[s]+c, in.first[s]+c
+			if out.rows[i] == in.rows[j] || !out.rows[i].Equal(in.rows[j]) {
+				continue
+			}
+			if outOwned[i] && !inOwned[j] {
+				out.rows[i] = in.rows[j]
+			} else {
+				in.rows[j] = out.rows[i]
 			}
 		}
 	}
-	dOut, dIn := slices.Clone(nr.out.depth), slices.Clone(nr.in.depth)
-	for _, v := range touched {
-		nr.raise(dOut, nix.out[v])
-		nr.raise(dIn, nix.in[v])
-	}
-	if !rowsFit(dOut, dIn, ix.nt) {
-		// Past the budget before the drops are known: count afresh.
-		return newNLFRows(nix)
-	}
-	nn := *nr
-	nn.out = nr.out.applyUpdates(&nn, dOut, ix.out, nix.out, touched, ix.nt)
-	nn.in = nr.in.applyUpdates(&nn, dIn, ix.in, nix.in, touched, ix.nt)
+	nn.out, nn.in = out.trim(shrunkOut, n), in.trim(shrunkIn, n)
 	return &nn
 }
 
-// applyUpdates lays t out for depth, t's depths raised to the touched
-// nodes' new counts, and moves each touched node's bits from its old
-// counts to its new ones, dropping the top rows that emptied.
-func (t *thresholdRows) applyUpdates(nr *nlfRows, depth []int32, old, cur []nlfSig, touched []int32, n int) *thresholdRows {
-	nt, owned := t.relayout(depth, n)
-	var shrunk []int
-	for _, v := range touched {
-		diffSigs(old[v], cur[v], func(k uint64, oc, nc int32) {
-			s := nr.slot(k)
-			for c := min(oc, nc); c < max(oc, nc); c++ {
-				i := nt.first[s] + c
-				if !owned[i] {
-					nt.rows[i], owned[i] = nt.rows[i].Clone(), true
-				}
-				if nc > oc {
-					nt.rows[i].Set(int(v))
-				} else {
-					nt.rows[i].Clear(int(v))
-				}
-			}
-			if oc == nt.depth[s] && nc < oc {
-				shrunk = append(shrunk, s)
-			}
-		})
-	}
+// trim drops the top rows that emptied at the shrunk slots.
+func (t *thresholdRows) trim(shrunk []int, n int) *thresholdRows {
 	if len(shrunk) == 0 {
-		return nt
+		return t
 	}
-	depth = slices.Clone(nt.depth)
+	depth := slices.Clone(t.depth)
 	for _, s := range shrunk {
-		for depth[s] > 0 && nt.rows[nt.first[s]+depth[s]-1].Empty() {
+		for depth[s] > 0 && t.rows[t.first[s]+depth[s]-1].Empty() {
 			depth[s]--
 		}
 	}
-	nt, _ = nt.relayout(depth, n)
-	return nt
-}
-
-// diffSigs calls fn for every key of a or b whose count differs, with
-// the old count oc (0: absent from a) and the new count nc.
-func diffSigs(a, b nlfSig, fn func(k uint64, oc, nc int32)) {
-	i, j := 0, 0
-	for i < len(a.keys) || j < len(b.keys) {
-		switch {
-		case j == len(b.keys) || (i < len(a.keys) && a.keys[i] < b.keys[j]):
-			fn(a.keys[i], a.counts[i], 0)
-			i++
-		case i == len(a.keys) || b.keys[j] < a.keys[i]:
-			fn(b.keys[j], 0, b.counts[j])
-			j++
-		default:
-			if a.counts[i] != b.counts[j] {
-				fn(a.keys[i], a.counts[i], b.counts[j])
-			}
-			i++
-			j++
-		}
-	}
+	t, _ = t.relayout(depth, n)
+	return t
 }
 
 // nlfRowsEqual compares two indexes' threshold rows key by key; their

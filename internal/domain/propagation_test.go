@@ -60,8 +60,10 @@ func TestPropagationDifferential(t *testing.T) {
 	// stamps skip work on, or agreement proves little.
 	var multiPass, escalated, inducedPruned, runs int
 	// The set-at-a-time paths: runs whose unary filter took threshold
-	// rows, and induced revisions a cached blocked set pruned.
-	var rowUnary, blockedPrunes int
+	// rows, and induced revisions a cached blocked set pruned. And the
+	// signature merge against an index, which only an index without
+	// threshold rows runs.
+	var rowUnary, blockedPrunes, indexMerges int
 	for _, in := range instances {
 		indexes := []struct {
 			name string
@@ -104,6 +106,8 @@ func TestPropagationDifferential(t *testing.T) {
 						}
 						if gst.unaryRows {
 							rowUnary++
+						} else if ixc.ix != nil && gst.Plan.NLF {
+							indexMerges++
 						}
 						blockedPrunes += gst.blockedPrunes
 					}
@@ -115,9 +119,12 @@ func TestPropagationDifferential(t *testing.T) {
 	if multiPass == 0 || escalated == 0 || inducedPruned == 0 {
 		t.Fatalf("battery too weak: %d multi-pass, %d escalated, %d induced runs that pruned", multiPass, escalated, inducedPruned)
 	}
-	t.Logf("%d runs took threshold rows, %d induced revisions pruned on a blocked set", rowUnary, blockedPrunes)
+	t.Logf("%d runs took threshold rows, %d merged signatures against an index, %d induced revisions pruned on a blocked set", rowUnary, indexMerges, blockedPrunes)
 	if rowUnary == 0 || blockedPrunes == 0 {
 		t.Fatalf("battery misses the set-at-a-time paths: %d threshold-row runs, %d blocked-set prunes", rowUnary, blockedPrunes)
+	}
+	if indexMerges == 0 {
+		t.Fatal("battery misses the signature merge against an index: no target lacks threshold rows")
 	}
 }
 
@@ -214,9 +221,6 @@ func refComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeSt
 	var tout, tin []nlfSig
 	var tbuilt []bool
 	targetSigs := func(vt int32) (out, in nlfSig) {
-		if ix != nil {
-			return ix.out[vt], ix.in[vt]
-		}
 		if tbuilt == nil {
 			tout = make([]nlfSig, nt)
 			tin = make([]nlfSig, nt)

@@ -2,18 +2,19 @@ package domain
 
 import (
 	"fmt"
-	"slices"
 
 	"parsge/internal/graph"
 )
 
 // Incremental index maintenance under edge updates.
 //
-// A node's NLF signatures, key masks and self-loop bit depend only on
-// its own adjacency rows, and every endpoint of a changed arc is in the
-// update's touched set — so after an edge batch, only the touched
-// vertices' signatures, masks and bits can differ; the rest are carried
-// over from the previous index (signatures shared structurally).
+// A node's NLF key counts, signatures, key masks and self-loop bit
+// depend only on its own adjacency rows, and every endpoint of a changed
+// arc is in the update's touched set — so after an edge batch, only the
+// touched vertices' counts, and with them their bits in the threshold
+// rows, or their signatures and masks, can differ; the rest are carried
+// over from the previous index (rows and signatures shared
+// structurally).
 // Node labels never change under edge updates (graph.EdgeUpdate cannot
 // add or relabel nodes), so the byLabel buckets and the label entropy
 // are carried over verbatim; the degree moments behind MeanDegree and
@@ -60,55 +61,59 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 		}
 	}
 
-	nix.out = slices.Clone(ix.out)
-	nix.in = slices.Clone(ix.in)
-	nix.outMask = slices.Clone(ix.outMask)
-	nix.inMask = slices.Clone(ix.inMask)
-	var buf []uint64
-	for _, vt := range touched {
-		buf = nix.fillNLF(newG, vt, buf)
+	// The threshold rows are carried, or counted afresh where they
+	// cannot be. An index without them counts newG in full, since the
+	// update may have brought its rows within the bounds; where they
+	// still do not fit, the signatures are carried instead.
+	if ix.nlf != nil {
+		nix.nlf = ix.nlf.applyUpdates(oldG, newG, touched)
+	}
+	if nix.nlf == nil {
+		if nix.nlf = newNLFRows(newG, nix.byLabel); nix.nlf == nil {
+			nix.fillSigs(newG, ix, touched)
+		}
 	}
 	ix.seedRows(nix, newG, touched)
 	return nix
 }
 
-// rebatchMinNodes is the smallest target whose rows seedRows builds
-// afresh after enough updates; below it a batch of rows weighs at most
-// 128 KiB, and carrying the rows is always cheaper.
+// rebatchMinNodes is the smallest target whose rows are built afresh
+// after enough updates (see rebatch); below it a batch of rows weighs at
+// most 128 KiB, and carrying the rows is always cheaper.
 const rebatchMinNodes = 1024
 
-// seedRows carries ix's row cache forward to nix when ix has one for
-// its generation: the BitGraph and the threshold rows change only at
-// the touched vertices (untouched rows shared), tagged with the new
-// generation. A stale or absent cache is simply not carried — Rows
-// builds lazily on demand. A clean build allocates rows in batches, so
-// one untouched row keeps its whole batch alive: on a target of at
-// least rebatchMinNodes, once the updates since the build have touched
-// half the vertices, nix's rows are built afresh rather than carried,
-// which keeps the dead rows below half a batch.
+// rebatch reports whether rows carried through updates that touched
+// churn vertices, repeats included, are built afresh instead. A clean
+// build allocates rows in batches, so one carried row keeps its whole
+// batch alive: on a target of at least rebatchMinNodes, once the
+// updates since the build have touched half the vertices, the rows are
+// built again, which keeps the dead rows below half a batch. The rule
+// covers the BitGraph and the threshold rows.
+func rebatch(n, churn int) bool { return n >= rebatchMinNodes && 2*churn > n }
+
+// seedRows carries ix's BitGraph cache forward to nix when ix has one
+// for its generation: its rows change only at the touched vertices
+// (untouched rows shared), tagged with the new generation. A stale or
+// absent cache is simply not carried — Rows builds lazily on demand.
 func (ix *Index) seedRows(nix *Index, newG *graph.Graph, touched []int32) {
 	c := ix.cachedRows()
 	if c == nil {
 		return
 	}
 	churn := c.churn + len(touched)
-	if ix.nt >= rebatchMinNodes && 2*churn > ix.nt {
+	if rebatch(ix.nt, churn) {
 		nix.rowEntry(newG)
 		return
 	}
-	nc := &bitRows{rows: c.rows.Rebuild(newG, touched), epoch: nix.gen, churn: churn}
-	if nc.rows != nil {
-		nc.nlf = c.nlf.applyUpdates(ix, nix, touched)
-	}
-	nix.rowCache.Store(nc)
+	nix.rowCache.Store(&bitRows{rows: c.rows.Rebuild(newG, touched), epoch: nix.gen, churn: churn})
 }
 
 // IndexEqual compares two indexes for exact equality — label buckets,
-// cached statistics (including every float bit), the self-loop set,
-// per-node signature contents and key masks. It returns a description
-// of the first difference for test diagnostics, or "" when equal. It is
-// the oracle relation of the incremental-vs-rebuild differential
-// battery.
+// cached statistics (including every float bit), the self-loop set, the
+// threshold rows, per-node signature contents and key masks. It returns
+// a description of the first difference for test diagnostics, or ""
+// when equal. It is the oracle relation of the incremental-vs-rebuild
+// differential battery.
 func IndexEqual(a, b *Index) (bool, string) {
 	if a == nil || b == nil {
 		if a == b {
@@ -123,13 +128,12 @@ func IndexEqual(a, b *Index) (bool, string) {
 		// Rows are built lazily, so a one-sided cache is not a difference;
 		// when both sides have current-generation rows they must encode
 		// identical adjacency (the incremental-vs-rebuild row hook).
-		ca, cb := a.cachedRows(), b.cachedRows()
-		if ok, why := graph.BitGraphEqual(ca.rows, cb.rows); !ok {
+		if ok, why := graph.BitGraphEqual(a.cachedRows().rows, b.cachedRows().rows); !ok {
 			return false, "bitset rows: " + why
 		}
-		if ok, why := nlfRowsEqual(ca.nlf, cb.nlf); !ok {
-			return false, "NLF threshold rows: " + why
-		}
+	}
+	if ok, why := nlfRowsEqual(a.nlf, b.nlf); !ok {
+		return false, "NLF threshold rows: " + why
 	}
 	if a.stats != b.stats {
 		return false, fmt.Sprintf("stats %+v vs %+v", a.stats, b.stats)

@@ -22,7 +22,9 @@ import (
 type BitGraph struct {
 	n int
 	// Out[v] / In[v] hold the out-/in-neighbors of v (self-loops
-	// included), one bit per target vertex.
+	// included), one bit per target vertex. At a vertex that is
+	// SymmetricAt, In[v] is Out[v], the same row stored once; only the
+	// other vertices own an In row.
 	Out, In []*bitset.Set
 	// OutLab[l][v] / InLab[l][v] hold the neighbors reachable over an
 	// edge labeled l, built only when the edge-label alphabet has at
@@ -30,7 +32,8 @@ type BitGraph struct {
 	// maps cover the alphabet exactly: a label missing from the map has
 	// no edge in the graph. With a one-label alphabet the label rows
 	// equal the direction rows bit for bit, so OutLab[l] and InLab[l]
-	// are the Out and In slices themselves, stored once.
+	// are the Out and In slices themselves, stored once; with more
+	// labels InLab[l][v] is OutLab[l][v] wherever In[v] is Out[v].
 	OutLab, InLab map[Label][]*bitset.Set
 }
 
@@ -56,7 +59,14 @@ func NewBitGraph(g *Graph) *BitGraph {
 	if n > DenseRowLimit {
 		return nil
 	}
-	bg := &BitGraph{n: n, Out: batchRows(n), In: batchRows(n)}
+	var asym []int32
+	for v := int32(0); v < int32(n); v++ {
+		if !g.SymmetricAt(v) {
+			asym = append(asym, v)
+		}
+	}
+	bg := &BitGraph{n: n}
+	bg.Out, bg.In = rowPairs(n, asym)
 	labels, ok := edgeLabelAlphabet(g)
 	if ok && n <= LabelRowLimit {
 		bg.OutLab = make(map[Label][]*bitset.Set, len(labels))
@@ -64,7 +74,7 @@ func NewBitGraph(g *Graph) *BitGraph {
 		for _, l := range labels {
 			bg.OutLab[l], bg.InLab[l] = bg.Out, bg.In // one label: shared
 			if len(labels) > 1 {
-				bg.OutLab[l], bg.InLab[l] = batchRows(n), batchRows(n)
+				bg.OutLab[l], bg.InLab[l] = rowPairs(n, asym)
 			}
 		}
 	}
@@ -74,14 +84,21 @@ func NewBitGraph(g *Graph) *BitGraph {
 	return bg
 }
 
-// batchRows returns n empty rows of n bits from one batch.
-func batchRows(n int) []*bitset.Set {
+// rowPairs returns n empty out rows of n bits from one batch, and the
+// in rows: the out rows themselves, except at the asym vertices, whose
+// rows come from a second batch.
+func rowPairs(n int, asym []int32) (out, in []*bitset.Set) {
 	batch := bitset.NewBatch(n, n)
-	rows := make([]*bitset.Set, n)
-	for v := range rows {
-		rows[v] = &batch[v]
+	out = make([]*bitset.Set, n)
+	for v := range out {
+		out[v] = &batch[v]
 	}
-	return rows
+	in = slices.Clone(out)
+	own := bitset.NewBatch(len(asym), n)
+	for i, v := range asym {
+		in[v] = &own[i]
+	}
+	return out, in
 }
 
 // NumNodes returns the number of vertices the rows cover.
@@ -93,13 +110,17 @@ func (bg *BitGraph) HasLabelRows() bool { return bg.OutLab != nil }
 
 // fillRows sets the bits of every row of vertex v from g, whose rows
 // must be empty: the out/in direction rows and, when label rows are
-// enabled, v's row under every label of the alphabet.
+// enabled, v's row under every label of the alphabet. An in row that
+// is the out row is filled once.
 func (bg *BitGraph) fillRows(g *Graph, v int32) {
+	shared := bg.In[v] == bg.Out[v]
 	for _, u := range g.OutNeighbors(v) {
 		bg.Out[v].Set(int(u))
 	}
-	for _, u := range g.InNeighbors(v) {
-		bg.In[v].Set(int(u))
+	if !shared {
+		for _, u := range g.InNeighbors(v) {
+			bg.In[v].Set(int(u))
+		}
 	}
 	if len(bg.OutLab) < 2 {
 		return // no label rows, or shared with Out/In
@@ -107,6 +128,9 @@ func (bg *BitGraph) fillRows(g *Graph, v int32) {
 	outN, outL := g.OutNeighbors(v), g.OutEdgeLabels(v)
 	for i, u := range outN {
 		bg.OutLab[outL[i]][v].Set(int(u))
+	}
+	if shared {
+		return
 	}
 	inN, inL := g.InNeighbors(v), g.InEdgeLabels(v)
 	for i, u := range inN {
@@ -118,7 +142,9 @@ func (bg *BitGraph) fillRows(g *Graph, v int32) {
 // vertex is untouched and rebuilding only the touched vertices' rows —
 // the incremental-maintenance step under Target.ApplyUpdates. Both
 // endpoints of every changed arc appear in touched, so per-vertex
-// rebuilds cover every changed row. The label-row variant covers the
+// rebuilds cover every changed row, and only a touched vertex can
+// become or stop being SymmetricAt: its In row is decided again, its
+// own row or its Out row. The label-row variant covers the
 // edge-label alphabet exactly (a label absent from the maps has no
 // edge), so ANY alphabet change — a new label, or a label vanishing
 // with its last edge — invalidates the row structure, not just row
@@ -147,9 +173,7 @@ func (bg *BitGraph) Rebuild(g2 *Graph, touched []int32) *BitGraph {
 			}
 		}
 	}
-	n2 := &BitGraph{n: bg.n, Out: make([]*bitset.Set, bg.n), In: make([]*bitset.Set, bg.n)}
-	copy(n2.Out, bg.Out)
-	copy(n2.In, bg.In)
+	n2 := &BitGraph{n: bg.n, Out: slices.Clone(bg.Out), In: slices.Clone(bg.In)}
 	if bg.OutLab != nil {
 		n2.OutLab = make(map[Label][]*bitset.Set, len(bg.OutLab))
 		n2.InLab = make(map[Label][]*bitset.Set, len(bg.InLab))
@@ -162,15 +186,26 @@ func (bg *BitGraph) Rebuild(g2 *Graph, touched []int32) *BitGraph {
 		}
 	}
 	for _, v := range touched {
-		n2.Out[v], n2.In[v] = bitset.New(bg.n), bitset.New(bg.n)
+		sym := g2.SymmetricAt(v)
+		n2.Out[v], n2.In[v] = newRowPair(bg.n, sym)
 		if len(n2.OutLab) > 1 {
 			for l := range n2.OutLab {
-				n2.OutLab[l][v], n2.InLab[l][v] = bitset.New(bg.n), bitset.New(bg.n)
+				n2.OutLab[l][v], n2.InLab[l][v] = newRowPair(bg.n, sym)
 			}
 		}
 		n2.fillRows(g2, v)
 	}
 	return n2
+}
+
+// newRowPair returns an empty out row of n bits and its in row: the
+// same row when shared, else a row of its own.
+func newRowPair(n int, shared bool) (out, in *bitset.Set) {
+	out = bitset.New(n)
+	if shared {
+		return out, out
+	}
+	return out, bitset.New(n)
 }
 
 // BitGraphEqual reports whether two BitGraphs encode identical
@@ -218,17 +253,16 @@ func BitGraphEqual(a, b *BitGraph) (bool, string) {
 }
 
 // edgeLabelAlphabet collects the distinct edge labels of g, giving up
-// (ok=false) as soon as the alphabet exceeds MaxLabelRows.
+// (ok=false) as soon as the alphabet exceeds MaxLabelRows. The alphabet
+// is at most MaxLabelRows long, so a linear scan of it beats a map.
 func edgeLabelAlphabet(g *Graph) ([]Label, bool) {
-	seen := make(map[Label]bool, MaxLabelRows)
-	var labels []Label
+	labels := make([]Label, 0, MaxLabelRows)
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		for _, l := range g.OutEdgeLabels(v) {
-			if !seen[l] {
+			if !slices.Contains(labels, l) {
 				if len(labels) == MaxLabelRows {
 					return nil, false
 				}
-				seen[l] = true
 				labels = append(labels, l)
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -106,5 +107,90 @@ func TestBitGraphRebuildRandom(t *testing.T) {
 		}
 		checkLabelRowSharing(t, bg2, "Rebuild")
 		g, bg = g2, bg2
+	}
+}
+
+// checkSymmetricSharing fails unless bg's In row, and each label's in
+// row, is its Out row exactly at the vertices of g that are
+// SymmetricAt.
+func checkSymmetricSharing(t *testing.T, g *Graph, bg *BitGraph, when string) {
+	t.Helper()
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		want := g.SymmetricAt(v)
+		if shared := bg.In[v] == bg.Out[v]; shared != want {
+			t.Fatalf("%s: vertex %d symmetric=%v, In row shared=%v", when, v, want, shared)
+		}
+		for l := range bg.OutLab {
+			if shared := bg.InLab[l][v] == bg.OutLab[l][v]; shared != want {
+				t.Fatalf("%s: vertex %d symmetric=%v, label %d in row shared=%v", when, v, want, l, shared)
+			}
+		}
+	}
+}
+
+// TestBitGraphSharesSymmetricRows: a vertex whose in-arcs equal its
+// out-arcs stores one row for both directions, under one edge label and
+// under three. A symmetric graph shares every row; an asymmetric one
+// gives exactly its asymmetric vertices an In row of their own. Through
+// random update batches, led by one arc u→v that breaks both endpoints'
+// symmetry and its undo, which restores it, the rebuilt rows equal a
+// clean build, share at exactly the symmetric vertices, and leave the
+// old rows as they were.
+func TestBitGraphSharesSymmetricRows(t *testing.T) {
+	for _, labels := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(int64(71 + labels)))
+		const n = 40
+		g := symmetricGraph(rng, n, 90, labels)
+		bg := NewBitGraph(g)
+		if !g.Symmetric() || len(bg.OutLab) != labels {
+			t.Fatalf("%d labels: generator gave symmetric=%v, %d labels", labels, g.Symmetric(), len(bg.OutLab))
+		}
+		checkSymmetricSharing(t, g, bg, "NewBitGraph")
+		u, v := int32(0), int32(1)
+		for g.HasEdge(u, v) || g.HasEdge(v, u) {
+			v++
+		}
+		batches := [][]EdgeUpdate{{{From: u, To: v}}, {{From: u, To: v, Remove: true}}}
+		for i := 0; i < 8; i++ {
+			var batch []EdgeUpdate
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				e := EdgeUpdate{From: int32(rng.Intn(n)), To: int32(rng.Intn(n)), Label: Label(rng.Intn(labels)), Remove: rng.Intn(3) == 0}
+				batch = append(batch, e)
+				if rng.Intn(2) == 0 {
+					batch = append(batch, EdgeUpdate{From: e.To, To: e.From, Label: e.Label, Remove: e.Remove})
+				}
+			}
+			batches = append(batches, batch)
+		}
+		for step, batch := range batches {
+			g2, touched, _, _, err := g.ApplyUpdates(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bg2 := bg.Rebuild(g2, touched)
+			when := fmt.Sprintf("%d labels, step %d", labels, step)
+			if ok, why := BitGraphEqual(bg2, NewBitGraph(g2)); !ok {
+				t.Fatalf("%s: Rebuild differs from a clean build: %s", when, why)
+			}
+			checkSymmetricSharing(t, g2, bg2, when)
+			if ok, why := BitGraphEqual(bg, NewBitGraph(g)); !ok {
+				t.Fatalf("%s: Rebuild changed the old rows: %s", when, why)
+			}
+			switch step {
+			case 0:
+				if g2.SymmetricAt(u) || g2.SymmetricAt(v) {
+					t.Fatalf("%s: arc %d→%d left an endpoint symmetric", when, u, v)
+				}
+			case 1:
+				if !g2.Symmetric() {
+					t.Fatalf("%s: undoing arc %d→%d left the graph asymmetric", when, u, v)
+				}
+			}
+			g, bg = g2, bg2
+		}
+		if g.Symmetric() {
+			t.Fatalf("%d labels: random batches left the graph symmetric", labels)
+		}
+		checkSymmetricSharing(t, g, NewBitGraph(g), fmt.Sprintf("%d labels, asymmetric NewBitGraph", labels))
 	}
 }

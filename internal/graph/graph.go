@@ -17,6 +17,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -471,23 +472,66 @@ func repeatsArc(adj []int32, labs []Label, i int) bool {
 // Symmetric reports whether every arc (u, v, l) has a matching reverse
 // arc (v, u, l), with equal multiplicities — the property that lets the
 // graph be serialized in graphio's compact %undirected form. Self-loops
-// are their own reverse. It allocates; intended for I/O and tooling,
-// not search.
+// are their own reverse. It holds exactly when every vertex is
+// SymmetricAt.
 func (g *Graph) Symmetric() bool {
-	unpaired := make(map[Edge]int)
-	for _, e := range g.Edges() {
-		if e.From == e.To {
-			continue
-		}
-		rev := Edge{From: e.To, To: e.From, Label: e.Label}
-		if unpaired[rev] > 0 {
-			unpaired[rev]--
-		} else {
-			unpaired[e]++
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		if !g.SymmetricAt(v) {
+			return false
 		}
 	}
-	for _, n := range unpaired {
-		if n > 0 {
+	return true
+}
+
+// SymmetricAt reports whether v's out-arcs and in-arcs are equal as
+// multisets of (neighbor, edge label): then every arc at v has its
+// reverse, and v's adjacency reads the same in both directions. Both
+// CSR rows are sorted by neighbor, so equal neighbor sequences align
+// their runs of parallel arcs, and only the label order inside a run
+// may differ: the labels are compared run by run, as small multisets.
+func (g *Graph) SymmetricAt(v int32) bool {
+	out := g.OutNeighbors(v)
+	if !slices.Equal(out, g.InNeighbors(v)) {
+		return false
+	}
+	outL, inL := g.OutEdgeLabels(v), g.InEdgeLabels(v)
+	if slices.Equal(outL, inL) {
+		return true
+	}
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && out[j] == out[i] {
+			j++
+		}
+		if !sameLabels(outL[i:j], inL[i:j]) {
+			return false
+		}
+		i = j
+	}
+	return true
+}
+
+// sameLabels reports whether two equally long label runs are equal as
+// multisets. Runs are the parallel arcs to one neighbor, so they are
+// short; each distinct label is counted on both sides.
+func sameLabels(a, b []Label) bool {
+	if slices.Equal(a, b) {
+		return true
+	}
+	for i, l := range a {
+		if slices.Index(a, l) < i {
+			continue // counted at its first occurrence
+		}
+		na, nb := 0, 0
+		for k := range a {
+			if a[k] == l {
+				na++
+			}
+			if b[k] == l {
+				nb++
+			}
+		}
+		if na != nb {
 			return false
 		}
 	}

@@ -358,3 +358,124 @@ func TestQuickSimplifyIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// mapSymmetric is the map-based definition Symmetric replaced, kept as
+// its oracle: every arc pairs off with a reverse arc of the same label,
+// self-loops excepted.
+func mapSymmetric(g *Graph) bool {
+	unpaired := make(map[Edge]int)
+	for _, e := range g.Edges() {
+		if e.From == e.To {
+			continue
+		}
+		rev := Edge{From: e.To, To: e.From, Label: e.Label}
+		if unpaired[rev] > 0 {
+			unpaired[rev]--
+		} else {
+			unpaired[e]++
+		}
+	}
+	for _, n := range unpaired {
+		if n > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mapSymmetricAt is SymmetricAt by definition: v's out-arcs and in-arcs
+// counted into one map of (neighbor, label) multiplicities.
+func mapSymmetricAt(g *Graph, v int32) bool {
+	count := make(map[Edge]int)
+	for i, w := range g.OutNeighbors(v) {
+		count[Edge{To: w, Label: g.OutEdgeLabels(v)[i]}]++
+	}
+	for i, w := range g.InNeighbors(v) {
+		count[Edge{To: w, Label: g.InEdgeLabels(v)[i]}]--
+	}
+	for _, c := range count {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// symmetricGraph builds a random symmetric graph: every arc comes with
+// its reverse under the same label, drawn from [0, labels). Self-loops
+// and parallel arcs, also of different labels, are included.
+func symmetricGraph(rng *rand.Rand, n, m, labels int) *Graph {
+	b := NewBuilder(n, 2*m)
+	for i := 0; i < n; i++ {
+		b.AddNode(Label(rng.Intn(4)))
+	}
+	for i := 0; i < m; i++ {
+		u, v, l := int32(rng.Intn(n)), int32(rng.Intn(n)), Label(rng.Intn(labels))
+		for k := 1 + rng.Intn(4)/3; k > 0; k-- { // a quarter of the pairs twice
+			if u == v {
+				b.AddEdge(u, u, l)
+			} else {
+				b.AddEdgeBoth(u, v, l)
+			}
+			l = Label(rng.Intn(labels))
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestSymmetricMatchesMapDefinition holds Symmetric and SymmetricAt to
+// the map-based definition, on random graphs with parallel arcs,
+// self-loops and three edge labels: symmetric ones, symmetric ones with
+// one arc added or relabeled on one side (a near miss, down to a label
+// inside a run of parallel arcs), and directed ones. Symmetric does not
+// allocate.
+func TestSymmetricMatchesMapDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		g := symmetricGraph(rng, n, rng.Intn(3*n), 3)
+		switch trial % 3 {
+		case 1: // one arc more, or one reverse arc relabeled
+			b := NewBuilder(n, g.NumEdges()+1)
+			for v := int32(0); v < int32(n); v++ {
+				b.AddNode(g.NodeLabel(v))
+			}
+			edges := g.Edges()
+			if len(edges) > 0 && rng.Intn(2) == 0 {
+				edges[rng.Intn(len(edges))].Label = Label(rng.Intn(3))
+			} else {
+				edges = append(edges, Edge{From: int32(rng.Intn(n)), To: int32(rng.Intn(n)), Label: Label(rng.Intn(3))})
+			}
+			for _, e := range edges {
+				b.AddEdge(e.From, e.To, e.Label)
+			}
+			g = b.MustBuild()
+		case 2: // directed
+			b := NewBuilder(n, 2*n)
+			for v := 0; v < n; v++ {
+				b.AddNode(NoLabel)
+			}
+			for i := rng.Intn(2 * n); i > 0; i-- {
+				b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), Label(rng.Intn(3)))
+			}
+			g = b.MustBuild()
+		}
+		want := mapSymmetric(g)
+		if got := g.Symmetric(); got != want {
+			t.Fatalf("trial %d: Symmetric() = %v, map definition %v on %v", trial, got, want, g.Edges())
+		}
+		verdicts[want]++
+		for v := int32(0); v < int32(n); v++ {
+			if got, want := g.SymmetricAt(v), mapSymmetricAt(g, v); got != want {
+				t.Fatalf("trial %d: SymmetricAt(%d) = %v, map definition %v on %v", trial, v, got, want, g.Edges())
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { g.Symmetric() }); allocs != 0 {
+			t.Fatalf("trial %d: Symmetric allocates %.1f times", trial, allocs)
+		}
+	}
+	if verdicts[true] < 50 || verdicts[false] < 50 {
+		t.Fatalf("verdicts too one-sided: %v", verdicts)
+	}
+}

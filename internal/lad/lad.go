@@ -44,8 +44,9 @@ type Options struct {
 	// context is cancelled (polled every cancelCheckMask+1 states).
 	Ctx context.Context
 	// Index, when non-nil and built for the same target, narrows the
-	// initial domain filter to label buckets and supplies precomputed
-	// NLF signatures (see domain.Index).
+	// initial domain filter to label buckets and supplies the target's
+	// precomputed NLF threshold rows, or its signatures where the rows
+	// do not fit (see domain.Index).
 	Index *domain.Index
 	// Filters are the domain preprocessing knobs; the resolved plan is
 	// reported in Result.PreprocStats. Under the bitset kernel the

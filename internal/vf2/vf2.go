@@ -42,7 +42,7 @@ type Options struct {
 	// context is cancelled (polled every cancelCheckMask+1 states).
 	Ctx context.Context
 	// Index, when non-nil and built for the same target, speeds up the
-	// domain preprocessing (label buckets + precomputed NLF signatures).
+	// domain preprocessing (label buckets + precomputed NLF data).
 	Index *domain.Index
 	// SkipDomains disables domain preprocessing entirely, restoring the
 	// classic VF2 baseline (label + degree + edge checks only). Used by

@@ -11,7 +11,7 @@ import (
 
 // This file is the graph-mutation API of a Target session: batched edge
 // updates applied under an epoch counter, with the target-side index
-// maintained incrementally — only the touched vertices' NLF signatures
+// maintained incrementally — only the touched vertices' NLF key counts
 // and the degree moments behind the cached statistics are recomputed,
 // never the whole index (the differential battery in update_test.go
 // pins the incremental state bit-identical to a full rebuild). The
@@ -66,7 +66,7 @@ func (t *Target) Epoch() uint64 { return t.state.Load().epoch }
 // the target fails the whole batch.
 //
 // The target-side index is maintained incrementally — label buckets and
-// untouched vertices' NLF signatures are shared with the previous
+// the NLF data of untouched vertices are shared with the previous
 // snapshot, and cached TargetStats are adjusted by exact integer deltas
 // — so the cost is proportional to the touched vertices' degrees, not
 // the graph. Batches are serialized with respect to each other; ctx
