@@ -181,10 +181,11 @@ func memoCost(text string, p *parsedPattern) int64 {
 	return int64(len(text)) + 12*n + 16*m + int64(len(p.canon)) + 4*int64(len(p.perm)) + 512
 }
 
-// get returns the memoized parse of text, nil if there is none.
-func (m *patternMemo) get(text string) *parsedPattern {
+// get returns the memoized parse of text, nil if there is none. The
+// lookup by the text's bytes allocates nothing.
+func (m *patternMemo) get(text []byte) *parsedPattern {
 	m.mu.Lock()
-	p := m.m[text]
+	p := m.m[string(text)]
 	m.mu.Unlock()
 	return p
 }

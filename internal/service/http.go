@@ -108,6 +108,8 @@ func (h *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.Serve
 // waits for those).
 func (h *Server) StartDrain() { h.draining.Store(true) }
 
+// queryRequest is the POST .../query body. decodeQuery reads it; a body
+// outside its single-pass shape goes to encoding/json by these tags.
 type queryRequest struct {
 	Pattern   string `json:"pattern"`
 	Semantics string `json:"semantics,omitempty"`
@@ -118,6 +120,8 @@ type queryRequest struct {
 	Stream    bool   `json:"stream,omitempty"`
 }
 
+// queryResponse is a count or mappings reply. appendQueryResponse
+// writes it; its json tags are the format that is held to.
 type queryResponse struct {
 	Matches       int64   `json:"matches"`
 	Epoch         uint64  `json:"epoch"`
@@ -143,8 +147,9 @@ type queryResponse struct {
 	Mappings    [][]int32 `json:"mappings,omitempty"`
 }
 
-// streamLine is one NDJSON line of a streaming reply. The terminal
-// (done) line carries the epoch the stream executed against.
+// streamLine is one NDJSON line of a streaming reply, written by
+// appendStreamLine to its json tags. The terminal (done) line carries
+// the epoch the stream executed against.
 type streamLine struct {
 	Mapping   []int32 `json:"mapping,omitempty"`
 	Done      bool    `json:"done,omitempty"`
@@ -217,12 +222,15 @@ func (h *Server) parsePattern(text string) (*parsge.Graph, error) {
 // pattern resolves a request's pattern text to its parse and canonical
 // identity: from the memo for a text seen before, else parsed and
 // canonicalized here and memoized. MaxPatternNodes is checked on every
-// request, before an over-limit pattern is ever canonicalized.
-func (h *Server) pattern(text string) (*parsedPattern, error) {
+// request, before an over-limit pattern is ever canonicalized. text may
+// be request scratch: the memo keeps a copy.
+func (h *Server) pattern(text []byte) (*parsedPattern, error) {
 	p := h.memo.get(text)
 	hit := p != nil
+	var key string // the memo's copy of text, made on a miss
 	if !hit {
-		g, err := h.parsePattern(text)
+		key = string(text)
+		g, err := h.parsePattern(key)
 		if err != nil {
 			return nil, fmt.Errorf("bad pattern: %w", err)
 		}
@@ -233,16 +241,38 @@ func (h *Server) pattern(text string) (*parsedPattern, error) {
 	}
 	if !hit {
 		*p = identify(p.graph)
-		h.memo.put(text, p)
+		h.memo.put(key, p)
 	}
 	return p, nil
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// writeJSON sends a JSON reply body with one Write.
+func writeJSON(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	w.Write(body)
 }
+
+func httpError(w http.ResponseWriter, code int, err error) {
+	b := getBuf()
+	*b = appendErrorBody((*b)[:0], err.Error())
+	writeJSON(w, code, *b)
+	putBuf(b)
+}
+
+// bodyError answers a request whose body could not be read or decoded:
+// 413 past the endpoint's MaxBytesReader bound, else 400.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("bad request body: %w", err))
+}
+
+// durationMS converts a duration to the float milliseconds replies carry.
+func durationMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // errorCode maps service errors to HTTP statuses: overload signals get
 // retryable 5xx codes, a cost-model shed is 429 (retry later, smaller,
@@ -266,15 +296,11 @@ func errorCode(err error) int {
 func queryError(w http.ResponseWriter, err error) {
 	var ex *ExplosiveError
 	if errors.As(err, &ex) {
-		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(map[string]any{
-			"error":              err.Error(),
-			"predicted_ms":       float64(ex.Predicted) / float64(time.Millisecond),
-			"plan":               ex.Plan,
-			"log_domain_product": ex.LogDomainProduct,
-		})
+		b := getBuf()
+		*b = appendShedBody((*b)[:0], err.Error(), ex)
+		writeJSON(w, http.StatusTooManyRequests, *b)
+		putBuf(b)
 		return
 	}
 	httpError(w, errorCode(err), err)
@@ -285,10 +311,20 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	var req queryRequest
+	// The body is read whole into one pooled buffer and the pattern text
+	// unescaped into another; the first is reused for the reply.
+	buf, text := getBuf(), getBuf()
+	defer putBuf(buf)
+	defer putBuf(text)
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var err error
+	*buf, err = readBody(*buf, r.Body)
+	var req queryRequest
+	if err == nil {
+		*text, err = decodeQuery(*buf, &req, *text)
+	}
+	if err != nil {
+		bodyError(w, err)
 		return
 	}
 	// The cheap fields first: a request refused for them must not
@@ -312,7 +348,7 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := h.pattern(req.Pattern)
+	p, err := h.pattern(*text)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -325,7 +361,7 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 	}}
 
 	if req.Stream {
-		h.streamQuery(w, r, q, svc)
+		h.streamQuery(w, r, q, svc, buf)
 		return
 	}
 	var reply Reply
@@ -347,24 +383,25 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 		CacheHit:      reply.CacheHit,
 		Shared:        reply.Shared,
 		Large:         reply.Large,
-		QueueWaitMS:   float64(reply.QueueWait) / float64(time.Millisecond),
-		PreprocMS:     float64(reply.Result.PreprocTime) / float64(time.Millisecond),
-		MatchMS:       float64(reply.Result.MatchTime) / float64(time.Millisecond),
+		QueueWaitMS:   durationMS(reply.QueueWait),
+		PreprocMS:     durationMS(reply.Result.PreprocTime),
+		MatchMS:       durationMS(reply.Result.MatchTime),
 		Plan:          reply.Result.Plan.String(),
 		Class:         reply.Class.String(),
 		ClassEpoch:    reply.ClassEpoch,
-		PredictedMS:   float64(reply.PredictedCost) / float64(time.Millisecond),
+		PredictedMS:   durationMS(reply.PredictedCost),
 		Mappings:      reply.Mappings,
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	*buf = appendQueryResponse((*buf)[:0], &resp)
+	writeJSON(w, http.StatusOK, *buf)
 }
 
 // streamQuery writes matches as NDJSON as they arrive. The request
 // context tears the enumeration down when the client disconnects: the
 // service stream unblocks on ctx, releases its admission tokens, and the
 // handler returns — the regression tests count goroutines to hold this.
-func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, svc *targetService) {
+// Each NDJSON line is appended into buf and written with one Write.
+func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, svc *targetService, buf *[]byte) {
 	matches, end, err := svc.Stream(r.Context(), q)
 	if err != nil {
 		queryError(w, err)
@@ -372,9 +409,9 @@ func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, sv
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	for m := range matches {
-		if err := enc.Encode(streamLine{Mapping: m.Mapping}); err != nil {
+		*buf = appendStreamLine((*buf)[:0], &streamLine{Mapping: m.Mapping})
+		if _, err := w.Write(*buf); err != nil {
 			// Client gone: the ResponseWriter is dead, but the request
 			// context will cancel and the service winds the stream down;
 			// keep draining so we deliver the end event exactly once.
@@ -397,7 +434,8 @@ func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, sv
 	if e.Err != nil {
 		line.Error = e.Err.Error()
 	}
-	enc.Encode(line)
+	*buf = appendStreamLine((*buf)[:0], &line)
+	w.Write(*buf)
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -448,7 +486,7 @@ func (h *Server) handleCensus(w http.ResponseWriter, r *http.Request, svc *targe
 	var req censusRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		bodyError(w, err)
 		return
 	}
 	if req.K < parsge.MinCensusK || req.K > parsge.MaxCensusK {
@@ -485,8 +523,8 @@ func (h *Server) handleCensus(w http.ResponseWriter, r *http.Request, svc *targe
 		Truncated:    res.TimedOut,
 		CacheHit:     reply.CacheHit,
 		Shared:       reply.Shared,
-		QueueWaitMS:  float64(reply.QueueWait) / float64(time.Millisecond),
-		ElapsedMS:    float64(res.Duration) / float64(time.Millisecond),
+		QueueWaitMS:  durationMS(reply.QueueWait),
+		ElapsedMS:    durationMS(res.Duration),
 		MemoHits:     res.MemoHits,
 		MemoMisses:   res.MemoMisses,
 	}
@@ -563,7 +601,7 @@ func (h *Server) handleUpdate(w http.ResponseWriter, r *http.Request, svc *targe
 	var req updateRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		bodyError(w, err)
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -595,6 +633,6 @@ func (h *Server) handleUpdate(w http.ResponseWriter, r *http.Request, svc *targe
 		Applied:         res.Applied,
 		NoOps:           res.NoOps,
 		TouchedVertices: res.TouchedVertices,
-		ElapsedMS:       float64(res.Duration) / float64(time.Millisecond),
+		ElapsedMS:       durationMS(res.Duration),
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -545,6 +546,66 @@ func TestHTTPUpdateBatchLimit(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyLimits: a body past its endpoint's MaxBytesReader bound
+// (1 MiB for a query, 64 KiB for a census, 8 MiB for an update) is
+// refused with 413, not 400. A query body is read whole, so one past
+// 1 MiB is refused whatever it holds, while a valid one of exactly
+// 1 MiB is served; the pooled buffer that body grew is dropped, not put
+// back.
+func TestHTTPBodyLimits(t *testing.T) {
+	w := buildSoakWorld(t, 91)
+	r, _ := soloRouter(t, w.tgt, RouterConfig{})
+	table := identityTable(w.gt)
+	h := NewRouterServer(r, table)
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, soloPath+path, bytes.NewReader(body)))
+		return rec
+	}
+	// sized pads head with filler and ends it with tail, n bytes in all.
+	sized := func(head, filler, tail string, n int) []byte {
+		return []byte(head + strings.Repeat(filler, n-len(head)-len(tail)) + tail)
+	}
+	text, err := json.Marshal(patternText(t, w.patterns[0], table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := `{"pattern":` + string(text)
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+		want       int
+	}{
+		{"query value past 1 MiB", "/query", sized(query+`,"pad":"`, "x", `"}`, 1<<20+1), http.StatusRequestEntityTooLarge},
+		{"query with data past 1 MiB after its value", "/query", sized(query+`}`, " ", "", 1<<20+1), http.StatusRequestEntityTooLarge},
+		{"census value past 64 KiB", "/census", sized(`{"k":3,"pad":"`, "x", `"}`, 1<<16+1), http.StatusRequestEntityTooLarge},
+		{"update value past 8 MiB", "/update", sized(`{"updates":[{"from":0,"to":1}],"pad":"`, "x", `"}`, 8<<20+1), http.StatusRequestEntityTooLarge},
+		{"census of exactly 64 KiB", "/census", sized(`{"k":3,"pad":"`, "x", `"}`, 1<<16), http.StatusOK},
+		{"unknown key padding a query to 1 MiB", "/query", sized(query+`,"pad":"`, "x", `"}`, 1<<20), http.StatusOK},
+	} {
+		if rec := post(c.path, c.body); rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d (body %.200s)", c.name, rec.Code, c.want, rec.Body)
+		}
+	}
+
+	// Space padding keeps the query in the single-pass decoder's shape.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool checked below
+	rec := post("/query", sized(query+",", " ", `"semantics":"iso"}`, 1<<20))
+	var out memoReply
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil || out.Matches != w.oracle[0][parsge.SubgraphIso] {
+		t.Fatalf("query of exactly 1 MiB: status %d, body %s; want %d matches", rec.Code, rec.Body, w.oracle[0][parsge.SubgraphIso])
+	}
+	for {
+		b, ok := bufPool.Get().(*[]byte)
+		if !ok {
+			break
+		}
+		if cap(*b) > maxPooledBuf {
+			t.Fatalf("the pool holds a %d-byte buffer, cap %d", cap(*b), maxPooledBuf)
+		}
+	}
+}
+
 // countOracle is BruteCountSem spelled out for post-update graphs.
 func countOracle(t *testing.T, gp, gt *graph.Graph, sem parsge.Semantics) int64 {
 	t.Helper()
@@ -603,7 +664,7 @@ func (st *memoStack) post(t *testing.T, body map[string]any) (int, memoReply) {
 	return serveQuery(t, st.h, soloPath+"/query", body)
 }
 
-func (st *memoStack) memoEntry(text string) *parsedPattern { return st.h.memo.get(text) }
+func (st *memoStack) memoEntry(text string) *parsedPattern { return st.h.memo.get([]byte(text)) }
 
 // memoSize returns the memo's entry count and retained bytes.
 func memoSize(h *Server) (entries int, bytes int64) {
@@ -790,8 +851,9 @@ func testHTTPPatternMemo(t *testing.T) {
 	}
 	// A canonicalization attempt allocates thousands of times; a
 	// memoized identity resolves with none.
+	hostileText := []byte(hostile)
 	if allocs := testing.AllocsPerRun(10, func() {
-		p, err := hs.h.pattern(hostile)
+		p, err := hs.h.pattern(hostileText)
 		if err == nil {
 			hs.svc.validate(Query{Pattern: p.graph, parsed: p})
 		}
@@ -803,42 +865,73 @@ func testHTTPPatternMemo(t *testing.T) {
 	}
 }
 
-// TestHTTPHitPathAllocs pins the heap work of a count served from the
+// TestHTTPHitPathAllocs pins the heap work of hits served from the
 // result cache through the whole handler, request decoding, routing and
-// reply encoding included. With the pattern memo a repeated text pays
-// neither a parse nor a canonicalization (83 allocs when it paid both).
-// The bound is this fixture's measured count, 24; one of those is the
-// ServeMux capturing the {name} path wildcard. A -race build's
-// sync.Pool drops a random share of the JSON encoder's pooled states;
-// it measured 25-26 and is allowed 26.
+// reply encoding included: a count, and mappings requests answered with
+// 1 and with 23 mappings (patterns 4 and 5 of the fixture, both of 5
+// nodes), which must allocate alike. With the pattern memo a repeated
+// text pays neither a parse nor a canonicalization (83 allocs for the
+// count when it paid both), and with the single-pass body decoder and
+// the appended reply no encoding/json reflection (23 allocs before).
+// The bounds are this fixture's measured counts: 13 for the count, one
+// of them the ServeMux capturing the {name} path wildcard and most of
+// the rest the ResponseRecorder's, and 15 for a mappings hit, which
+// adds the mapping list and its one backing array. A -race build's
+// sync.Pool drops a random share of puts, so its pooled buffers are
+// sometimes allocated afresh: it measured 14-15 and 16-17 and is
+// allowed 16 and 18, without the equality.
 func TestHTTPHitPathAllocs(t *testing.T) {
 	w := buildSoakWorld(t, 91)
 	r, _ := soloRouter(t, w.tgt, RouterConfig{})
 	table := identityTable(w.gt)
 	h := NewRouterServer(r, table)
-	body, err := json.Marshal(map[string]any{"pattern": patternText(t, w.patterns[0], table)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := httptest.NewRequest(http.MethodPost, soloPath+"/query", nil)
 	var rd bytes.Reader
-	serve := func() *httptest.ResponseRecorder {
-		rd.Reset(body)
-		req.Body = io.NopCloser(&rd)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
+	// allocs warms the result cache and the memo with body, checks that
+	// a repeat is a hit with the oracle's count, and measures one.
+	allocs := func(name string, body map[string]any, want int64) float64 {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func() *httptest.ResponseRecorder {
+			rd.Reset(b)
+			req.Body = io.NopCloser(&rd)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec
+		}
+		serve()
+		rec := serve()
+		var out memoReply
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil || !out.CacheHit || out.Matches != want {
+			t.Fatalf("%s: second request: status %d, body %s; want a cache hit with %d matches", name, rec.Code, rec.Body, want)
+		}
+		if body["mappings"] == true && int64(len(out.Mappings)) != want {
+			t.Fatalf("%s: %d mappings, want %d", name, len(out.Mappings), want)
+		}
+		return testing.AllocsPerRun(100, func() { serve() })
 	}
-	serve() // warm the result cache and the memo
-	if rec := serve(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cache_hit":true`) {
-		t.Fatalf("second request: status %d, body %s; want a cache hit", rec.Code, rec.Body)
+	count := allocs("count", map[string]any{"pattern": patternText(t, w.patterns[0], table)}, w.oracle[0][parsge.SubgraphIso])
+	one := allocs("1 mapping", map[string]any{"pattern": patternText(t, w.patterns[4], table), "semantics": "induced", "mappings": true},
+		w.oracle[4][parsge.InducedIso])
+	many := allocs("23 mappings", map[string]any{"pattern": patternText(t, w.patterns[5], table), "semantics": "hom", "mappings": true},
+		w.oracle[5][parsge.Homomorphism])
+	if w.oracle[4][parsge.InducedIso] != 1 || w.oracle[5][parsge.Homomorphism] < 20 {
+		t.Fatalf("fixture: mappings hits of %d and %d, want 1 and at least 20", w.oracle[4][parsge.InducedIso], w.oracle[5][parsge.Homomorphism])
 	}
-	bound := 24.0
+	countBound, mapBound := 13.0, 15.0
 	if raceEnabled {
-		bound = 26
+		countBound, mapBound = 16, 18
 	}
-	if got := testing.AllocsPerRun(100, func() { serve() }); got > bound {
-		t.Errorf("HTTP count hit: %v allocs, want <= %v", got, bound)
+	if count > countBound {
+		t.Errorf("HTTP count hit: %v allocs, want <= %v", count, countBound)
+	}
+	if one > mapBound || many > mapBound {
+		t.Errorf("HTTP mappings hits: %v allocs (1 mapping) and %v (23 mappings), want <= %v", one, many, mapBound)
+	}
+	if !raceEnabled && one != many {
+		t.Errorf("HTTP mappings hits: %v allocs for 1 mapping, %v for 23; want equal", one, many)
 	}
 }
 

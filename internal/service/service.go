@@ -408,13 +408,21 @@ func (s *targetService) cacheGetStream(key string) (*entry, bool) {
 }
 
 // replyFromEntry materializes a cached/shared entry for a client whose
-// pattern has canonical permutation perm.
+// pattern has canonical permutation perm. The translated mappings share
+// one backing array, each a capped subslice of it, so a hit allocates
+// the same however many mappings it carries.
 func (s *targetService) replyFromEntry(ent *entry, perm []int32, needMappings, hit, shared bool) Reply {
 	r := Reply{Result: ent.res, CacheHit: hit, Shared: shared}
 	if needMappings {
 		r.Mappings = make([][]int32, len(ent.mappings))
+		k := len(perm)
+		a := make([]int32, len(ent.mappings)*k)
 		for i, cm := range ent.mappings {
-			r.Mappings[i] = translate(cm, perm)
+			m := a[i*k : (i+1)*k : (i+1)*k]
+			for v, p := range perm {
+				m[v] = cm[p]
+			}
+			r.Mappings[i] = m
 		}
 	}
 	return r
