@@ -11,7 +11,8 @@
 // paper's Table 1 (1.0 reproduces the original node counts; expect very
 // long runs). The per-instance -timeout mirrors the paper's 180 s budget
 // proportionally. Each speedup table reports both wall-clock speedup and
-// the hardware-independent work-division speedup (see EXPERIMENTS.md).
+// the hardware-independent work-division speedup (see DESIGN.md,
+// "Substitutions (vs the paper's testbed)").
 package main
 
 import (

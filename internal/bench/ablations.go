@@ -71,9 +71,10 @@ func (s *Suite) printAblation(res AblationResult) {
 	flush(w)
 }
 
-// AblationStealEnd compares stealing from the back of the victim's deque
-// (the paper's design: tasks near the root, long-running, few steals)
-// against stealing from the front (deep, short-lived tasks).
+// AblationStealEnd compares stealing from the back of the victim's deque,
+// its shallowest frame (the paper's design: tasks near the root,
+// long-running, few steals), against stealing from the front, its
+// deepest frame (deep, short-lived tasks).
 func (s *Suite) AblationStealEnd() AblationResult {
 	insts := s.hardestInstances("PPIS32", 8)
 	res := AblationResult{Title: "load balancing (steal end §3.2(ii))"}
@@ -92,9 +93,9 @@ func (s *Suite) AblationStealEnd() AblationResult {
 }
 
 // AblationEagerCopy compares the paper's lazy mapping transfer (copy only
-// on steals) against copying the mapping prefix with every spawned task
-// group — the overhead the paper attributes to the Cilk++ VF2
-// parallelization (§2.2.2).
+// on steals) against copying the mapping prefix for every group of
+// candidates a worker puts in a frame — the overhead the paper
+// attributes to the Cilk++ VF2 parallelization (§2.2.2).
 func (s *Suite) AblationEagerCopy() AblationResult {
 	insts := s.hardestInstances("GRAEMLIN32", 8)
 	res := AblationResult{Title: "mapping copies (lazy on steal vs eager per task)"}

@@ -79,7 +79,7 @@ func (s *Suite) printSpeedupTable(title string, t SpeedupTable) {
 			r.WorkAvg, r.WorkMax, r.Timeouts)
 	}
 	flush(w)
-	s.printf("(work = states/max-worker-states: hardware-independent load-balance speedup; see EXPERIMENTS.md)\n")
+	s.printf("(work = states/max-worker-states: hardware-independent load-balance speedup; see DESIGN.md, \"Substitutions (vs the paper's testbed)\")\n")
 }
 
 func (s *Suite) printFig5(res Fig5Result) {

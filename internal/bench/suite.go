@@ -175,8 +175,8 @@ type runConfig struct {
 	// stand-in for the original RI 3.6 / RI-DS 3.51 binaries (see
 	// DESIGN.md, substitutions).
 	eagerCopy bool
-	// frontSteal services steals from the deep end of the deque
-	// (ablation of §3.2(ii)).
+	// frontSteal splits the victim's deepest frame instead of its
+	// shallowest (ablation of §3.2(ii)).
 	frontSteal bool
 	// noInitDist seeds all root tasks on worker 0 (ablation of §3.3).
 	noInitDist bool

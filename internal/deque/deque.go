@@ -1,14 +1,10 @@
-// Package deque implements the private double-ended queue at the heart of
-// the work-stealing strategy of Acar, Charguéraud and Rainey (PPoPP 2013)
-// that the paper adopts (Kimmig et al. §3.2).
+// Package deque implements an owner-only double-ended queue. The
+// work-stealing runtime (internal/steal) queues each worker's seeded
+// tasks in one; a worker's private deque of the paper (Kimmig et al.
+// §3.2) is its search's own depth-first frames, which need no queue.
 //
 // The deque is deliberately unsynchronized: each worker owns one and is
-// the only goroutine that ever touches it. The owner pushes and pops at
-// the front in depth-first order; when another worker's steal request is
-// serviced, the *owner* pops from the back on the thief's behalf and
-// hands the task over through a transfer cell. Tasks near the back are
-// closer to the root of the search space tree and therefore expected to
-// be long-running, which keeps the number of steals low (§3.2(ii)).
+// the only goroutine that ever touches it.
 package deque
 
 // Deque is a growable ring-buffer double-ended queue. The zero value is

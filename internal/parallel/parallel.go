@@ -4,21 +4,26 @@
 //
 // Task representation (§3.1): a task is the pair (ordering position,
 // candidate target node) — "we effectively represent a task by the node
-// pair (µ_i, v_t)". Tasks do not carry the partial mapping; each worker
-// maintains its mapping incrementally, which is always valid for private
-// tasks thanks to the deque's depth-first discipline (§3.2(i)). Only when
-// a task group is stolen does the victim attach a copy of the mapping
-// prefix below it (§3.2(ii)) — the only mapping copies in the system.
-// Consistency of every task is checked *before* it is spawned, so stolen
+// pair (µ_i, v_t)". A worker runs its task depth-first like the
+// sequential searcher, maintaining its mapping incrementally (§3.2(i)),
+// and keeps one frame per ordering position: the consistent candidates
+// of that position under the current mapping prefix, tried in order.
+// Those frames are the worker's private deque. Tasks exist only where a
+// thief asks for one: the victim's Split hands over up to TaskGroupSize
+// untried candidates of its shallowest frame — the back of the deque,
+// closest to the search root (§3.2(ii)) — with a copy of the mapping
+// prefix below them, the only mapping copies in the system. Consistency
+// of every candidate is checked before it enters a frame, so stolen
 // tasks are rarely dead ends (§3.1).
 //
-// Task coalescing (§3.4): up to Options.TaskGroupSize sibling tasks are
-// packed into one deque entry; steals move whole groups, trading
-// granularity against steal overhead (evaluated in the paper's Fig 4).
+// Task coalescing (§3.4): TaskGroupSize is how many candidates one steal
+// moves, trading granularity against steal overhead (evaluated in the
+// paper's Fig 4).
 //
 // Initial work distribution (§3.3): the consistent children of the search
-// root (candidates for µ_1) are dealt round-robin into all workers'
-// deques before the workers start.
+// root (candidates for µ_1) are dealt round-robin in groups of
+// TaskGroupSize before the workers start; each worker's share becomes its
+// root frame.
 package parallel
 
 import (
@@ -33,7 +38,7 @@ import (
 )
 
 // MaxGroupSize caps task coalescing; the paper evaluates group sizes up
-// to 16 (Fig 4). The fixed-size array keeps task groups allocation-free.
+// to 16 (Fig 4).
 const MaxGroupSize = 16
 
 // DefaultGroupSize is the task group size used when Options leaves it 0;
@@ -45,22 +50,25 @@ const DefaultGroupSize = 4
 type Options struct {
 	// Workers is the number of workers; 0 means 1.
 	Workers int
-	// TaskGroupSize is the coalescing granularity G in [1, MaxGroupSize];
-	// 0 means DefaultGroupSize.
+	// TaskGroupSize is the coalescing granularity G in [1, MaxGroupSize]:
+	// the candidates one steal hands over, and the size of the root
+	// groups the initial distribution deals. 0 means DefaultGroupSize.
 	TaskGroupSize int
 	// DisableStealing turns load balancing off (Fig 3 ablation): workers
 	// process only their share of the initial distribution.
 	DisableStealing bool
-	// StealFromFront makes victims service steals from the front (deep
-	// end) of their deque — an ablation violating §3.2(ii).
+	// StealFromFront makes victims split their deepest frame (the front
+	// of the deque) instead of the shallowest — an ablation violating
+	// §3.2(ii).
 	StealFromFront bool
-	// EagerCopy attaches a copy of the mapping prefix to every spawned
-	// task group, stolen or not. This reproduces the overhead of the
-	// Cilk++ VF2 parallelization the paper criticizes ("the amount of
-	// state copied to enable work stealing results in a lot of
-	// overhead", §2.2.2) and is used by the ablation bench.
+	// EagerCopy copies the mapping prefix for every group of
+	// TaskGroupSize candidates of every frame a worker fills, stolen or
+	// not. This reproduces the overhead of the Cilk++ VF2
+	// parallelization the paper criticizes ("the amount of state copied
+	// to enable work stealing results in a lot of overhead", §2.2.2) and
+	// is used by the ablation bench.
 	EagerCopy bool
-	// NoInitialDistribution seeds all root tasks into worker 0's deque
+	// NoInitialDistribution gives every root candidate to worker 0
 	// instead of dealing them round-robin — the §3.3 ablation: all
 	// other workers must then bootstrap via stealing.
 	NoInitialDistribution bool
@@ -76,8 +84,8 @@ type Options struct {
 	// Ctx, when non-nil, cooperatively aborts the run when cancelled
 	// (the harness derives a context.WithTimeout from it for the 180 s
 	// time limit of the paper's setup). Busy workers poll the done
-	// channel at the same low frequency the previous atomic-flag design
-	// used; idle workers are woken by the steal runtime's own watcher.
+	// channel whenever their state count crosses a poll boundary, as the
+	// sequential searcher does; parked workers wake on it.
 	Ctx context.Context
 	// Arena, when non-nil and sized for the prepared target, supplies
 	// each worker's target-sized used-set from a shared pool instead of
@@ -114,7 +122,7 @@ type Result struct {
 	// DepthStates breaks States down by ordering position (summed over
 	// workers): the search profile.
 	DepthStates []int64
-	// Steals is the number of task groups moved between workers (Fig 4).
+	// Steals is the number of tasks moved between workers (Fig 4).
 	Steals int64
 	// PreprocTime is the preprocessing time of the Prepared instance.
 	PreprocTime time.Duration
@@ -127,44 +135,61 @@ type Result struct {
 	Unsatisfiable bool
 }
 
-// taskGroup packs up to MaxGroupSize sibling tasks: candidate target
-// nodes for the same ordering position, valid under the same mapping
-// prefix.
-type taskGroup struct {
-	depth   int32 // ordering position of every task in the group
-	idx     int32 // next unexecuted task within targets
-	n       int32 // number of valid entries in targets
-	targets [MaxGroupSize]int32
-	// prefix, when non-nil, holds the mapping values for positions
-	// [0, depth) that must be installed before executing the group —
-	// attached by PackSteal for stolen groups (and by every spawn under
-	// EagerCopy).
-	prefix []int32
+// task is what a worker runs and a thief receives: consistent candidates
+// for one ordering position, all valid under the same mapping prefix.
+type task struct {
+	depth  int32   // ordering position of every candidate in cands
+	prefix []int32 // mapping of positions [0, depth); nil at the root
+	cands  []int32
 }
 
+// frame is one ordering position's share of a worker's candidate stack:
+// stack[next:hi] are the candidates not yet tried.
+type frame struct{ next, hi int32 }
+
 // workerState is the per-worker search state: the incrementally
-// maintained partial mapping of §3.2(i).
+// maintained partial mapping of §3.2(i) and the frames of the running
+// task.
 type workerState struct {
 	mapped []int32 // ordering position → target node (valid below depth)
 	used   []bool  // target node → used by current mapping
-	depth  int     // number of valid mapping entries
+	depth  int     // positions [0, depth) are mapped and marked used
+
+	// stack holds the frames of positions base..top back to back; a
+	// frame is refilled only after every deeper one ran dry.
+	stack     []int32
+	frames    []frame // by ordering position
+	base, top int     // the task's position and the deepest live frame
+	untried   int     // candidates left in frames base..top
+
 	ri.Counter
 	matches  int64
 	visitBuf []int32 // pattern node id → target node, for Visit
+	eager    []int32 // the latest EagerCopy prefix copy
+
+	_ [64]byte // keeps the next worker's state off this one's cache lines
 }
 
-// engine implements steal.Runner[taskGroup].
+// engine implements steal.Runner[task].
 type engine struct {
 	p    *ri.Prepared
 	opts Options
 	done <-chan struct{} // Ctx's done channel (nil without one)
 	ws   []*workerState
-	rt   *steal.Runtime[taskGroup]
+	rt   *steal.Runtime[task]
 
 	globalMatches atomic.Int64 // only maintained when Limit > 0
 	limitHit      atomic.Bool
 	visitStop     atomic.Bool
 }
+
+// stackHint is the initial capacity of a worker's candidate stack; it
+// grows by append when a run needs more.
+const stackHint = 256
+
+// lineBytes is the cache line size the per-worker arrays are spaced by
+// (the dominant size; the exact value only affects performance).
+const lineBytes = 64
 
 // Enumerate runs the parallel search over a prepared instance.
 func Enumerate(p *ri.Prepared, opts Options) (res Result) {
@@ -193,6 +218,15 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 	if arena != nil && arena.NumNodes() != p.Target.NumNodes() {
 		arena = nil // built for a different target: ignore
 	}
+	// Each worker's arrays are cut from one block per element type with
+	// a cache line (lineBytes) between workers, so that no two workers
+	// write to one line.
+	n, np := p.NumPositions(), p.Pattern.NumNodes()
+	n32 := n + np + stackHint // mapped, visitBuf, stack
+	s32, s64 := n32+lineBytes/4, n+lineBytes/8
+	ints := make([]int32, opts.Workers*s32)
+	depths := make([]int64, opts.Workers*s64)
+	frames := make([]frame, opts.Workers*s64) // 8-byte elements, like depths
 	for i := range e.ws {
 		var used []bool
 		if arena != nil {
@@ -200,11 +234,14 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 		} else {
 			used = make([]bool, p.Target.NumNodes())
 		}
+		w, d := ints[i*s32:i*s32+n32:i*s32+n32], i*s64
 		e.ws[i] = &workerState{
-			mapped:   make([]int32, p.NumPositions()),
+			mapped:   w[:n:n],
+			visitBuf: w[n : n+np : n+np],
+			stack:    w[n+np : n+np],
 			used:     used,
-			visitBuf: make([]int32, p.Pattern.NumNodes()),
-			Counter:  ri.Counter{Depth: make([]int64, p.NumPositions())},
+			frames:   frames[d : d+n : d+n],
+			Counter:  ri.Counter{Depth: depths[d : d+n : d+n]},
 		}
 	}
 	if arena != nil {
@@ -222,10 +259,9 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 	}
 
 	rt, err := steal.New(steal.Config{
-		Workers:        opts.Workers,
-		Stealing:       !opts.DisableStealing,
-		StealFromFront: opts.StealFromFront,
-		Seed:           opts.Seed,
+		Workers:  opts.Workers,
+		Stealing: !opts.DisableStealing,
+		Seed:     opts.Seed,
 	}, e)
 	if err != nil {
 		// normalized() guarantees Workers ≥ 1; steal.New cannot fail.
@@ -235,8 +271,8 @@ func Enumerate(p *ri.Prepared, opts Options) (res Result) {
 
 	e.seedInitialTasks()
 
-	// The runtime watches Ctx itself (idle workers included); busy
-	// workers additionally poll the done channel inline via shouldStop.
+	// Parked workers watch Ctx through the runtime; busy workers poll
+	// its done channel inline via shouldStop.
 	res.Steals = rt.Run(opts.Ctx).TotalSteals()
 
 	res.DepthStates = make([]int64, p.NumPositions())
@@ -265,190 +301,195 @@ func EnumerateGraphs(gp, gt *graph.Graph, prep ri.Options, opts Options) (Result
 	return Enumerate(p, opts), nil
 }
 
-// seedInitialTasks creates the tasks directly below the search root —
-// one per consistent candidate of µ_1 — and deals them into the workers'
-// deques in groups (§3.3). The consistency checks are counted against
-// worker 0's state counter.
+// seedInitialTasks collects the consistent candidates of µ_1 and deals
+// them round-robin in groups of TaskGroupSize (§3.3); each worker's
+// groups, in dealing order, form one root task. The consistency checks
+// are counted against worker 0's state counter.
 func (e *engine) seedInitialTasks() {
 	ws0 := e.ws[0]
-	g := taskGroup{depth: 0}
-	next := 0
-	flush := func() {
-		if g.n > 0 {
-			if e.opts.EagerCopy {
-				g.prefix = []int32{}
-			}
-			e.rt.Seed(next, g)
-			if !e.opts.NoInitialDistribution {
-				next = (next + 1) % e.opts.Workers
-			}
-			g = taskGroup{depth: 0}
-		}
+	n := e.p.Target.NumNodes()
+	if e.p.Doms != nil {
+		n = e.p.Doms.Of(e.p.Ord.Seq[0]).Count()
 	}
+	roots := make([]int32, 0, n)
 	e.p.RootCandidates(func(vt int32) bool {
 		ws0.Add(0, 1)
 		if e.p.Feasible(0, vt, ws0.mapped, ws0.used) {
-			g.targets[g.n] = vt
-			g.n++
-			if int(g.n) == e.opts.TaskGroupSize {
-				flush()
-			}
+			roots = append(roots, vt)
 		}
 		return true
 	})
-	flush()
-}
-
-// Execute processes one task group on worker w: install the prefix if the
-// group was stolen, split off the head task, push the remainder back, and
-// expand the head (§3.4 processes groups "as a single unit of work";
-// splitting preserves the depth-first mapping discipline).
-func (e *engine) Execute(w *steal.Worker[taskGroup], g taskGroup) {
-	ws := e.ws[w.ID]
-	if g.prefix != nil {
-		e.installPrefix(ws, g)
-	}
-	// Re-push the remaining siblings before expanding the head so the
-	// head's children (pushed after) are popped first — depth-first.
-	head := g.targets[g.idx]
-	if g.idx+1 < g.n {
-		rest := g
-		rest.idx++
-		rest.prefix = nil // the owner's mapping is valid for it now
-		if e.opts.EagerCopy {
-			rest.prefix = append([]int32(nil), ws.mapped[:g.depth]...)
+	workers, g := e.opts.Workers, e.opts.TaskGroupSize
+	if workers == 1 || e.opts.NoInitialDistribution {
+		if len(roots) > 0 {
+			e.rt.Seed(0, task{cands: roots})
 		}
-		w.Push(rest)
-	}
-	e.expand(w, ws, int(g.depth), head)
-}
-
-// installPrefix rewinds the worker's mapping completely and installs the
-// stolen prefix. A thief only steals when its deque is empty, so no other
-// private task depends on the discarded mapping.
-func (e *engine) installPrefix(ws *workerState, g taskGroup) {
-	for i := ws.depth - 1; i >= 0; i-- {
-		ws.used[ws.mapped[i]] = false
-	}
-	ws.depth = 0
-	for i, vt := range g.prefix[:g.depth] {
-		ws.mapped[i] = vt
-		ws.used[vt] = true
-	}
-	ws.depth = int(g.depth)
-}
-
-// expand maps the task (depth, vt) — already proven consistent at spawn
-// time — and spawns the consistent children at depth+1.
-func (e *engine) expand(w *steal.Worker[taskGroup], ws *workerState, depth int, vt int32) {
-	// Rewind the mapping to the task's depth (§3.2(i): private tasks pop
-	// in depth-first order, so entries below depth remain valid).
-	for i := ws.depth - 1; i >= depth; i-- {
-		ws.used[ws.mapped[i]] = false
-	}
-	ws.mapped[depth] = vt
-	ws.used[vt] = true
-	ws.depth = depth + 1
-
-	if ws.depth == e.p.NumPositions() {
-		e.emit(ws)
 		return
 	}
+	dealt := make([]int32, 0, len(roots))
+	for w := 0; w < workers; w++ {
+		lo := len(dealt)
+		for i := w * g; i < len(roots); i += workers * g {
+			dealt = append(dealt, roots[i:min(i+g, len(roots))]...)
+		}
+		if len(dealt) > lo {
+			e.rt.Seed(w, task{cands: dealt[lo:]})
+		}
+	}
+}
 
-	next := ws.depth
-	cur := taskGroup{depth: int32(next)}
-	flush := func() {
-		if cur.n > 0 {
-			if e.opts.EagerCopy {
-				cur.prefix = append([]int32(nil), ws.mapped[:next]...)
+// Execute runs task t depth-first on worker w: install its prefix, make
+// its candidates the base frame, and search.
+func (e *engine) Execute(w *steal.Worker[task], t task) {
+	ws := e.ws[w.ID]
+	// A worker runs its next task only after the last one ran dry, so no
+	// frame depends on the mapping it discards here.
+	for i := 0; i < ws.depth; i++ {
+		ws.used[ws.mapped[i]] = false
+	}
+	copy(ws.mapped, t.prefix)
+	for _, vt := range t.prefix {
+		ws.used[vt] = true
+	}
+	ws.depth = int(t.depth)
+	ws.base, ws.top = ws.depth, ws.depth
+	ws.stack = append(ws.stack[:0], t.cands...)
+	ws.frames[ws.base] = frame{next: 0, hi: int32(len(t.cands))}
+	ws.untried = len(t.cands)
+	e.search(w, ws)
+}
+
+// search is the worker's DFS over its frames, the sequential searcher's
+// order with an explicit stack. Each candidate taken maps its position
+// and either emits a match or fills the next position's frame; after a
+// fill, an expansion, the worker polls for thieves once. It returns when
+// the base frame runs dry or the run must stop.
+func (e *engine) search(w *steal.Worker[task], ws *workerState) {
+	last := e.p.NumPositions() - 1
+	d := ws.base
+	for {
+		f := &ws.frames[d]
+		if f.next == f.hi {
+			if d == ws.base {
+				return
 			}
-			w.Push(cur)
-			cur = taskGroup{depth: int32(next)}
+			d--
+			continue
+		}
+		vt := ws.stack[f.next]
+		f.next++
+		ws.untried--
+		// Rewind the mapping to position d (§3.2(i): entries below d stay
+		// valid, since frames are tried depth-first).
+		for ws.depth > d {
+			ws.depth--
+			ws.used[ws.mapped[ws.depth]] = false
+		}
+		ws.mapped[d] = vt
+		ws.used[vt] = true
+		ws.depth = d + 1
+		if d == last {
+			if !e.emit(ws) {
+				return
+			}
+		} else {
+			lo := f.hi
+			ws.stack = ws.stack[:lo]
+			if !e.fill(ws, d+1) {
+				return
+			}
+			d++
+			ws.frames[d] = frame{next: lo, hi: int32(len(ws.stack))}
+			ws.untried += len(ws.stack) - int(lo)
+			if e.opts.EagerCopy {
+				for i := int(lo); i < len(ws.stack); i += e.opts.TaskGroupSize {
+					ws.eager = append([]int32(nil), ws.mapped[:d]...)
+				}
+			}
+			ws.top = d
+			w.Poll(ws.untried > 0)
 		}
 	}
-	push := func(cand int32) {
-		cur.targets[cur.n] = cand
-		cur.n++
-		if int(cur.n) == e.opts.TaskGroupSize {
-			flush()
-		}
-	}
+}
 
-	// check spawns cand if it is consistent; tryCandidate first counts
-	// it as one state, as the one-at-a-time loops do.
+// fill appends the consistent candidates of position pos under the
+// current mapping to ws.stack, counting states as the sequential loops
+// do. It reports false when the run must stop.
+func (e *engine) fill(ws *workerState, pos int) bool {
+	p := e.p
 	check := func(cand int32) bool {
-		if e.p.Feasible(next, cand, ws.mapped, ws.used) {
-			push(cand)
+		if p.Feasible(pos, cand, ws.mapped, ws.used) {
+			ws.stack = append(ws.stack, cand)
 		}
 		return true
 	}
+	// tryCandidate first counts cand as one state, as the one-at-a-time
+	// loops do.
 	tryCandidate := func(cand int32) bool {
-		if ws.Add(next, 1) && e.shouldStop() {
+		if ws.Add(pos, 1) && e.shouldStop() {
 			return false
 		}
 		return check(cand)
 	}
 
-	if parent := e.p.ParentPos(next); parent != order.NoParent {
+	if parent := p.ParentPos(pos); parent != order.NoParent {
 		v := ws.mapped[parent]
-		adj := e.p.Candidates(next, v)
-		if row := e.p.ParentRow(next, v, len(adj)); row != nil {
-			if !e.p.ScanRow(&ws.Counter, next, row, e.shouldStop, check) {
-				return
-			}
-		} else if e.p.Doms != nil {
+		adj := p.Candidates(pos, v)
+		if row := p.ParentRow(pos, v, len(adj)); row != nil {
+			return p.ScanRow(&ws.Counter, pos, row, e.shouldStop, check)
+		}
+		if p.Doms != nil {
 			// A neighbor outside D(u) is a state that fails at once.
 			for i, cand := range adj {
 				if i > 0 && adj[i-1] == cand {
 					continue
 				}
-				if !e.p.InDomain(next, cand) {
-					if ws.Add(next, 1) && e.shouldStop() {
-						return
+				if !p.InDomain(pos, cand) {
+					if ws.Add(pos, 1) && e.shouldStop() {
+						return false
 					}
 					continue
 				}
 				if !tryCandidate(cand) {
-					return
+					return false
 				}
 			}
-		} else {
-			for i, cand := range adj {
-				if i > 0 && adj[i-1] == cand {
-					continue // parallel target edges: same candidate node
-				}
-				if !tryCandidate(cand) {
-					return
-				}
+			return true
+		}
+		for i, cand := range adj {
+			if i > 0 && adj[i-1] == cand {
+				continue // parallel target edges: same candidate node
+			}
+			if !tryCandidate(cand) {
+				return false
 			}
 		}
-	} else if e.p.Doms != nil {
-		u := e.p.Ord.Seq[next]
-		ok := true
-		e.p.Doms.Of(u).ForEach(func(i int) bool {
+		return true
+	}
+	ok := true
+	if p.Doms != nil {
+		p.Doms.Of(p.Ord.Seq[pos]).ForEach(func(i int) bool {
 			ok = tryCandidate(int32(i))
 			return ok
 		})
-		if !ok {
-			return
-		}
-	} else {
-		// Parentless position without domains: label bucket (with a
-		// shared target index) or every target node.
-		ok := true
-		e.p.FreeCandidates(next, func(cand int32) bool {
-			ok = tryCandidate(cand)
-			return ok
-		})
-		if !ok {
-			return
-		}
+		return ok
 	}
-	flush()
+	// Parentless position without domains: label bucket (with a shared
+	// target index) or every target node.
+	p.FreeCandidates(pos, func(cand int32) bool {
+		ok = tryCandidate(cand)
+		return ok
+	})
+	return ok
 }
 
 // emit records a complete match on the worker and handles Limit/Visit.
-func (e *engine) emit(ws *workerState) {
+// It reports false when the run must stop, a stop another worker caused
+// included.
+func (e *engine) emit(ws *workerState) bool {
+	if e.rt.Cancelled() {
+		return false
+	}
 	ws.matches++
 	if e.opts.Visit != nil {
 		for i, vt := range ws.mapped {
@@ -457,15 +498,17 @@ func (e *engine) emit(ws *workerState) {
 		if !e.opts.Visit(ws.visitBuf) {
 			e.visitStop.Store(true)
 			e.rt.Cancel()
-			return
+			return false
 		}
 	}
 	if e.opts.Limit > 0 {
 		if e.globalMatches.Add(1) >= e.opts.Limit {
 			e.limitHit.Store(true)
 			e.rt.Cancel()
+			return false
 		}
 	}
+	return true
 }
 
 // shouldStop polls the context's done channel from the expansion hot loop.
@@ -484,16 +527,30 @@ func (e *engine) shouldStop() bool {
 	return false
 }
 
-// PackSteal attaches a copy of the victim's mapping prefix below the
-// stolen group — the only mapping copy in the private-deque scheme
-// ("our parallelization copies partial solutions only for stolen tasks,
-// not those that remain private", §2.2.2).
-func (e *engine) PackSteal(victim *steal.Worker[taskGroup], g taskGroup) taskGroup {
-	if g.prefix == nil {
-		ws := e.ws[victim.ID]
-		prefix := make([]int32, g.depth)
-		copy(prefix, ws.mapped[:g.depth])
-		g.prefix = prefix
+// Split hands a thief up to TaskGroupSize untried candidates from the
+// end of the victim's shallowest non-empty frame (its deepest under
+// StealFromFront), with a copy of the mapping prefix below them — the
+// only mapping copy in the private-deque scheme ("our parallelization
+// copies partial solutions only for stolen tasks, not those that remain
+// private", §2.2.2). The candidate being explored at each position
+// precedes its frame's untried range, so it is never handed over.
+func (e *engine) Split(victim *steal.Worker[task]) (task, bool) {
+	ws := e.ws[victim.ID]
+	if ws.untried == 0 {
+		return task{}, false
 	}
-	return g
+	d, step := ws.base, 1
+	if e.opts.StealFromFront {
+		d, step = ws.top, -1
+	}
+	for ; ws.frames[d].next == ws.frames[d].hi; d += step {
+	}
+	f := &ws.frames[d]
+	k := min(int(f.hi-f.next), e.opts.TaskGroupSize)
+	f.hi -= int32(k)
+	ws.untried -= k
+	buf := make([]int32, d+k)
+	copy(buf, ws.mapped[:d])
+	copy(buf[d:], ws.stack[f.hi:int(f.hi)+k])
+	return task{depth: int32(d), prefix: buf[:d:d], cands: buf[d:]}, true
 }

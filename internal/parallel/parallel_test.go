@@ -3,14 +3,18 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"parsge/internal/datasets"
+	"parsge/internal/domain"
 	"parsge/internal/graph"
 	"parsge/internal/ri"
+	"parsge/internal/steal"
 	"parsge/internal/testutil"
 )
 
@@ -419,6 +423,73 @@ func BenchmarkParallelRI(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelDenseCold prices the engine on the queries the
+// service sends to the steal pool: those of ri's BenchmarkSearchDenseCold
+// (PPIS32 at scale 0.1, seed 20170525, RI-DS-SI-FC, iso and induced, at
+// most 64 nodes) whose search takes at least 30,000 states, one query
+// per op. seq is the sequential searcher on the same queries; the
+// engine on one worker prices its own overhead, and on two workers the
+// steals as well.
+func BenchmarkParallelDenseCold(b *testing.B) {
+	const minStates, stateCap = 30_000, 2_000_000
+	coll, err := datasets.ByName("PPIS32", datasets.Config{Scale: 0.1, Seed: 20170525, NumPatterns: 150})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ixs := make([]*domain.Index, len(coll.Targets))
+	arenas := make([]*ri.Arena, len(coll.Targets))
+	for i, gt := range coll.Targets {
+		ixs[i] = domain.NewIndex(gt)
+		ixs[i].Rows(gt)
+		arenas[i] = ri.NewArena(gt.NumNodes())
+	}
+	type query struct {
+		p     *ri.Prepared
+		arena *ri.Arena
+	}
+	var qs []query
+	for _, pat := range coll.Patterns {
+		if pat.Graph.NumNodes() > 64 {
+			continue
+		}
+		gt := coll.Targets[pat.TargetIndex]
+		for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso} {
+			p, err := ri.Prepare(pat.Graph, gt, ri.Options{Variant: ri.VariantRIDSSIFC, Semantics: sem, TargetIndex: ixs[pat.TargetIndex]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			res := p.Run(ri.RunOptions{Ctx: ctx, Limit: stateCap + 1})
+			cancel()
+			if !res.Aborted && res.States >= minStates && res.States <= stateCap {
+				qs = append(qs, query{p, arenas[pat.TargetIndex]})
+			}
+		}
+	}
+	if len(qs) == 0 {
+		b.Fatal("no query reaches the state floor")
+	}
+	run := func(b *testing.B, search func(q query) int64) {
+		var states int64
+		ops := 0
+		b.ReportAllocs()
+		for ; b.Loop(); ops++ {
+			states += search(qs[ops%len(qs)])
+		}
+		b.ReportMetric(float64(states)/float64(ops), "states/op")
+	}
+	b.Run("seq", func(b *testing.B) {
+		run(b, func(q query) int64 { return q.p.Run(ri.RunOptions{Arena: q.arena}).States })
+	})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			run(b, func(q query) int64 {
+				return Enumerate(q.p, Options{Workers: workers, Arena: q.arena}).States
+			})
+		})
+	}
+}
+
 // TestMatchTimeRecorded guards against the named-return/defer pitfall.
 func TestMatchTimeRecorded(t *testing.T) {
 	gp, gt := mediumInstance(t)
@@ -483,6 +554,61 @@ func TestNoInitialDistribution(t *testing.T) {
 	})
 	if res.Matches != want {
 		t.Fatalf("no-init-dist matches = %d, want %d", res.Matches, want)
+	}
+}
+
+// TestSplitHandsOverUntriedTail holds Split to the protocol on a
+// hand-built victim: three frames laid back to back, the candidate
+// being explored at each position just before its frame's untried
+// range. Split takes up to TaskGroupSize candidates from the end of the
+// shallowest frame with untried ones (the deepest under StealFromFront),
+// copies the mapping prefix below that frame, and never hands over an
+// explored candidate.
+func TestSplitHandsOverUntriedTail(t *testing.T) {
+	type want struct {
+		depth         int32
+		prefix, cands []int32
+	}
+	for _, c := range []struct {
+		front bool
+		want  []want
+	}{
+		{false, []want{{0, nil, []int32{4, 5, 6}}, {0, nil, []int32{3}}, {2, []int32{2, 10}, []int32{12, 13}}}},
+		{true, []want{{2, []int32{2, 10}, []int32{12, 13}}, {0, nil, []int32{4, 5, 6}}, {0, nil, []int32{3}}}},
+	} {
+		ws := &workerState{
+			mapped: []int32{2, 10, 11, 0},
+			stack:  []int32{1, 2, 3, 4, 5, 6, 10, 11, 12, 13},
+			// Position 0 explores 2 and has 3..6 left, position 1
+			// explores 10 and has none, position 2 explores 11 and has
+			// 12 and 13 left.
+			frames:  []frame{{next: 2, hi: 6}, {next: 7, hi: 7}, {next: 8, hi: 10}, {}},
+			top:     2,
+			untried: 6,
+		}
+		e := &engine{opts: Options{TaskGroupSize: 3, StealFromFront: c.front}, ws: []*workerState{ws}}
+		victim := &steal.Worker[task]{}
+		for i, w := range c.want {
+			got, ok := e.Split(victim)
+			if !ok {
+				t.Fatalf("front=%v split %d: no task, want %v", c.front, i, w)
+			}
+			if got.depth != w.depth || !slices.Equal(got.prefix, w.prefix) || !slices.Equal(got.cands, w.cands) {
+				t.Fatalf("front=%v split %d: got depth %d prefix %v cands %v, want %v",
+					c.front, i, got.depth, got.prefix, got.cands, w)
+			}
+			for _, vt := range got.cands {
+				if slices.Contains(ws.mapped[:3], vt) {
+					t.Fatalf("front=%v split %d handed over explored candidate %d", c.front, i, vt)
+				}
+			}
+		}
+		if got, ok := e.Split(victim); ok || ws.untried != 0 {
+			t.Fatalf("front=%v: split %+v from a drained victim (untried %d)", c.front, got, ws.untried)
+		}
+		if ws.frames[0].next != 2 || ws.frames[2].next != 8 {
+			t.Fatalf("front=%v: Split moved a frame's next: %+v", c.front, ws.frames)
+		}
 	}
 }
 

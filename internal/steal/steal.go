@@ -2,23 +2,34 @@
 // with private deques that the paper adopts from Acar, Charguéraud and
 // Rainey (PPoPP 2013) — Kimmig et al. §3.2–§3.5.
 //
-// Each worker owns a private, completely unsynchronized deque. The owner
-// pushes and pops task groups at the front in depth-first order; idle
-// workers place a request in the victim's requests cell and the *victim*
-// services it inside its work loop, popping from the back of its own
-// deque and handing the task over through a transfer cell. Because tasks
-// near the back are close to the root of the search space tree, stolen
-// tasks tend to be long-running and steals stay rare (§3.2(ii)).
+// A worker's private deque is the runner's own depth-first state: the
+// runner explores a task depth-first, keeps its untried work to itself,
+// and creates a task only when a thief asks. Once per expansion it calls
+// Worker.Poll, which publishes whether it has work to give and, when a
+// thief's request waits in its requests cell, calls the runner's Split on
+// the victim's own goroutine and hands the split-off task over through
+// the thief's transfer cell. A task that is never stolen thus costs no
+// copy and no synchronization (§3.2).
 //
 // Shared state is exactly the three arrays the paper lists (§3.2):
 //
-//	workAvailable — one flag per worker: "my deque is non-empty";
+//	workAvailable — one flag per worker: "I have work to give", written
+//	                only when it changes;
 //	requests      — one cell per worker holding a requesting thief's id,
 //	                the only CAS-synchronized structure ("Except for the
 //	                requests, all data structures are completely
 //	                unsynchronized");
 //	transfers     — one cell per worker where a granted (or rejected)
 //	                steal is delivered.
+//
+// An idle worker probes victims that advertise work. After a few failed
+// probes it parks on a channel instead of spinning; whoever changes what
+// it waits for wakes it: a victim that starts advertising work, a thief
+// that places a request in its cell, the worker that passes it the
+// termination token, termination itself, and Cancel or the run's
+// context. A parking worker marks itself parked and then re-checks every
+// one of those conditions; each waker changes its state first and reads
+// the parked flag afterwards, so no wakeup is lost.
 //
 // Termination uses the Dijkstra token-ring algorithm (§3.5): idle
 // workers pass a token around the worker ring; granting a steal colors
@@ -30,26 +41,26 @@ package steal
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"parsge/internal/deque"
 )
 
 // Runner is the client of the runtime: it supplies task semantics.
 type Runner[T any] interface {
-	// Execute runs one task group on the calling worker. It may push
-	// follow-up groups via w.Push; pushes go to the front of w's deque
-	// in depth-first order.
+	// Execute runs one task to completion on worker w, keeping its
+	// untried work private, and calls w.Poll once per expansion. It
+	// should return early once w.Cancelled() reports true.
 	Execute(w *Worker[T], task T)
-	// PackSteal is invoked on the *victim's* goroutine just before task
-	// (popped from the back of the victim's deque) is transferred to a
-	// thief. It returns the value delivered — typically the task plus a
-	// copy of the victim's current partial-mapping prefix, the only
-	// mapping copy the system ever performs (§3.2).
-	PackSteal(victim *Worker[T], task T) T
+	// Split runs on the victim's goroutine, inside one of its Poll
+	// calls, when a thief asks for work. It removes part of the victim's
+	// untried work and returns it as a task the thief can run on its
+	// own, or reports false when there is none. It never hands over the
+	// work the victim is exploring.
+	Split(victim *Worker[T]) (T, bool)
 }
 
 // Config configures a Runtime.
@@ -59,11 +70,7 @@ type Config struct {
 	// Stealing enables load balancing. With false, workers only process
 	// their initial share (the Fig 3 ablation).
 	Stealing bool
-	// StealFromFront services steals from the *front* of the victim's
-	// deque instead of the back — an ablation that violates the
-	// "steal close to the root" principle (§3.2(ii)).
-	StealFromFront bool
-	// Seed seeds the per-worker victim-selection RNGs.
+	// Seed seeds the per-worker victim selection.
 	Seed int64
 }
 
@@ -92,6 +99,21 @@ const (
 	noRequest = int32(-1)
 	white     = int32(0)
 	black     = int32(1)
+
+	// spinProbes is how many failed probes an idle worker makes, yielding
+	// between them, before it parks.
+	spinProbes = 4
+)
+
+// A busy worker yields its processor once yieldInterval has passed since
+// it last did, checking the clock every yieldCheck polls. When workers
+// occupy every processor, the goroutines around the search (HTTP
+// handlers, thieves, the token's holder) would otherwise wait for the
+// scheduler's 10 ms preemption; yielding at every check instead would
+// cost a wakeup of an idle processor each time one is free.
+const (
+	yieldCheck    = 256
+	yieldInterval = 50 * time.Microsecond
 )
 
 // transferMsg carries a granted steal (ok) or a rejection (!ok).
@@ -100,47 +122,70 @@ type transferMsg[T any] struct {
 	ok   bool
 }
 
-// pad prevents false sharing between per-worker atomic cells. 64 bytes
-// is the dominant cache line size; the exact value only affects
-// performance, not correctness.
-type paddedBool struct {
-	v atomic.Bool
-	_ [56]byte
-}
-
-type paddedInt32 struct {
-	v atomic.Int32
-	_ [60]byte
-}
-
-type paddedPtr[T any] struct {
-	v atomic.Pointer[transferMsg[T]]
-	_ [56]byte
+// cell is one worker's shared state. Each word sits on its own 64-byte
+// cache line (the dominant line size; the exact value only affects
+// performance), since each has its own writers.
+type cell[T any] struct {
+	workAvailable atomic.Bool
+	_             [60]byte
+	parked        atomic.Bool
+	_             [60]byte
+	request       atomic.Int32
+	_             [60]byte
+	transfer      atomic.Pointer[transferMsg[T]]
+	_             [56]byte
+	wake          chan struct{} // capacity 1; read-only after New
 }
 
 // Worker is the per-goroutine state. Only the owning goroutine touches
-// dq, rng, and color.
+// its fields.
 type Worker[T any] struct {
 	// ID is the worker index in [0, Config.Workers).
 	ID int
 
-	rt    *Runtime[T]
-	dq    deque.Deque[T]
-	rng   *rand.Rand
-	color int32 // white/black for termination detection; owner-only
+	rt         *Runtime[T]
+	queue      deque.Deque[T] // seeded tasks, run front to back
+	rng        uint64         // xorshift state for victim selection
+	color      int32          // white/black for termination detection
+	advertised bool           // last value written to workAvailable
+	polls      uint32
+	yielded    time.Time // when the worker last yielded in Poll
 
 	stealsReceived int64
 	stealsGranted  int64
+
+	_ [64]byte // keeps the next worker's fields off this one's cache lines
 }
 
-// Push adds a task group at the front of the worker's private deque
-// (depth-first order). Must only be called from Runner.Execute on the
-// same worker.
-func (w *Worker[T]) Push(t T) { w.dq.PushFront(t) }
+// Poll is the runner's call once per expansion. more reports whether
+// Split would now find work to hand over; Poll publishes it as the
+// worker's workAvailable flag, writing the shared flag only when the
+// value changes. It then answers a pending steal request, and now and
+// then yields the processor.
+func (w *Worker[T]) Poll(more bool) {
+	if more != w.advertised && w.rt.stealing {
+		w.advertise(more)
+	}
+	if w.rt.cells[w.ID].request.Load() != noRequest {
+		w.serve()
+	}
+	if w.polls++; w.polls%yieldCheck == 0 {
+		w.yield()
+	}
+}
 
-// QueueLen reports the current private deque length (owner-only; used by
-// Runner implementations for adaptive decisions and by tests).
-func (w *Worker[T]) QueueLen() int { return w.dq.Len() }
+// yield gives up the processor if yieldInterval has passed since the
+// worker last did.
+func (w *Worker[T]) yield() {
+	if now := time.Now(); now.Sub(w.yielded) >= yieldInterval {
+		w.yielded = now
+		runtime.Gosched()
+	}
+}
+
+// QueueLen reports how many seeded tasks the worker has not started
+// (owner-only; used by tests).
+func (w *Worker[T]) QueueLen() int { return w.queue.Len() }
 
 // Cancelled reports whether the runtime was cancelled; long Execute
 // implementations should poll it.
@@ -149,13 +194,15 @@ func (w *Worker[T]) Cancelled() bool { return w.rt.cancelled.Load() }
 // Runtime executes a task graph over a fixed set of workers until global
 // termination or cancellation.
 type Runtime[T any] struct {
-	cfg    Config
 	runner Runner[T]
+	// stealing is Config.Stealing with more than one worker: whether
+	// anyone ever reads workAvailable.
+	stealing bool
 
-	workers       []*Worker[T]
-	workAvailable []paddedBool
-	requests      []paddedInt32
-	transfers     []paddedPtr[T]
+	workers []Worker[T]
+	cells   []cell[T]
+	reject  *transferMsg[T] // the one rejection message, shared
+	done    <-chan struct{} // Run's ctx.Done(); nil without one
 
 	tokenHolder atomic.Int32
 	tokenColor  atomic.Int32
@@ -172,20 +219,21 @@ func New[T any](cfg Config, r Runner[T]) (*Runtime[T], error) {
 		return nil, fmt.Errorf("steal: Workers = %d, need at least 1", cfg.Workers)
 	}
 	rt := &Runtime[T]{
-		cfg:           cfg,
-		runner:        r,
-		workers:       make([]*Worker[T], cfg.Workers),
-		workAvailable: make([]paddedBool, cfg.Workers),
-		requests:      make([]paddedInt32, cfg.Workers),
-		transfers:     make([]paddedPtr[T], cfg.Workers),
+		runner:   r,
+		stealing: cfg.Stealing && cfg.Workers > 1,
+		workers:  make([]Worker[T], cfg.Workers),
+		cells:    make([]cell[T], cfg.Workers),
+		reject:   &transferMsg[T]{},
 	}
 	for i := range rt.workers {
-		rt.workers[i] = &Worker[T]{
-			ID:  i,
-			rt:  rt,
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9E3779B9)),
+		rt.workers[i] = Worker[T]{
+			ID: i,
+			rt: rt,
+			// An odd state is never zero, the one xorshift cannot leave.
+			rng: (uint64(cfg.Seed)+uint64(i))*0x9E3779B97F4A7C15 | 1,
 		}
-		rt.requests[i].v.Store(noRequest)
+		rt.cells[i].request.Store(noRequest)
+		rt.cells[i].wake = make(chan struct{}, 1)
 	}
 	// Token starts black at worker 0 so at least one full white round is
 	// required before termination.
@@ -194,50 +242,39 @@ func New[T any](cfg Config, r Runner[T]) (*Runtime[T], error) {
 	return rt, nil
 }
 
-// Seed places a task group at the back of a worker's deque before Run.
-// The initial work distribution deals root-level tasks across workers
-// (§3.3); pushing to the back keeps the owner's front free for its own
-// depth-first children.
+// Seed queues a task on a worker before Run. The initial work
+// distribution deals root-level tasks across workers (§3.3); a worker
+// runs its seeded tasks in order, and thieves take their share through
+// Split.
 func (rt *Runtime[T]) Seed(worker int, t T) {
-	rt.workers[worker].dq.PushBack(t)
+	rt.workers[worker].queue.PushBack(t)
 }
 
 // Cancel aborts the run as soon as every worker notices the flag.
-func (rt *Runtime[T]) Cancel() { rt.cancelled.Store(true) }
+func (rt *Runtime[T]) Cancel() {
+	rt.cancelled.Store(true)
+	rt.wakeAll()
+}
 
 // Cancelled reports whether Cancel was called.
 func (rt *Runtime[T]) Cancelled() bool { return rt.cancelled.Load() }
 
 // Run starts all workers and blocks until global termination or
-// cancellation. A nil ctx means context.Background(); when ctx carries a
-// cancellation signal, a watcher goroutine translates it into Cancel()
-// the moment it fires, so even fully idle workers notice promptly —
-// workers themselves never touch the context. Run may be called once per
-// Runtime.
+// cancellation; no worker goroutine outlives it. A nil ctx means
+// context.Background(). Busy workers leave the context to the runner; a
+// worker between tasks or probes checks it, and a parked worker wakes on
+// it and cancels the run. Run may be called once per Runtime.
 func (rt *Runtime[T]) Run(ctx context.Context) Stats {
 	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-done:
-					rt.Cancel()
-				case <-stop:
-				}
-			}()
-		}
-	}
-	for i := range rt.workers {
-		rt.workAvailable[i].v.Store(!rt.workers[i].dq.Empty())
+		rt.done = ctx.Done()
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(rt.workers))
-	for _, w := range rt.workers {
+	for i := range rt.workers {
 		go func(w *Worker[T]) {
 			defer wg.Done()
 			w.loop()
-		}(w)
+		}(&rt.workers[i])
 	}
 	wg.Wait()
 
@@ -247,114 +284,114 @@ func (rt *Runtime[T]) Run(ctx context.Context) Stats {
 		Rejects:        rt.rejects.Load(),
 		TokenRounds:    rt.tokenRounds.Load(),
 	}
-	for i, w := range rt.workers {
-		st.StealsReceived[i] = w.stealsReceived
-		st.StealsGranted[i] = w.stealsGranted
+	for i := range rt.workers {
+		st.StealsReceived[i] = rt.workers[i].stealsReceived
+		st.StealsGranted[i] = rt.workers[i].stealsGranted
 	}
 	return st
 }
 
-// loop is the work loop of Fig 2 in the paper:
-//
-//	while not terminated:
-//	    if q.is_empty(): acquire_task(worker)
-//	    task = q.pop()
-//	    work_available[worker] = not q.is_empty()
-//	    process_task_requests(worker)
-//	    execute(task)
+// stopped reports termination or cancellation, turning a fired context
+// into Cancel.
+func (rt *Runtime[T]) stopped() bool {
+	if rt.terminated.Load() || rt.cancelled.Load() {
+		return true
+	}
+	select {
+	case <-rt.done:
+		rt.Cancel()
+		return true
+	default:
+		return false
+	}
+}
+
+// loop is the work loop of Fig 2 in the paper, with the deque inside the
+// runner: run the seeded tasks, then steal until termination.
 func (w *Worker[T]) loop() {
 	rt := w.rt
-	iter := 0
-	for !rt.terminated.Load() && !rt.cancelled.Load() {
-		// Periodic fairness yield: when workers outnumber CPUs (the
-		// paper runs 16 workers; hosts may have fewer cores), a busy
-		// worker in a tight loop can starve thieves and the
-		// termination token of scheduler time.
-		if iter++; iter&63 == 0 {
-			runtime.Gosched()
-		}
-		if w.dq.Empty() {
-			if !w.acquire() {
+	for !rt.stopped() {
+		t, ok := w.queue.PopFront()
+		if !ok {
+			if t, ok = w.acquire(); !ok {
 				break // terminated or cancelled while idle
 			}
 		}
-		task, ok := w.dq.PopFront()
-		if !ok {
-			continue // acquire can return without a task after a reject
+		rt.runner.Execute(w, t)
+		if w.advertised {
+			w.advertise(false)
 		}
-		rt.workAvailable[w.ID].v.Store(!w.dq.Empty())
-		w.processRequests()
-		rt.runner.Execute(w, task)
 	}
-	// Leave no thief spinning on our transfer cell: answer any pending
+	// Leave no thief waiting on our transfer cell: answer any pending
 	// request with a rejection on the way out.
-	rt.workAvailable[w.ID].v.Store(false)
 	w.rejectPending()
 }
 
-// acquire implements the idle phase: the worker repeatedly requests work
-// from random victims until it receives a task or the computation
+// acquire implements the idle phase: the worker requests work from
+// victims that advertise it until it receives a task or the computation
 // terminates (§3.2: "Once it runs out of tasks, it repeatedly requests
-// work from a random worker until it receives a task or is terminated").
-// It returns false on termination/cancellation.
-func (w *Worker[T]) acquire() bool {
+// work from a random worker until it receives a task or is terminated"),
+// parking after spinProbes failed probes in a row. It reports false on
+// termination or cancellation.
+func (w *Worker[T]) acquire() (T, bool) {
 	rt := w.rt
-	rt.workAvailable[w.ID].v.Store(false)
-	for {
-		if rt.terminated.Load() || rt.cancelled.Load() {
-			return false
+	for probes := 1; ; probes++ {
+		if rt.stopped() {
+			var zero T
+			return zero, false
 		}
 		// We hold no work, so answer any thief immediately.
 		w.rejectPending()
 		// Termination token: idle workers pass it along the ring.
 		w.handleToken()
-		if !rt.cfg.Stealing || len(rt.workers) == 1 {
+		if v := w.pickVictim(); v >= 0 && rt.cells[v].request.CompareAndSwap(noRequest, int32(w.ID)) {
+			rt.wakeIfParked(v) // it may have run dry since we looked
+			if msg := w.awaitTransfer(); msg != nil && msg.ok {
+				w.stealsReceived++
+				return msg.task, true
+			}
+		}
+		if probes < spinProbes {
 			runtime.Gosched()
 			continue
 		}
-		victim := w.pickVictim()
-		if victim < 0 {
-			runtime.Gosched()
-			continue
-		}
-		if !rt.requests[victim].v.CompareAndSwap(noRequest, int32(w.ID)) {
-			runtime.Gosched()
-			continue
-		}
-		if msg := w.awaitTransfer(); msg != nil && msg.ok {
-			w.dq.PushFront(msg.task)
-			w.stealsReceived++
-			rt.workAvailable[w.ID].v.Store(true)
-			return true
-		}
+		probes = 0
+		w.park()
 	}
 }
 
-// pickVictim returns a random other worker advertising work, or -1.
+// pickVictim returns another worker advertising work, scanning from a
+// pseudo-random start, or -1.
 func (w *Worker[T]) pickVictim() int {
 	rt := w.rt
-	n := len(rt.workers)
-	// One random probe per iteration, as in receiver-initiated private
-	// deque stealing; scanning all workers would serialize on the flags.
-	v := w.rng.Intn(n)
-	if v == w.ID || !rt.workAvailable[v].v.Load() {
+	if !rt.stealing {
 		return -1
 	}
-	return v
+	w.rng ^= w.rng << 13
+	w.rng ^= w.rng >> 7
+	w.rng ^= w.rng << 17
+	n := len(rt.cells)
+	start := int(w.rng % uint64(n))
+	for k := 0; k < n; k++ {
+		v := (start + k) % n
+		if v != w.ID && rt.cells[v].workAvailable.Load() {
+			return v
+		}
+	}
+	return -1
 }
 
 // awaitTransfer spins until the victim answers our request (grant or
-// reject). While waiting it keeps answering its own pending requests and
-// returns nil on cancellation (the victim may have exited).
+// reject) at its next Poll. While waiting it keeps answering its own
+// pending requests, and it returns nil once the run stops (the victim
+// may have exited).
 func (w *Worker[T]) awaitTransfer() *transferMsg[T] {
-	rt := w.rt
-	cell := &rt.transfers[w.ID].v
+	c := &w.rt.cells[w.ID]
 	for {
-		if msg := cell.Load(); msg != nil {
-			cell.Store(nil)
+		if msg := c.transfer.Swap(nil); msg != nil {
 			return msg
 		}
-		if rt.cancelled.Load() {
+		if w.rt.stopped() {
 			return nil
 		}
 		w.rejectPending()
@@ -362,74 +399,134 @@ func (w *Worker[T]) awaitTransfer() *transferMsg[T] {
 	}
 }
 
-// processRequests services at most one pending steal request from the
-// work loop (§3.2: the worker "checks for a work request in requests,
-// answering that via transfers from the back of its queue if possible").
-func (w *Worker[T]) processRequests() {
+// park sleeps until a waker signals. It marks the worker parked first
+// and then re-checks each condition a waker reports, so a change made
+// before the flag was visible is seen here, and one made after it finds
+// the flag and signals.
+func (w *Worker[T]) park() {
 	rt := w.rt
-	thief := rt.requests[w.ID].v.Load()
-	if thief == noRequest {
-		return
+	c := &rt.cells[w.ID]
+	c.parked.Store(true)
+	if rt.mayPark(w.ID) {
+		select {
+		case <-c.wake:
+		case <-rt.done:
+			rt.Cancel()
+		}
 	}
-	var msg transferMsg[T]
-	var task T
-	var ok bool
-	if rt.cfg.StealFromFront {
-		task, ok = w.dq.PopFront()
-	} else {
-		task, ok = w.dq.PopBack()
+	c.parked.Store(false)
+}
+
+// mayPark reports whether nothing worker id waits for has happened: no
+// request in its cell, not the token holder, no other worker advertising
+// work, neither terminated nor cancelled. The context is the park's own
+// select case.
+func (rt *Runtime[T]) mayPark(id int) bool {
+	if rt.cells[id].request.Load() != noRequest || rt.tokenHolder.Load() == int32(id) ||
+		rt.terminated.Load() || rt.cancelled.Load() {
+		return false
 	}
-	if ok {
-		msg = transferMsg[T]{task: rt.runner.PackSteal(w, task), ok: true}
+	if rt.stealing {
+		for i := range rt.cells {
+			if i != id && rt.cells[i].workAvailable.Load() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// wakeIfParked signals worker i if it is parked. The caller has already
+// changed whatever i waits for.
+func (rt *Runtime[T]) wakeIfParked(i int) {
+	c := &rt.cells[i]
+	if c.parked.Load() {
+		select {
+		case c.wake <- struct{}{}:
+		default: // a signal is already pending
+		}
+	}
+}
+
+// wakeAll signals every parked worker.
+func (rt *Runtime[T]) wakeAll() {
+	for i := range rt.cells {
+		rt.wakeIfParked(i)
+	}
+}
+
+// advertise writes the worker's workAvailable flag; when work appears it
+// wakes the parked workers so they can come and steal it.
+func (w *Worker[T]) advertise(more bool) {
+	rt := w.rt
+	w.advertised = more
+	rt.cells[w.ID].workAvailable.Store(more)
+	if more {
+		rt.wakeAll()
+	}
+}
+
+// serve answers the pending steal request from inside Poll (§3.2: the
+// worker "checks for a work request in requests, answering that via
+// transfers from the back of its queue if possible"); Split decides what
+// the back of the queue is.
+func (w *Worker[T]) serve() {
+	rt := w.rt
+	c := &rt.cells[w.ID]
+	thief := c.request.Load()
+	msg := rt.reject
+	if t, ok := rt.runner.Split(w); ok {
+		msg = &transferMsg[T]{task: t, ok: true}
 		w.stealsGranted++
 		// Granting a steal may reactivate a worker the termination token
 		// already passed: turn black so the current probe round fails
 		// (conservative variant of Dijkstra's rule).
 		w.color = black
-		rt.workAvailable[w.ID].v.Store(!w.dq.Empty())
 	} else {
 		rt.rejects.Add(1)
+		if w.advertised {
+			w.advertise(false)
+		}
 	}
-	rt.transfers[thief].v.Store(&msg)
-	rt.requests[w.ID].v.Store(noRequest)
+	rt.cells[thief].transfer.Store(msg)
+	c.request.Store(noRequest)
 }
 
 // rejectPending answers a pending request with "no work"; used whenever
 // the worker is idle or exiting.
 func (w *Worker[T]) rejectPending() {
 	rt := w.rt
-	thief := rt.requests[w.ID].v.Load()
+	c := &rt.cells[w.ID]
+	thief := c.request.Load()
 	if thief == noRequest {
 		return
 	}
 	rt.rejects.Add(1)
-	rt.transfers[thief].v.Store(&transferMsg[T]{})
-	rt.requests[w.ID].v.Store(noRequest)
+	rt.cells[thief].transfer.Store(rt.reject)
+	c.request.Store(noRequest)
 }
 
 // handleToken advances Dijkstra's termination-detection token if this
-// idle worker currently holds it (§3.5).
+// idle worker currently holds it (§3.5), waking the next holder.
 func (w *Worker[T]) handleToken() {
 	rt := w.rt
 	if rt.tokenHolder.Load() != int32(w.ID) {
 		return
 	}
-	n := int32(len(rt.workers))
 	if w.ID == 0 {
 		if rt.tokenColor.Load() == white && w.color == white {
 			rt.terminated.Store(true)
+			rt.wakeAll()
 			return
 		}
 		// Start a fresh probe round with a white token.
 		rt.tokenRounds.Add(1)
-		w.color = white
 		rt.tokenColor.Store(white)
-		rt.tokenHolder.Store(1 % n)
-		return
-	}
-	if w.color == black {
+	} else if w.color == black {
 		rt.tokenColor.Store(black)
 	}
 	w.color = white
-	rt.tokenHolder.Store((int32(w.ID) + 1) % n)
+	next := (w.ID + 1) % len(rt.cells)
+	rt.tokenHolder.Store(int32(next))
+	rt.wakeIfParked(next)
 }

@@ -198,8 +198,10 @@ type Options struct {
 	// Workers sets the parallel worker count; 0 or 1 runs the
 	// sequential engine. VF2 ignores it (always sequential).
 	Workers int
-	// TaskGroupSize is the work-stealing coalescing granularity
-	// (1–16, default 4 — the paper's setting).
+	// TaskGroupSize is the work-stealing coalescing granularity: the
+	// candidates one steal hands over, and the size of the root groups
+	// the initial distribution deals (1–16, default 4 — the paper's
+	// setting).
 	TaskGroupSize int
 	// Limit stops after at least this many matches (0 = enumerate all).
 	Limit int64
@@ -256,7 +258,7 @@ type Result struct {
 	TimedOut bool
 	// Unsatisfiable reports that preprocessing proved zero matches.
 	Unsatisfiable bool
-	// Steals counts stolen task groups (parallel runs only).
+	// Steals counts stolen tasks (parallel runs only).
 	Steals int64
 	// PerWorkerStates breaks States down by worker (parallel runs only).
 	PerWorkerStates []int64
