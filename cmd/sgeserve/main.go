@@ -129,7 +129,8 @@ func main() {
 		Handler: handler,
 		// Transport-level untrusted-client defenses: a slowloris peer
 		// must not pin a connection goroutine forever. WriteTimeout
-		// stays 0 — streaming responses are legitimately long-lived.
+		// stays 0 — streaming responses are legitimately long-lived;
+		// each stream bounds its own writes by its query's deadline.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

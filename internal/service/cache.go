@@ -73,19 +73,10 @@ func entryCost(e *entry) int64 {
 	return 1 + int64(len(e.mappings))
 }
 
-// translate converts one cached canonical mapping to the numbering of a
-// client pattern with canonical permutation perm (node v of the client
-// pattern is canonical node perm[v]).
-func translate(cm []int32, perm []int32) []int32 {
-	out := make([]int32, len(perm))
-	for v, p := range perm {
-		out[v] = cm[p]
-	}
-	return out
-}
-
-// canonical is the inverse of translate: it converts one mapping in the
-// client pattern's numbering to the canonical numbering.
+// canonical converts one mapping in the client pattern's numbering to
+// the canonical numbering, given the client pattern's canonical
+// permutation perm (node v of the client pattern is canonical node
+// perm[v]). A hit maps it back with m[v] = cm[perm[v]].
 func canonical(m []int32, perm []int32) []int32 {
 	cm := make([]int32, len(m))
 	for v, tv := range m {

@@ -396,40 +396,40 @@ func (h *Server) handleQuery(w http.ResponseWriter, r *http.Request, svc *target
 	writeJSON(w, http.StatusOK, *buf)
 }
 
-// streamQuery writes matches as NDJSON as they arrive. The request
-// context tears the enumeration down when the client disconnects: the
-// service stream unblocks on ctx, releases its admission tokens, and the
-// handler returns — the regression tests count goroutines to hold this.
-// Each NDJSON line is appended into buf and written with one Write.
+// streamGrace is how long past its deadline a stream may take to write
+// what its run found in time, and its terminal line: a client that keeps
+// reading needs a moment, while one that stopped reading holds the
+// handler, and a miss's tokens, no longer than this past the deadline.
+const streamGrace = 250 * time.Millisecond
+
+// streamQuery writes matches as NDJSON, each line appended into buf and
+// written with one Write, in the goroutine that runs the stream: a hit
+// is flushed once, at its end, and a miss's lines as they are written.
+// A write deadline bounds a client that stops reading: its blocked
+// Write fails, the stream ends and releases its tokens, and the handler
+// returns. A client that disconnects cancels the request context, which
+// tears the run down.
 func (h *Server) streamQuery(w http.ResponseWriter, r *http.Request, q Query, svc *targetService, buf *[]byte) {
-	matches, end, err := svc.Stream(r.Context(), q)
+	st, err := svc.openStream(r.Context(), q)
 	if err != nil {
 		queryError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	if !st.deadline.IsZero() {
+		// A writer without deadlines (ErrNotSupported) is not bounded.
+		http.NewResponseController(w).SetWriteDeadline(st.deadline.Add(streamGrace))
+	}
 	flusher, _ := w.(http.Flusher)
-	for m := range matches {
-		*buf = appendStreamLine((*buf)[:0], &streamLine{Mapping: m.Mapping})
-		if _, err := w.Write(*buf); err != nil {
-			// Client gone: the ResponseWriter is dead, but the request
-			// context will cancel and the service winds the stream down;
-			// keep draining so we deliver the end event exactly once.
-			break
-		}
-		// Adaptive flush: when more matches are already queued, batch
-		// them into one write; when the producer is trickling (a hard
-		// instance finding matches slowly), every match reaches the
-		// client immediately instead of sitting in the response buffer.
-		if flusher != nil && len(matches) == 0 {
+	flushLines := st.hit == nil && flusher != nil
+	e := svc.runStream(r.Context(), &st, func(m []int32) bool {
+		*buf = appendStreamLine((*buf)[:0], &streamLine{Mapping: m})
+		_, err := w.Write(*buf)
+		if err == nil && flushLines {
 			flusher.Flush()
 		}
-	}
-	for range matches {
-		// Drain after a write error so the producer never blocks on us
-		// longer than its context allows.
-	}
-	e := <-end
+		return err == nil
+	})
 	line := streamLine{Done: true, Matches: e.Result.Matches, Epoch: e.Result.Epoch, Truncated: e.Result.TimedOut}
 	if e.Err != nil {
 		line.Error = e.Err.Error()

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -380,6 +381,86 @@ func TestHTTPClientDisconnectTeardown(t *testing.T) {
 	r, err := svc.Count(context.Background(), Query{Pattern: gp, Options: parsge.Options{Semantics: parsge.SubgraphIso}})
 	if err != nil || r.Result.Matches == 0 {
 		t.Fatalf("service wedged after disconnects: %v %+v", err, r.Result)
+	}
+}
+
+// TestHTTPStalledStreamClient: a streaming client that reads one line
+// and then neither reads nor closes must not hold the handler past the
+// query's timeout. The stream (a 6-path over the 12-clique under
+// homomorphism, about 1.9 M matches) fills the socket buffers well
+// within its 300 ms timeout, so the handler blocks in Write; the write
+// deadline, streamGrace past the query's deadline, must fail that Write,
+// so the run ends truncated and uncached, its tokens come back and the
+// handler returns. A client that keeps reading the same stream must
+// still get every line its timeout let through and then the terminal
+// line, which reports the truncation.
+func TestHTTPStalledStreamClient(t *testing.T) {
+	rt, svc, _ := blockingWorld(t, RouterConfig{Workers: 2})
+	pb := graph.NewBuilder(6, 5)
+	pb.AddNodes(6)
+	for i := int32(0); i < 5; i++ {
+		pb.AddEdge(i, i+1, graph.NoLabel)
+	}
+	gp := pb.MustBuild()
+	table := graphio.NewLabelTable()
+	h := NewRouterServer(rt, table)
+	var handlers atomic.Int32 // in flight
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handlers.Add(1)
+		defer handlers.Add(-1)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	const timeout = 300 * time.Millisecond
+	body := map[string]any{"pattern": patternText(t, gp, table), "semantics": "hom", "stream": true, "timeout_ms": timeout.Milliseconds()}
+	resp, err := postQuery(t, ts.URL+soloPath, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reader only counts lines, so it keeps up with the handler even
+	// under the race detector.
+	var lines int64
+	var last []byte
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		lines++
+		last = append(last[:0], sc.Bytes()...)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading client: after %d lines: %v", lines, err)
+	}
+	resp.Body.Close()
+	var end streamLine
+	// A truncated stream's count is a lower bound of the full count: at
+	// least every line the client got.
+	if json.Unmarshal(last, &end) != nil || !end.Done || !end.Truncated || end.Matches < lines-1 || lines < 2 {
+		t.Fatalf("reading client: %d lines, the last %q; want a truncated terminal line", lines, last)
+	}
+
+	start := time.Now()
+	resp, err = postQuery(t, ts.URL+soloPath, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deferred after ts.Close, so it runs first: a handler still blocked
+	// then fails its Write, and the server can shut down.
+	defer resp.Body.Close()
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.Contains(line, "mapping") {
+		t.Fatalf("first stream line: %q, %v", line, err)
+	}
+	// From here on the client neither reads nor closes.
+	deadline := start.Add(timeout + 2*time.Second)
+	for handlers.Load() != 0 || svc.Stats().TokensInUse != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v after the %v timeout: %d handler(s) still running, %d token(s) in use",
+				time.Since(start)-timeout, timeout, handlers.Load(), svc.Stats().TokensInUse)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := svc.Stats(); st.CacheEntries != 0 {
+		t.Fatalf("%d cache entries after a stream its client cut short, want 0", st.CacheEntries)
 	}
 }
 
@@ -879,10 +960,16 @@ func testHTTPPatternMemo(t *testing.T) {
 // adds the mapping list and its one backing array. A -race build's
 // sync.Pool drops a random share of puts, so its pooled buffers are
 // sometimes allocated afresh: it measured 14-15 and 16-17 and is
-// allowed 16 and 18, without the equality.
+// allowed 16 and 18, without the equality. Stream hits of the same two
+// queries are measured over a reused writer (hitWriter), so the count is
+// the handler's own: the replay runs in the handler's goroutine through
+// one translation buffer, so 1 and 23 mappings allocate alike (6; 10
+// and 32 when each mapping was its own slice sent over a channel to the
+// handler). The -race build measured 6-7 and is allowed 8, without
+// the equality.
 func TestHTTPHitPathAllocs(t *testing.T) {
 	w := buildSoakWorld(t, 91)
-	r, _ := soloRouter(t, w.tgt, RouterConfig{})
+	r, svc := soloRouter(t, w.tgt, RouterConfig{})
 	table := identityTable(w.gt)
 	h := NewRouterServer(r, table)
 	req := httptest.NewRequest(http.MethodPost, soloPath+"/query", nil)
@@ -932,6 +1019,49 @@ func TestHTTPHitPathAllocs(t *testing.T) {
 	}
 	if !raceEnabled && one != many {
 		t.Errorf("HTTP mappings hits: %v allocs for 1 mapping, %v for 23; want equal", one, many)
+	}
+
+	// streamAllocs warms the result cache and the memo with a stream of
+	// body, checks that a repeat replays every match from the cache, and
+	// measures one.
+	hw := &hitWriter{hdr: make(http.Header)}
+	body := io.NopCloser(&rd)
+	streamAllocs := func(name string, post map[string]any, want int64) float64 {
+		post["stream"] = true
+		b, err := json.Marshal(post)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func() {
+			rd.Reset(b)
+			req.Body = body
+			hw.reset()
+			h.ServeHTTP(hw, req)
+		}
+		serve()
+		hits := svc.Stats().CacheHits
+		serve()
+		out := bytes.Split(bytes.TrimSuffix(hw.body.Bytes(), []byte("\n")), []byte("\n"))
+		var end streamLine
+		if hw.status != http.StatusOK || svc.Stats().CacheHits != hits+1 || int64(len(out)) != want+1 ||
+			json.Unmarshal(out[len(out)-1], &end) != nil || !end.Done || end.Matches != want {
+			t.Fatalf("%s: second stream: status %d, body %s; want a cache hit streaming %d matches", name, hw.status, hw.body.Bytes(), want)
+		}
+		return testing.AllocsPerRun(100, serve)
+	}
+	streamOne := streamAllocs("stream, 1 mapping", map[string]any{"pattern": patternText(t, w.patterns[4], table), "semantics": "induced"},
+		w.oracle[4][parsge.InducedIso])
+	streamMany := streamAllocs("stream, 23 mappings", map[string]any{"pattern": patternText(t, w.patterns[5], table), "semantics": "hom"},
+		w.oracle[5][parsge.Homomorphism])
+	streamBound := 6.0
+	if raceEnabled {
+		streamBound = 8
+	}
+	if streamOne > streamBound || streamMany > streamBound {
+		t.Errorf("HTTP stream hits: %v allocs (1 mapping) and %v (23 mappings), want <= %v", streamOne, streamMany, streamBound)
+	}
+	if !raceEnabled && streamOne != streamMany {
+		t.Errorf("HTTP stream hits: %v allocs for 1 mapping, %v for 23; want equal", streamOne, streamMany)
 	}
 }
 

@@ -324,7 +324,10 @@ func (r *Router) Enumerate(ctx context.Context, name string, q Query) (Reply, er
 	return svc.Enumerate(ctx, q)
 }
 
-// Stream serves a live match stream from the named target.
+// Stream serves a live match stream from the named target over two
+// channels (see targetService.Stream). The channel form is an adapter
+// for library callers over the synchronous stream core, which the HTTP
+// server calls directly.
 func (r *Router) Stream(ctx context.Context, name string, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
 	svc, err := r.route(name)
 	if err != nil {

@@ -397,16 +397,6 @@ func (s *targetService) cachePut(ent *entry) {
 	s.cache.put(ent)
 }
 
-// cacheGetStream looks up a mapping-bearing entry for a stream replay;
-// an uncacheable query (empty key) never consults the cache, so its
-// counters only see real lookups.
-func (s *targetService) cacheGetStream(key string) (*entry, bool) {
-	if key == "" {
-		return nil, false
-	}
-	return s.cache.get(key, true, s.tgt.Epoch(), true)
-}
-
 // replyFromEntry materializes a cached/shared entry for a client whose
 // pattern has canonical permutation perm. The translated mappings share
 // one backing array, each a capped subslice of it, so a hit allocates
@@ -428,131 +418,149 @@ func (s *targetService) replyFromEntry(ent *entry, perm []int32, needMappings, h
 	return r
 }
 
-// Stream serves a query as a live match stream: the matches channel
-// closes when the enumeration finishes, then exactly one StreamEnd is
-// delivered (Result.TimedOut reports truncation). A cache hit replays
-// the cached result set; a miss runs admission-controlled like any other
-// query, holding its tokens until the stream ends, and — when the stream
-// completes un-truncated within the per-entry cap — populates the cache.
-// Streams do not join singleflight (two streams would each need every
-// match anyway). Cancelling ctx tears the stream down promptly; a
-// disconnected client costs nothing beyond its context firing. A miss
-// and a replay both run under the query's resolved timeout, so a
-// consumer that stops reading without cancelling holds the stream's
-// goroutine and tokens no longer than that timeout, and the stream then
-// ends truncated.
-func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
+// stream is a query openStream let through, for runStream to run once:
+// a cache hit to replay, or a miss with its admission.
+type stream struct {
+	q        Query
+	perm     []int32
+	key      string
+	deadline time.Time // the end of the query's timeout, from the opening; zero if none
+	hit      *entry    // nil for a miss
+	rec      admitRecord
+	workers  int
+	release  func()
+}
+
+// openStream validates a streamed query, looks it up in the cache and,
+// on a miss, admits it, so every refusal comes back before the caller
+// has sent a byte. Streams do not join singleflight: two streams would
+// each need every match anyway.
+func (s *targetService) openStream(ctx context.Context, q Query) (stream, error) {
 	if err := s.begin(); err != nil {
-		return nil, nil, err
+		return stream{}, err
 	}
 	_, perm, key, err := s.validate(q)
 	if err != nil {
 		s.wg.Done()
-		return nil, nil, err
+		return stream{}, err
 	}
 	s.count.queries.Add(1)
+	st := stream{q: q, perm: perm, key: key}
+	if key != "" { // an uncacheable query never consults the cache
+		st.hit, _ = s.cache.get(key, true, s.tgt.Epoch(), true)
+	}
+	if st.hit == nil {
+		if st.rec, st.workers, _, st.release, err = s.admit(ctx, q, key); err != nil {
+			s.wg.Done()
+			return stream{}, err
+		}
+	}
+	if d := s.cfg.timeout(q.Options.Timeout); d > 0 {
+		st.deadline = time.Now().Add(d)
+	}
+	return st, nil
+}
 
-	matches := make(chan parsge.Match, 64)
-	end := make(chan parsge.StreamEnd, 1)
-
-	if ent, ok := s.cacheGetStream(key); ok {
-		rctx, stop := withTimeout(ctx, s.cfg.timeout(q.Options.Timeout))
-		go func() {
-			defer s.wg.Done()
-			defer stop()
-			res := ent.res
-			for _, cm := range ent.mappings {
-				select {
-				case matches <- parsge.Match{Mapping: translate(cm, perm)}:
-					continue
-				case <-rctx.Done():
-					res.TimedOut = true
-				}
+// runStream runs an opened stream in the caller's goroutine: it calls
+// visit once per match, one call at a time, on a slice it reuses, and
+// returns the stream's end; a visit that returns false truncates the
+// stream. A hit replays its entry through one translation buffer. A miss
+// passes visit as its Visit, holds its tokens to the end, and fills the
+// cache when it completes within the cap.
+func (s *targetService) runStream(ctx context.Context, st *stream, visit func([]int32) bool) parsge.StreamEnd {
+	defer s.wg.Done()
+	if st.hit != nil {
+		res := st.hit.res
+		m := make([]int32, len(st.perm))
+		for _, cm := range st.hit.mappings {
+			for v, p := range st.perm {
+				m[v] = cm[p]
+			}
+			if !visit(m) {
+				res.TimedOut = true
 				break
 			}
-			// The terminal send happens exactly once, outside the replay
-			// loop — `end` is a one-shot buffered channel, so this can
-			// never block a cancelled client (sgelint: ctxsend).
-			close(matches)
-			end <- parsge.StreamEnd{Result: res}
-		}()
-		return matches, end, nil
+		}
+		return parsge.StreamEnd{Result: res}
 	}
-
-	rec, workers, _, release, err := s.admit(ctx, q, key)
-	if err != nil {
-		s.wg.Done()
-		return nil, nil, err
-	}
-
-	opts := s.prepared(q.Options, workers)
-	// The run and every send share one context: the caller's, bounded by
-	// the resolved timeout. A consumer that stops reading without
-	// cancelling then stalls the run only until the timeout, which ends
-	// it and releases its tokens.
-	qctx, stop := withTimeout(ctx, opts.Timeout)
-	opts.Timeout = 0
-	// Visit runs concurrently on the steal pool: mu guards the canonical
-	// mappings collected for the cache.
+	defer st.release()
+	opts := s.prepared(st.q.Options, st.workers)
+	// Visit runs concurrently on the steal pool: mu serializes visit and
+	// guards the mappings collected for the cache and the time in visit.
 	var mu sync.Mutex
 	var collected [][]int32
-	overflow := key == "" // uncacheable: don't accumulate for the cache
-	// waited marks a run that found the channel full: its MatchTime then
-	// includes time the consumer spent reading, which prices the reader,
-	// not the plan, so the run feeds no cost history.
-	var waited atomic.Bool
+	overflow := st.key == "" // uncacheable: don't accumulate for the cache
+	var visiting time.Duration
+	perm := st.perm // captured alone, so the caller's stream stays off the heap
 	opts.Visit = func(m []int32) bool {
-		cp := append([]int32(nil), m...)
 		mu.Lock()
+		defer mu.Unlock()
 		if !overflow {
 			if len(collected) >= cacheMaxMappingsPerEntry {
 				overflow, collected = true, nil
 			} else {
-				collected = append(collected, canonical(cp, perm))
+				collected = append(collected, canonical(m, perm))
 			}
 		}
-		mu.Unlock()
-		select {
-		case matches <- parsge.Match{Mapping: cp}:
-			return true
-		default:
-			waited.Store(true)
-		}
-		select {
-		case matches <- parsge.Match{Mapping: cp}:
-			return true
-		case <-qctx.Done():
-			return false
-		}
+		start := time.Now()
+		ok := visit(m)
+		visiting += time.Since(start)
+		return ok
 	}
-	go func() {
-		defer s.wg.Done()
-		defer release()
-		defer stop()
-		res, err := s.tgt.EnumerateEstimated(qctx, rec.est, q.Pattern, opts)
-		if err == nil && !waited.Load() {
-			s.observe(ctx, rec, &res)
+	res, err := s.tgt.EnumerateEstimated(ctx, st.rec.est, st.q.Pattern, opts)
+	// The cost model prices the search, not the delivery: it gets the
+	// run's MatchTime less its time inside visit, and nothing from a run
+	// that spent longer in visit than searching.
+	if err == nil && 2*visiting <= res.MatchTime {
+		searched := res
+		searched.MatchTime -= visiting
+		s.observe(ctx, st.rec, &searched)
+	}
+	if err == nil && !res.TimedOut && st.key != "" {
+		ent := &entry{key: st.key, res: res, epoch: res.Epoch}
+		if !overflow {
+			ent.hasMappings = true
+			ent.mappings = collected
 		}
-		close(matches)
-		if err == nil && !res.TimedOut && key != "" {
-			ent := &entry{key: key, res: res, epoch: res.Epoch}
-			if !overflow {
-				ent.hasMappings = true
-				ent.mappings = collected
-			}
-			s.cache.put(ent)
-		}
-		end <- parsge.StreamEnd{Result: res, Err: err}
-	}()
-	return matches, end, nil
+		s.cache.put(ent)
+	}
+	return parsge.StreamEnd{Result: res, Err: err}
 }
 
-// withTimeout bounds ctx by d when d is positive.
-func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d > 0 {
-		return context.WithTimeout(ctx, d)
+// Stream serves a query as a live match stream over two channels: an
+// adapter over openStream and runStream for library callers (the HTTP
+// server calls those directly). The matches channel closes when the
+// stream ends, then exactly one StreamEnd is delivered (Result.TimedOut
+// reports truncation). Cancelling ctx tears the stream down promptly; a
+// consumer that stops reading without cancelling holds the stream's
+// goroutine, and a miss's tokens, until the query's timeout.
+func (s *targetService) Stream(ctx context.Context, q Query) (<-chan parsge.Match, <-chan parsge.StreamEnd, error) {
+	st, err := s.openStream(ctx, q)
+	if err != nil {
+		return nil, nil, err
 	}
-	return ctx, func() {}
+	// 64 slots let the run keep searching while the consumer handles a
+	// match, without buffering a large share of a big result.
+	matches := make(chan parsge.Match, 64)
+	end := make(chan parsge.StreamEnd, 1)
+	go func() {
+		sctx, stop := ctx, context.CancelFunc(func() {})
+		if !st.deadline.IsZero() {
+			sctx, stop = context.WithDeadline(ctx, st.deadline)
+		}
+		defer stop()
+		e := s.runStream(ctx, &st, func(m []int32) bool {
+			select {
+			case matches <- parsge.Match{Mapping: append([]int32(nil), m...)}:
+				return true
+			case <-sctx.Done():
+				return false
+			}
+		})
+		close(matches)
+		end <- e
+	}()
+	return matches, end, nil
 }
 
 // Update applies a batch of edge mutations to the service's target

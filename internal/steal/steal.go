@@ -45,8 +45,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"parsge/internal/deque"
 )
 
 // Runner is the client of the runtime: it supplies task semantics.
@@ -144,10 +142,10 @@ type Worker[T any] struct {
 	ID int
 
 	rt         *Runtime[T]
-	queue      deque.Deque[T] // seeded tasks, run front to back
-	rng        uint64         // xorshift state for victim selection
-	color      int32          // white/black for termination detection
-	advertised bool           // last value written to workAvailable
+	queue      []T    // seeded tasks, run front to back
+	rng        uint64 // xorshift state for victim selection
+	color      int32  // white/black for termination detection
+	advertised bool   // last value written to workAvailable
 	polls      uint32
 	yielded    time.Time // when the worker last yielded in Poll
 
@@ -185,7 +183,7 @@ func (w *Worker[T]) yield() {
 
 // QueueLen reports how many seeded tasks the worker has not started
 // (owner-only; used by tests).
-func (w *Worker[T]) QueueLen() int { return w.queue.Len() }
+func (w *Worker[T]) QueueLen() int { return len(w.queue) }
 
 // Cancelled reports whether the runtime was cancelled; long Execute
 // implementations should poll it.
@@ -247,7 +245,7 @@ func New[T any](cfg Config, r Runner[T]) (*Runtime[T], error) {
 // runs its seeded tasks in order, and thieves take their share through
 // Split.
 func (rt *Runtime[T]) Seed(worker int, t T) {
-	rt.workers[worker].queue.PushBack(t)
+	rt.workers[worker].queue = append(rt.workers[worker].queue, t)
 }
 
 // Cancel aborts the run as soon as every worker notices the flag.
@@ -311,11 +309,13 @@ func (rt *Runtime[T]) stopped() bool {
 func (w *Worker[T]) loop() {
 	rt := w.rt
 	for !rt.stopped() {
-		t, ok := w.queue.PopFront()
-		if !ok {
-			if t, ok = w.acquire(); !ok {
-				break // terminated or cancelled while idle
-			}
+		var t T
+		if len(w.queue) > 0 {
+			t, w.queue = w.queue[0], w.queue[1:]
+		} else if stolen, ok := w.acquire(); ok {
+			t = stolen
+		} else {
+			break // terminated or cancelled while idle
 		}
 		rt.runner.Execute(w, t)
 		if w.advertised {

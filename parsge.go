@@ -393,8 +393,10 @@ func WriteGraph(w io.Writer, name string, g *Graph, table *LabelTable) error {
 	return graphio.Write(w, name, g, table)
 }
 
-// Match is one enumerated embedding delivered by a match stream (see
-// StreamEnd).
+// Match is one enumerated embedding delivered by the service layer's
+// channel form of a match stream (see StreamEnd). That form is an
+// adapter for library callers; the HTTP server runs the stream as a
+// callback and writes each match as it is found.
 type Match struct {
 	// Mapping maps pattern node id → target node id. The slice is owned
 	// by the receiver.

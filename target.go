@@ -342,12 +342,14 @@ func (t *Target) Count(ctx context.Context, pattern *Graph, opts Options) (int64
 	return res.Matches, err
 }
 
-// StreamEnd is the terminal event of a match stream (the service layer
-// streams its queries as Match values): the final Result of the
-// enumeration (Result.TimedOut reports a truncated stream — context
-// cancellation or Timeout) and the query error. A stream capped by
-// Options.Limit is reported as complete, not truncated: the caller
-// received everything it asked for.
+// StreamEnd is the terminal event of a match stream: the final Result of
+// the enumeration (Result.TimedOut reports a truncated stream — context
+// cancellation, Timeout, or a consumer that stopped it) and the query
+// error. A stream capped by Options.Limit is reported as complete, not
+// truncated: the caller received everything it asked for. The service
+// layer's stream core calls back once per match and returns the
+// StreamEnd; its channel form, an adapter for library callers, delivers
+// Match values and then the StreamEnd. The HTTP server calls the core.
 type StreamEnd struct {
 	Result Result
 	Err    error
